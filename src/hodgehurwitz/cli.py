@@ -11,9 +11,9 @@ All values print as exact rationals ("num/den", or "n" for integers).
 Identical invocations produce byte-identical output.  Every error path
 exits nonzero with a single-line reason on stderr.
 
-If the environment variable HURWITZ_REC_CACHE names a directory, filled
-Hodge tables are persisted there as JSON, keyed by (method, complexity),
-and reloaded only after the base entries revalidate exactly.
+Each call solves only the Hodge-table levels its answers need, once.
+If the environment variable HURWITZ_REC_CACHE names a directory, each
+method's table persists there as one JSON file (see ``_Tables``).
 """
 
 import argparse
@@ -25,8 +25,8 @@ from typing import Optional
 
 from .exact_algebra import LaurentSeries, UniPoly, format_rational, \
     laurent_reciprocal, laurent_substitute, rat
-from .hodge_solver import HodgeTable, default_table, dvv_verify, \
-    hodge_lambda, load_table_cache, save_table_cache
+from .hodge_solver import HodgeTable, dvv_verify, hodge_lambda, \
+    load_table_cache, save_table_cache
 from .hurwitz import h_brute, h_direct, hurwitz_elsv, table_generate
 from .lambert_curve import eta_xi_identity_check, h02_series_identity_check, \
     s_involution, stirling_coefficients, v_series, w_series, xi_form
@@ -51,9 +51,6 @@ def _add_common(sub) -> None:
         metavar="CHI",
         help="largest recursion level 2g-2+ell the Hodge table may fill "
              f"(default {DEFAULT_BUDGET})")
-    sub.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="parallel cells per table level (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,31 +129,39 @@ def _parse_parts(text: str, what: str) -> tuple:
 def _validate_common(args) -> None:
     if args.complexity_budget < 1:
         raise ValueError("complexity-budget must be ≥ 1")
-    if args.jobs < 1:
-        raise ValueError("jobs must be ≥ 1")
 
 
-def _prepared_table(method: str, chi: int, jobs: int) -> HodgeTable:
-    """A Hodge table filled through complexity chi, via the persistent
-    cache when HURWITZ_REC_CACHE is set."""
-    chi = max(chi, 1)
-    cache_dir = os.environ.get("HURWITZ_REC_CACHE")
-    if cache_dir:
-        cached = load_table_cache(cache_dir, method, chi)
-        if cached is not None:
-            return cached
-    table = HodgeTable()
-    table.fill_to_complexity(chi, method=method, jobs=jobs)
-    if cache_dir:
-        save_table_cache(table, cache_dir, method, chi)
-    return table
+class _Tables:
+    """One call's Hodge tables, one per method, created on first use and
+    filled on demand.  With HURWITZ_REC_CACHE set, a table starts from
+    the method's cache file (a damaged file is a miss), and ``save``
+    rewrites the file if the call solved new levels."""
+
+    def __init__(self):
+        self._cache_dir = os.environ.get("HURWITZ_REC_CACHE")
+        self._tables: dict[str, tuple[HodgeTable, int]] = {}
+
+    def get(self, method: str) -> HodgeTable:
+        if method not in self._tables:
+            table = None
+            if self._cache_dir:
+                table = load_table_cache(self._cache_dir, method)
+            if table is None:
+                table = HodgeTable()
+            self._tables[method] = (table, len(table.filled))
+        return self._tables[method][0]
+
+    def save(self) -> None:
+        for method, (table, levels) in self._tables.items():
+            if self._cache_dir and len(table.filled) > levels:
+                save_table_cache(table, self._cache_dir, method)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _run_hodge(args) -> int:
+def _run_hodge(args, tables: _Tables) -> int:
     _validate_common(args)
     if args.g < 0:
         raise ValueError(f"genus must be ≥ 0, got {args.g}")
@@ -172,8 +177,8 @@ def _run_hodge(args) -> int:
         raise ValueError(
             f"complexity 2g-2+ell = {chi} exceeds --complexity-budget "
             f"{args.complexity_budget}")
-    table = _prepared_table(args.method, chi, args.jobs)
-    j, value = hodge_lambda(args.g, indices, method=args.method, table=table)
+    j, value = hodge_lambda(args.g, indices, method=args.method,
+                            table=tables.get(args.method))
     if args.format == "json":
         print(json.dumps({
             "g": args.g,
@@ -186,7 +191,7 @@ def _run_hodge(args) -> int:
     return 0
 
 
-def _run_hurwitz(args) -> int:
+def _run_hurwitz(args, tables: _Tables) -> int:
     _validate_common(args)
     if args.g < 0:
         raise ValueError(f"genus must be ≥ 0, got {args.g}")
@@ -204,14 +209,14 @@ def _run_hurwitz(args) -> int:
             raise ValueError(
                 f"complexity 2g-2+ell = {chi} exceeds --complexity-budget "
                 f"{args.complexity_budget}")
-        table = _prepared_table("cutjoin", chi, args.jobs)
-        print(format_rational(hurwitz_elsv(args.g, mu, table=table)))
+        print(format_rational(hurwitz_elsv(args.g, mu,
+                                           table=tables.get("cutjoin"))))
         return 0
     # cross: every method whose range covers this profile
     results = [("cutjoin", h_direct(args.g, mu))]
     if chi >= 1 and chi <= args.complexity_budget:
-        table = _prepared_table("cutjoin", chi, args.jobs)
-        results.append(("elsv", hurwitz_elsv(args.g, mu, table=table)))
+        results.append(("elsv", hurwitz_elsv(args.g, mu,
+                                             table=tables.get("cutjoin"))))
     r = 2 * args.g - 2 + ell + sum(mu)
     if sum(mu) <= 5 and r <= 8:
         results.append(("brute", h_brute(args.g, mu)))
@@ -258,17 +263,13 @@ class _ListWriter:
         self._sink.append(text)
 
 
-def _run_table(args) -> int:
+def _run_table(args, tables: _Tables) -> int:
     _validate_common(args)
-    # the deepest Hodge level a stable row can need: g = g_max, ell = size_max
-    needed = 2 * args.g_max - 2 + args.size_max
-    fill = min(max(needed, 1), args.complexity_budget)
-    table = _prepared_table("cutjoin", fill, args.jobs)
     rows = table_generate(
         args.g_max, args.size_max,
         include_genus_zero=args.include_genus_zero,
         check=args.check,
-        hodge_table=table,
+        hodge_table=tables.get("cutjoin"),
         chi_budget=args.complexity_budget)
     payload = _table_payload(rows, args.format)
     if args.out:
@@ -368,21 +369,21 @@ def _residue_checks() -> list:
     ]
 
 
-def _dvv_checks(budget: int, jobs: int) -> list:
+def _dvv_checks(budget: int, tables: _Tables) -> list:
     def base_values():
-        table = _prepared_table("cutjoin", 1, jobs)
+        table = tables.get("cutjoin")
         return (table.value(0, (0, 0, 0)) == rat(1)
                 and table.value(1, (1,)) == rat(1, 24))
 
     def one_point_amplitude():
-        table = _prepared_table("cutjoin", 1, jobs)
+        table = tables.get("cutjoin")
         acc = UniPoly.zero()
         for idx, val in table.level_entries(1, 1).items():
             acc = acc + xi_form(idx[0]).scale(val)
         return acc == UniPoly({2: rat(1, 8), 1: rat(-1, 12), 0: rat(-1, 24)})
 
     def recursion_holds():
-        table = _prepared_table("cutjoin", max(budget, 2), jobs)
+        table = tables.get("cutjoin")
         for g in range(0, 4):
             for ell in range(1, budget + 2):
                 if 2 * g - 1 + ell > budget:
@@ -400,7 +401,7 @@ def _dvv_checks(budget: int, jobs: int) -> list:
     ]
 
 
-def _appendix_checks(budget: int, jobs: int) -> list:
+def _appendix_checks(budget: int, tables: _Tables) -> list:
     need = max(2 * g - 2 + len(idx) for g, idx, _, _ in HODGE_REFERENCE)
     need = max(need, max(2 * g - 2 + len(mu)
                          for g, mu, _ in HURWITZ_REFERENCE))
@@ -410,7 +411,7 @@ def _appendix_checks(budget: int, jobs: int) -> list:
 
     def hodge_rows(method: str):
         def check():
-            table = _prepared_table(method, need, jobs)
+            table = tables.get(method)
             for g, idx, j, val in HODGE_REFERENCE:
                 jj, got = hodge_lambda(g, idx, method=method, table=table)
                 if jj != j or got != rat(val):
@@ -430,7 +431,7 @@ def _appendix_checks(budget: int, jobs: int) -> list:
         return True
 
     def hurwitz_formula():
-        table = _prepared_table("cutjoin", need, jobs)
+        table = tables.get("cutjoin")
         for g, mu, val in HURWITZ_REFERENCE + HURWITZ_GENUS_FIVE:
             got = hurwitz_elsv(g, mu, table=table)
             if got != rat(val):
@@ -451,7 +452,7 @@ def _appendix_checks(budget: int, jobs: int) -> list:
     ]
 
 
-def _run_verify(args) -> int:
+def _run_verify(args, tables: _Tables) -> int:
     _validate_common(args)
     if args.order < 10:
         raise ValueError("order must be ≥ 10")
@@ -461,9 +462,9 @@ def _run_verify(args) -> int:
     if args.suite in ("residues", "all"):
         checks += _residue_checks()
     if args.suite in ("dvv", "all"):
-        checks += _dvv_checks(args.complexity_budget, args.jobs)
+        checks += _dvv_checks(args.complexity_budget, tables)
     if args.suite in ("appendix", "all"):
-        checks += _appendix_checks(args.complexity_budget, args.jobs)
+        checks += _appendix_checks(args.complexity_budget, tables)
     first_failure: Optional[str] = None
     for name, fn in checks:
         try:
@@ -493,12 +494,12 @@ _RUNNERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    tables = _Tables()
     try:
-        return _RUNNERS[args.command](args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        code = _RUNNERS[args.command](args, tables)
+        tables.save()
+        return code
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -814,6 +814,32 @@ def laurent_substitute(p, s: LaurentSeries) -> LaurentSeries:
 
 
 # ---------------------------------------------------------------------------
+# multisets
+
+
+def aut(multiset: tuple[int, ...]) -> int:
+    """|Aut| of a multiset: the product of its multiplicities' factorials."""
+    acc = 1
+    for value in set(multiset):
+        acc *= math.factorial(multiset.count(value))
+    return acc
+
+
+def distinct_permutations(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Each distinct ordering of ``items`` once."""
+    if not items:
+        yield ()
+        return
+    seen = set()
+    for i, v in enumerate(items):
+        if v in seen:
+            continue
+        seen.add(v)
+        for rest in distinct_permutations(items[:i] + items[i + 1:]):
+            yield (v,) + rest
+
+
+# ---------------------------------------------------------------------------
 # special numbers
 
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import factorial
 from typing import Callable, Optional
@@ -48,7 +47,10 @@ from hodgehurwitz.exact_algebra import (
     MultiPoly,
     Rational,
     UniPoly,
+    aut,
+    distinct_permutations,
     divided_difference,
+    double_factorial,
     format_rational,
     rat,
 )
@@ -95,13 +97,6 @@ class XiIdentity:
 
 # ---------------------------------------------------------------------------
 # folded-vector helpers
-
-
-def _stab(multiset: tuple[int, ...]) -> int:
-    acc = 1
-    for count in Counter(multiset).values():
-        acc *= factorial(count)
-    return acc
 
 
 def _remove_one(items: tuple[int, ...], value: int) -> tuple[int, ...]:
@@ -181,11 +176,11 @@ def _op_cutjoin(M: tuple[int, ...], chi: int) -> dict:
     """chi * prod xi_hat_{M} plus the promoted terms xi_hat_{v+1}/t."""
     op: dict = {}
     _fold_add_scaled(op, _fold_product([xi_hat(m).coeffs for m in M]),
-                     rat(chi) / _stab(M))
+                     rat(chi) / aut(M))
     for v in _distinct_values(M):
         rest = _remove_one(M, v)
         polys = [xi_hat_over_t(v).coeffs] + [xi_hat(m).coeffs for m in rest]
-        _fold_add_scaled(op, _fold_product(polys), ONE / _stab(rest))
+        _fold_add_scaled(op, _fold_product(polys), ONE / aut(rest))
     return op
 
 
@@ -198,7 +193,7 @@ def _op_bm(pair: tuple[int, tuple[int, ...]]) -> dict:
     if len(rest) == 0:
         return folded
     out: dict = {}
-    _fold_add_scaled(out, folded, ONE / _stab(rest))
+    _fold_add_scaled(out, folded, ONE / aut(rest))
     return out
 
 
@@ -370,35 +365,20 @@ class HodgeTable:
             self.ensure_level(pg, pl, method)
         self._solve_level(g, ell, method)
 
-    def fill_to_complexity(self, chi_max: int, method: str = "cutjoin",
-                           jobs: int = 1) -> "HodgeTable":
+    def fill_to_complexity(self, chi_max: int,
+                           method: str = "cutjoin") -> "HodgeTable":
         """Complete every level with 1 <= 2g - 2 + ell <= chi_max.
 
-        Level-synchronous: all cells of one complexity are computed
-        from the immutable lower levels, then committed in
-        deterministic order; ``jobs`` > 1 computes cells of a level in
-        threads (pure reads of shared state).
+        Solves level by level in increasing complexity, so each level
+        finds its prerequisites filled.  Fills more than any single
+        query needs; ``ensure_level`` fills only one level's closure.
         """
         if chi_max < 1:
             raise ValueError("chi_max must be >= 1")
         for chi in range(2, chi_max + 1):
-            cells = []
-            g = 0
-            while chi + 2 - 2 * g >= 1:
-                cell = (g, chi + 2 - 2 * g)
-                if cell not in self.filled:
-                    cells.append(cell)
-                g += 1
-            if jobs > 1 and len(cells) > 1:
-                with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    results = list(pool.map(
-                        lambda cell: self._solve_level_values(*cell, method),
-                        cells))
-                for cell, solved in zip(cells, results):
-                    self._store_level(*cell, solved)
-            else:
-                for cell in cells:
-                    self._solve_level(*cell, method)
+            for g in range((chi + 1) // 2 + 1):
+                if (g, chi + 2 - 2 * g) not in self.filled:
+                    self._solve_level(g, chi + 2 - 2 * g, method)
         return self
 
     # -- solving one level
@@ -479,7 +459,7 @@ class HodgeTable:
                     folded = start
                     for w in rest:
                         folded = _fold_extend(folded, xi_hat(w).coeffs)
-                    _fold_add_scaled(rhs, folded, val / (2 * _stab(rest)))
+                    _fold_add_scaled(rhs, folded, val / (2 * aut(rest)))
         if g >= 1:
             paired: dict[tuple[int, ...], UniPoly] = {}
             for E, val in self.level_entries(g - 1, ell + 1).items():
@@ -492,7 +472,7 @@ class HodgeTable:
             for rest, qpoly in paired.items():
                 folded = _fold_product(
                     [qpoly.coeffs] + [xi_hat(w).coeffs for w in rest])
-                _fold_add_scaled(rhs, folded, HALF / _stab(rest))
+                _fold_add_scaled(rhs, folded, HALF / aut(rest))
         for g1 in range(g + 1):
             for k1 in range(ell):
                 g2, k2 = g - g1, ell - 1 - k1
@@ -509,7 +489,7 @@ class HodgeTable:
                             [prod.coeffs]
                             + [xi_hat(w).coeffs for w in w1 + w2])
                         _fold_add_scaled(
-                            rhs, folded, HALF / (_stab(w1) * _stab(w2)))
+                            rhs, folded, HALF / (aut(w1) * aut(w2)))
         return rhs
 
     def _promoted_sums(self, g: int, k: int) -> dict:
@@ -548,7 +528,7 @@ class HodgeTable:
                               for (et, ei), c in residues.p_n(m).terms.items()}
                     for w in rest:
                         folded = _fold_extend_tagged(folded, xi_form(w).coeffs)
-                    _fold_add_scaled(rhs, folded, val / _stab(rest))
+                    _fold_add_scaled(rhs, folded, val / aut(rest))
         if g >= 1:
             paired: dict[tuple[int, ...], UniPoly] = {}
             for E, val in self.level_entries(g - 1, ell + 2).items():
@@ -562,7 +542,7 @@ class HodgeTable:
                 folded = {(d, ()): c for d, c in qpoly.coeffs.items()}
                 for w in rest:
                     folded = _fold_extend_tagged(folded, xi_form(w).coeffs)
-                _fold_add_scaled(rhs, folded, ONE / _stab(rest))
+                _fold_add_scaled(rhs, folded, ONE / aut(rest))
         for g1 in range(g + 1):
             for k1 in range(ell + 1):
                 g2, k2 = g - g1, ell - k1
@@ -584,7 +564,7 @@ class HodgeTable:
                             folded = _fold_extend_tagged(folded,
                                                          xi_form(w).coeffs)
                         _fold_add_scaled(rhs, folded,
-                                         ONE / (_stab(w1) * _stab(w2)))
+                                         ONE / (aut(w1) * aut(w2)))
         return rhs
 
     # -- verification surface
@@ -632,19 +612,6 @@ class HodgeTable:
 # public identity builders (genuine multivariate polynomials)
 
 
-def _distinct_permutations(items: tuple[int, ...]):
-    if not items:
-        yield ()
-        return
-    seen = set()
-    for i, v in enumerate(items):
-        if v in seen:
-            continue
-        seen.add(v)
-        for rest in _distinct_permutations(items[:i] + items[i + 1:]):
-            yield (v,) + rest
-
-
 def _embed_uni(p: UniPoly, variables: tuple[str, ...], slot: int) -> MultiPoly:
     return MultiPoly.from_unipoly(p, variables, slot)
 
@@ -686,7 +653,7 @@ def cutjoin_rhs(g: int, ell: int, table: HodgeTable) -> XiIdentity:
                     for j in slots[i + 1:]:
                         others = [s for s in slots if s not in (i, j)]
                         base = _embed_pair(pair, variables, i, j).scale(val)
-                        for perm in _distinct_permutations(rest):
+                        for perm in distinct_permutations(rest):
                             term = base
                             for slot, w in zip(others, perm):
                                 term = term * _embed_uni(xi_hat(w),
@@ -701,7 +668,7 @@ def cutjoin_rhs(g: int, ell: int, table: HodgeTable) -> XiIdentity:
                 for i in slots:
                     others = [s for s in slots if s != i]
                     base = _embed_uni(pq, variables, i)
-                    for perm in _distinct_permutations(rest):
+                    for perm in distinct_permutations(rest):
                         term = base
                         for slot, w in zip(others, perm):
                             term = term * _embed_uni(xi_hat(w),
@@ -731,12 +698,12 @@ def cutjoin_rhs(g: int, ell: int, table: HodgeTable) -> XiIdentity:
                         if mixed.is_zero():
                             continue
                         base = _embed_uni(mixed.scale(HALF), variables, i)
-                        for perm1 in _distinct_permutations(w1):
+                        for perm1 in distinct_permutations(w1):
                             t1 = base
                             for slot, w in zip(left_slots, perm1):
                                 t1 = t1 * _embed_uni(xi_hat(w),
                                                      variables, slot)
-                            for perm2 in _distinct_permutations(w2):
+                            for perm2 in distinct_permutations(w2):
                                 term = t1
                                 for slot, w in zip(right_slots, perm2):
                                     term = term * _embed_uni(xi_hat(w),
@@ -767,7 +734,7 @@ def bm_rhs(g: int, ell: int, table: HodgeTable,
                 for i in slots:
                     others = [s for s in slots if s != i]
                     base = _embed_pair(pair_terms, variables, 0, i).scale(val)
-                    for perm in _distinct_permutations(rest):
+                    for perm in distinct_permutations(rest):
                         term = base
                         for slot, w in zip(others, perm):
                             term = term * _embed_uni(xi_form(w),
@@ -780,7 +747,7 @@ def bm_rhs(g: int, ell: int, table: HodgeTable,
                 factor = val if a == b else 2 * val
                 base_poly = residues.p_ab(a, b).scale(factor)
                 base = _embed_uni(base_poly, variables, 0)
-                for perm in _distinct_permutations(rest):
+                for perm in distinct_permutations(rest):
                     term = base
                     for slot, w in zip(slots, perm):
                         term = term * _embed_uni(xi_form(w), variables, slot)
@@ -804,11 +771,11 @@ def bm_rhs(g: int, ell: int, table: HodgeTable,
                     if mixed.is_zero():
                         continue
                     base = _embed_uni(mixed, variables, 0)
-                    for perm1 in _distinct_permutations(w1):
+                    for perm1 in distinct_permutations(w1):
                         t1 = base
                         for slot, w in zip(left_slots, perm1):
                             t1 = t1 * _embed_uni(xi_form(w), variables, slot)
-                        for perm2 in _distinct_permutations(w2):
+                        for perm2 in distinct_permutations(w2):
                             term = t1
                             for slot, w in zip(right_slots, perm2):
                                 term = term * _embed_uni(xi_form(w),
@@ -914,12 +881,6 @@ def dvv_verify(g: int, ell: int, table: Optional[HodgeTable] = None,
     if 2 * g - 2 + target_ell < 2:
         return True
 
-    def dfac(n: int) -> Rational:
-        acc = ONE
-        for k in range(2 * n + 1, 1, -2):
-            acc = acc * k
-        return acc
-
     def psi(gg: int, idx: tuple[int, ...]) -> Rational:
         if any(n < 0 for n in idx):
             return ZERO
@@ -938,25 +899,26 @@ def dvv_verify(g: int, ell: int, table: Optional[HodgeTable] = None,
             continue
         for n in sorted(set(key), reverse=True):
             rest = _remove_one(key, n)
-            lhs = dfac(n)
+            lhs = double_factorial(2 * n + 1)
             for m in rest:
-                lhs = lhs * dfac(m)
+                lhs = lhs * double_factorial(2 * m + 1)
             lhs = lhs * psi(g, key)
             rhs = ZERO
             for i, ni in enumerate(rest):
                 sub = rest[:i] + rest[i + 1:]
                 merged = tuple(sorted(sub + (n + ni - 1,), reverse=True))
-                coeff = dfac(n + ni - 1) * (2 * ni + 1)
+                coeff = double_factorial(2 * (n + ni) - 1) * (2 * ni + 1)
                 for m in sub:
-                    coeff = coeff * dfac(m)
+                    coeff = coeff * double_factorial(2 * m + 1)
                 rhs = rhs + coeff * psi(g, merged)
             for a in range(n - 1):
                 b = n - 2 - a
-                sigma_ab = dfac(a) * dfac(b)
+                sigma_ab = (double_factorial(2 * a + 1)
+                            * double_factorial(2 * b + 1))
                 if g >= 1:
                     coeff = sigma_ab
                     for m in rest:
-                        coeff = coeff * dfac(m)
+                        coeff = coeff * double_factorial(2 * m + 1)
                     joined = tuple(sorted(rest + (a, b), reverse=True))
                     rhs = rhs + HALF * coeff * psi(g - 1, joined)
                 for split in range(1 << len(rest)):
@@ -978,7 +940,7 @@ def dvv_verify(g: int, ell: int, table: Optional[HodgeTable] = None,
                             continue
                         coeff = sigma_ab
                         for m in rest:
-                            coeff = coeff * dfac(m)
+                            coeff = coeff * double_factorial(2 * m + 1)
                         rhs = rhs + HALF * coeff * c1 * c2
             if lhs != rhs:
                 ok = False
@@ -989,11 +951,14 @@ def dvv_verify(g: int, ell: int, table: Optional[HodgeTable] = None,
 # persistence (used by the CLI cache)
 
 
-def save_table_cache(table: HodgeTable, directory: str, method: str,
-                     chi: int) -> str:
+def _cache_path(directory: str, method: str) -> str:
+    return os.path.join(directory, f"hodge-{method}.json")
+
+
+def save_table_cache(table: HodgeTable, directory: str, method: str) -> str:
+    """Write every filled level of ``table`` to the method's cache file."""
     payload = {
         "method": method,
-        "chi": chi,
         "levels": [
             {
                 "g": g,
@@ -1002,37 +967,41 @@ def save_table_cache(table: HodgeTable, directory: str, method: str,
                             for idx, val in sorted(level.items())],
             }
             for (g, ell), level in sorted(table._by_level.items())
-            if 2 * g - 2 + ell <= chi and (g, ell) in table.filled
         ],
     }
-    path = os.path.join(directory, f"hodge-{method}-chi{chi}.json")
+    path = _cache_path(directory, method)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=0, sort_keys=True)
     return path
 
 
-def load_table_cache(directory: str, method: str, chi: int,
+def load_table_cache(directory: str, method: str,
                      residues: Optional[ResidueCache] = None
                      ) -> Optional[HodgeTable]:
     """Reload a persisted table, adopting it only after the base
-    entries revalidate exactly."""
-    path = os.path.join(directory, f"hodge-{method}-chi{chi}.json")
+    entries revalidate exactly.  A missing, undecodable or misshapen
+    file is a miss (None)."""
+    path = _cache_path(directory, method)
     if not os.path.exists(path):
         return None
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    table = HodgeTable(residues)
-    staged: dict[tuple[int, int], dict] = {}
-    for level in payload.get("levels", []):
-        g, ell = int(level["g"]), int(level["ell"])
-        staged[(g, ell)] = {
-            tuple(int(n) for n in idx): rat(val)
-            for idx, val in level["entries"]
-        }
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        staged: dict[tuple[int, int], dict] = {}
+        for level in payload["levels"]:
+            g, ell = int(level["g"]), int(level["ell"])
+            entries = {tuple(int(n) for n in idx): rat(val)
+                       for idx, val in level["entries"]}
+            if any(len(idx) != ell for idx in entries):
+                return None
+            staged[(g, ell)] = entries
+    except (ValueError, TypeError, KeyError, ArithmeticError):
+        return None
     for (g, idx), val in _BASE_ENTRIES.items():
         level = staged.get((g, len(idx)))
         if level is None or level.get(idx) != val:
             return None
+    table = HodgeTable(residues)
     for (g, ell), level in staged.items():
         if (g, ell) not in table.filled:
             table._store_level(g, ell, level)

@@ -22,17 +22,13 @@ check between the recursions.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 from typing import Optional
 
-from hodgehurwitz.exact_algebra import ONE, ZERO, HALF, Rational, rat
-from hodgehurwitz.hodge_solver import (
-    HodgeTable,
-    _distinct_permutations,
-    default_table,
-)
+from hodgehurwitz.exact_algebra import ONE, ZERO, HALF, Rational, aut, \
+    distinct_permutations, rat
+from hodgehurwitz.hodge_solver import HodgeTable, default_table
 
 
 def _normalize_mu(mu) -> tuple[int, ...]:
@@ -40,13 +36,6 @@ def _normalize_mu(mu) -> tuple[int, ...]:
     if not parts or any(m < 1 for m in parts):
         raise ValueError(f"partition parts must be positive: {tuple(mu)}")
     return parts
-
-
-def _aut(mu: tuple[int, ...]) -> int:
-    acc = 1
-    for count in Counter(mu).values():
-        acc *= factorial(count)
-    return acc
 
 
 @dataclass(frozen=True, order=True)
@@ -77,7 +66,7 @@ class HTable:
     def h(self, g: int, mu) -> Rational:
         key = HurwitzKey.make(g, mu)
         value = self._rescaled(key.g, key.mu)
-        return value * factorial(key.r) / _aut(key.mu)
+        return value * factorial(key.r) / aut(key.mu)
 
     def _rescaled(self, g: int, mu: tuple[int, ...]) -> Rational:
         """H = |Aut(mu)| h / r!, the recursion-friendly normalization.
@@ -164,7 +153,7 @@ def genus_zero_two_part(a: int, b: int) -> Rational:
     if a < 1 or b < 1:
         raise ValueError("parts must be positive")
     value = (rat(a) ** a) * (rat(b) ** b) * factorial(a + b - 1)
-    return value / (factorial(a) * factorial(b) * _aut((a, b)))
+    return value / (factorial(a) * factorial(b) * aut((a, b)))
 
 
 def hurwitz_elsv(g: int, mu, table: Optional[HodgeTable] = None,
@@ -183,12 +172,12 @@ def hurwitz_elsv(g: int, mu, table: Optional[HodgeTable] = None,
     table.ensure_level(g, ell, method)
     total = ZERO
     for idx, val in table.level_entries(g, ell).items():
-        for perm in _distinct_permutations(idx):
+        for perm in distinct_permutations(idx):
             term = val
             for m, n in zip(key.mu, perm):
                 term = term * rat(m) ** n
             total = total + term
-    prefactor = rat(factorial(key.r)) / _aut(key.mu)
+    prefactor = rat(factorial(key.r)) / aut(key.mu)
     for m in key.mu:
         prefactor = prefactor * rat(m) ** m / factorial(m)
     return prefactor * total
@@ -253,7 +242,7 @@ def h_brute(g: int, mu) -> Rational:
     # transitivity: a single orbit across all d sheets
     hits = sum(count for (perm, partition), count in states.items()
                if perm == target and len(set(partition)) == 1)
-    z = _aut(key.mu)
+    z = aut(key.mu)
     for m in key.mu:
         z *= m
     return rat(hits, z)
@@ -291,7 +280,7 @@ def elsv_invert(g: int, ell: int, htable: Optional[HTable] = None) -> dict:
         coeffs = [ZERO] * size
         for n_col in unknowns:
             acc = ZERO
-            for perm in _distinct_permutations(n_col):
+            for perm in distinct_permutations(n_col):
                 term = ONE
                 for m, n in zip(mu, perm):
                     term = term * rat(m) ** n
@@ -299,7 +288,7 @@ def elsv_invert(g: int, ell: int, htable: Optional[HTable] = None) -> dict:
             coeffs[index_of[n_col]] = acc
         h = htable.h(g, mu)
         r = 2 * g - 2 + ell + sum(mu)
-        normalized = h * _aut(mu) / factorial(r)
+        normalized = h * aut(mu) / factorial(r)
         for m in mu:
             normalized = normalized * factorial(m) / rat(m) ** m
         rows.append(coeffs)

@@ -154,7 +154,9 @@ def s_involution(order: int) -> LaurentSeries:
     -W'), seeded at -t + 2/3.  Each step roughly doubles the number of
     correct coefficients but costs three orders of honest truncation,
     so the iteration runs with padding and the result is re-verified
-    against the defining equation through the requested order.
+    against the defining equation.  W' has valuation 3 in 1/t, so an
+    error in sigma at t^-k leaves a residual at t^-(k+3): the residual
+    must vanish through order + 3 for sigma to be right through order.
     """
     if order < 0:
         raise ValueError("s_involution needs order >= 0")
@@ -168,12 +170,12 @@ def s_involution(order: int) -> LaurentSeries:
     sigma = LaurentSeries({-1: -1, 0: rat(2, 3)}, "1/t", -1, work)
     for _ in range(steps + 1):
         resid = (_w_evaluated_at(sigma) - w).tightened()
-        if resid.truncate(order).is_zero():
+        if resid.truncate(order + 3).is_zero():
             break
         sigma = (sigma + resid * sigma * sigma * (sigma - one)).tightened()
     else:
         resid = _w_evaluated_at(sigma) - w
-        if not resid.truncate(order).is_zero():
+        if not resid.truncate(order + 3).is_zero():
             raise RuntimeError(
                 "involution iteration failed to converge (internal error)")
     if sigma.coefficient(1) != 0:

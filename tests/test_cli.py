@@ -6,12 +6,27 @@ import sys
 import pytest
 
 from hodgehurwitz.cli import main
+from hodgehurwitz.hodge_solver import HodgeTable
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """The (g, ell, method) of every level solved, in order."""
+    calls = []
+    solve = HodgeTable._solve_level
+
+    def counting(self, g, ell, method):
+        calls.append((g, ell, method))
+        return solve(self, g, ell, method)
+
+    monkeypatch.setattr(HodgeTable, "_solve_level", counting)
+    return calls
 
 
 # --- hodge ---------------------------------------------------------------
@@ -66,13 +81,61 @@ def test_hodge_budget_enforced(capsys):
     assert "complexity 2g-2+ell = 9 exceeds --complexity-budget 8" in err
 
 
-def test_hodge_cache_roundtrip(capsys, tmp_path, monkeypatch):
+# the recursion closure of level (3, 1), base levels (0, 3), (1, 1) aside
+CLOSURE_3_1 = {(0, 4), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)}
+
+
+@pytest.mark.parametrize("indices, out", [("1", "j=6 value=0\n"),
+                                          ("6", "j=1 value=7/138240\n")])
+def test_hodge_solves_only_the_closure(capsys, solved, indices, out):
+    assert run(capsys, "hodge", "--g", "3", "--indices", indices) == \
+        (0, out, "")
+    cells = [(g, ell) for g, ell, _ in solved]
+    assert len(cells) == len(set(cells))
+    assert set(cells) <= CLOSURE_3_1
+    assert not {(0, 7), (1, 5), (2, 3)} & set(cells)
+    if indices == "6":
+        assert set(cells) == CLOSURE_3_1
+
+
+def test_verify_solves_each_level_once(capsys, solved):
+    code, out, _ = run(capsys, "verify", "--suite", "dvv",
+                       "--complexity-budget", "5")
+    assert code == 0 and out.count("ok   dvv:") == 3
+    assert solved and len(solved) == len(set(solved))
+
+
+def test_hodge_cache_roundtrip(capsys, tmp_path, monkeypatch, solved):
     monkeypatch.setenv("HURWITZ_REC_CACHE", str(tmp_path))
+    cache = tmp_path / "hodge-cutjoin.json"
     code, out, _ = run(capsys, "hodge", "--g", "2", "--indices", "3")
     assert code == 0 and out == "j=1 value=1/480\n"
-    assert (tmp_path / "hodge-cutjoin-chi3.json").exists()
+    assert cache.exists()
+    first, text = len(solved), cache.read_text()
+    assert first > 0
     code, out, _ = run(capsys, "hodge", "--g", "2", "--indices", "3")
     assert code == 0 and out == "j=1 value=1/480\n"
+    assert len(solved) == first and cache.read_text() == text
+    # a deeper level reuses the file, solves only what it lacks, and
+    # rewrites the file with the union
+    code, out, _ = run(capsys, "hodge", "--g", "2", "--indices", "2,2")
+    assert code == 0 and out == "j=1 value=5/576\n"
+    assert (2, 2, "cutjoin") in solved[first:]
+    assert not set(solved[first:]) & set(solved[:first])
+    levels = {(lv["g"], lv["ell"])
+              for lv in json.loads(cache.read_text())["levels"]}
+    assert levels == {(g, ell) for g, ell, _ in solved} | {(0, 3), (1, 1)}
+
+
+@pytest.mark.parametrize("payload", ['{"levels": [{"g": 0, "ell', "[]"])
+def test_hodge_damaged_cache_is_recomputed(capsys, tmp_path, monkeypatch,
+                                           payload):
+    monkeypatch.setenv("HURWITZ_REC_CACHE", str(tmp_path))
+    cache = tmp_path / "hodge-cutjoin.json"
+    cache.write_text(payload)
+    code, out, err = run(capsys, "hodge", "--g", "2", "--indices", "3")
+    assert (code, out, err) == (0, "j=1 value=1/480\n", "")
+    assert json.loads(cache.read_text())["method"] == "cutjoin"
 
 
 # --- hurwitz -------------------------------------------------------------
@@ -229,11 +292,12 @@ def test_verify_rejects_tiny_order(capsys):
     assert "order must be" in err
 
 
-def test_flag_validation_precedes_work(capsys):
+def test_flag_validation_precedes_work(capsys, solved):
     code, _, err = run(capsys, "hodge", "--g", "2", "--indices", "3",
-                       "--jobs", "0")
+                       "--complexity-budget", "0")
     assert code == 1
-    assert "jobs must be" in err
+    assert err == "error: complexity-budget must be ≥ 1\n"
+    assert solved == []
 
 
 # --- process-level entry points ------------------------------------------

@@ -79,11 +79,6 @@ def test_fill_method_both_matches(table_cj):
         assert table_cj.entries[key] == val
 
 
-def test_fill_parallel_jobs_identical(table_cj):
-    tab = HodgeTable().fill_to_complexity(5, method="cutjoin", jobs=3)
-    assert tab.entries == table_cj.entries
-
-
 def test_known_one_point_values(table_cj):
     # <tau_4>_2 = 1/1152 and <tau_2>_1,1... via the pure-psi sector
     assert table_cj.value(2, (4,)) == rat(1, 1152)
@@ -247,17 +242,28 @@ def test_to_rows_deterministic(table_cj):
 
 def test_cache_roundtrip(tmp_path):
     tab = HodgeTable().fill_to_complexity(3, method="cutjoin")
-    path = save_table_cache(tab, str(tmp_path), "cutjoin", 3)
-    assert path.endswith("hodge-cutjoin-chi3.json")
-    loaded = load_table_cache(str(tmp_path), "cutjoin", 3)
+    path = save_table_cache(tab, str(tmp_path), "cutjoin")
+    assert path.endswith("hodge-cutjoin.json")
+    loaded = load_table_cache(str(tmp_path), "cutjoin")
     assert loaded is not None
     assert loaded.entries == tab.entries and loaded.filled == tab.filled
-    assert load_table_cache(str(tmp_path), "cutjoin", 4) is None
+    assert load_table_cache(str(tmp_path), "bm") is None
 
 
 def test_cache_rejects_corrupted_base(tmp_path):
     tab = HodgeTable().fill_to_complexity(2)
     tab.entries[(1, (1,))] = rat(1, 25)
     tab._by_level[(1, 1)][(1,)] = rat(1, 25)
-    save_table_cache(tab, str(tmp_path), "cutjoin", 2)
-    assert load_table_cache(str(tmp_path), "cutjoin", 2) is None
+    save_table_cache(tab, str(tmp_path), "cutjoin")
+    assert load_table_cache(str(tmp_path), "cutjoin") is None
+
+
+@pytest.mark.parametrize("payload", [
+    '{"levels": [{"g": 0,',                 # truncated
+    '[]',                                   # wrong top-level shape
+    '{"levels": [{"g": 1, "ell": 1, "entries": [[[1, 0], "1/24"]]}]}',
+    '{"levels": [{"g": 1, "ell": 1, "entries": [[[1], "1/0"]]}]}',
+])
+def test_cache_damaged_file_is_a_miss(tmp_path, payload):
+    (tmp_path / "hodge-cutjoin.json").write_text(payload)
+    assert load_table_cache(str(tmp_path), "cutjoin") is None

@@ -106,6 +106,14 @@ def test_s_involution_printed_coefficients():
     assert s.coefficient(4) == rat(8, 567)
 
 
+def test_s_involution_low_orders_are_truncations():
+    # each order is the truncation of a deeper solve; at these orders a
+    # residual checked only through `order` leaves the top terms wrong
+    full = s_involution(ORDER)
+    for k in list(range(2, 8)) + [11, 12, 13, 23, 24, 25]:
+        assert s_involution(k) == full.truncate(k), k
+
+
 def test_s_involution_fixes_w():
     s = s_involution(ORDER)
     w = w_series(ORDER)
