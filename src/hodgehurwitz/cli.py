@@ -35,6 +35,10 @@ from .reference_data import HODGE_REFERENCE, HURWITZ_GENUS_FIVE, \
     HURWITZ_REFERENCE
 
 DEFAULT_BUDGET = 9
+# the series suite compares eta_n with xi_hat_n for these n; the
+# comparison window opens at truncation order 2n + 2
+ETA_INDICES = range(-1, 9)
+MIN_SERIES_ORDER = 2 * ETA_INDICES[-1] + 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "all"],
                         default="all")
     verify.add_argument("--order", type=int, default=30,
-                        help="series truncation order (default 30)")
+                        help="series truncation order (default 30, "
+                             f"at least {MIN_SERIES_ORDER})")
     _add_common(verify)
 
     return parser
@@ -311,7 +316,7 @@ def _series_checks(order: int) -> list:
         return diff.is_zero() and diff.truncation_order >= order - 6
 
     def eta_matches_xi():
-        return all(eta_xi_identity_check(n, order) for n in range(-1, 9))
+        return all(eta_xi_identity_check(n, order) for n in ETA_INDICES)
 
     def frozen_coefficients():
         s = s_involution(order)
@@ -333,7 +338,8 @@ def _series_checks(order: int) -> list:
         ("series: w(s(t)) = w(t)", fixes_w),
         ("series: v^2/2 = w", half_v_squared),
         ("series: v(s(t)) = -v(t)", v_odd_under_s),
-        ("series: eta_n matches xi_hat_n for n = -1..8", eta_matches_xi),
+        ("series: eta_n matches xi_hat_n for n = "
+         f"{ETA_INDICES[0]}..{ETA_INDICES[-1]}", eta_matches_xi),
         ("series: frozen leading coefficients of s, v, s_k",
          frozen_coefficients),
         ("series: two-point genus-zero amplitude identity to degree 8",
@@ -454,8 +460,8 @@ def _appendix_checks(budget: int, tables: _Tables) -> list:
 
 def _run_verify(args, tables: _Tables) -> int:
     _validate_common(args)
-    if args.order < 10:
-        raise ValueError("order must be ≥ 10")
+    if args.order < MIN_SERIES_ORDER:
+        raise ValueError(f"order must be ≥ {MIN_SERIES_ORDER}")
     checks = []
     if args.suite in ("series", "all"):
         checks += _series_checks(args.order)

@@ -762,55 +762,68 @@ def laurent_substitute(p, s: LaurentSeries) -> LaurentSeries:
     itself truncated its unknown tail (degrees > T_p) caps the result at
     (T_p + 1) * val(s) - 1, which requires val(s) >= 1.
     """
-    if isinstance(p, UniPoly):
-        window = sorted(p.coeffs.items())
-        p_trunc = None
-    elif isinstance(p, LaurentSeries):
-        window = sorted(p.coeffs.items())
-        p_trunc = p.truncation_order
-    else:
-        raise TypeError(f"unsupported input {type(p).__name__}")
+    return SeriesPowers(s).substitute(p)
 
-    val = s.valuation()
-    cap = None
-    if p_trunc is not None:
-        if val is None or val < 1:
-            raise TruncationError(
-                "substituting a truncated series requires the inner series "
-                "to have valuation >= 1")
-        cap = (p_trunc + 1) * val - 1
 
-    result = LaurentSeries.zero(s.var)
-    const = ZERO
-    pos = [(d, c) for d, c in window if d > 0]
-    neg = [(-d, c) for d, c in window if d < 0]
-    for d, c in window:
-        if d == 0:
-            const = c
-    if pos:
-        power = s
-        k = 1
-        for d, c in sorted(pos):
-            while k < d:
-                power = power * s
-                k += 1
-            result = result + power.scale(c)
-    if neg:
-        s_inv = laurent_reciprocal(s)
-        power = s_inv
-        k = 1
-        for d, c in sorted(neg):
-            while k < d:
-                power = power * s_inv
-                k += 1
-            result = result + power.scale(c)
-    if const:
-        result = result + LaurentSeries.exact({0: const}, s.var)
-    if cap is not None:
-        t = result._trunc_key()
-        if cap < t:
+class SeriesPowers:
+    """The powers of one series ``s`` and of its reciprocal, each formed
+    once, on first use.
+
+    ``power(k)`` is s**k for k >= 1 and (1/s)**(-k) for k <= -1, each the
+    product of the power below it and s (or 1/s), so a composition read
+    from one table equals ``laurent_substitute`` computed afresh,
+    truncation order included.  Keep one table per series to share the
+    products across every composition into it.
+    """
+
+    __slots__ = ("series", "_pos", "_neg")
+
+    def __init__(self, s: LaurentSeries):
+        self.series = s
+        self._pos = [s]
+        self._neg: list[LaurentSeries] = []
+
+    def power(self, k: int) -> LaurentSeries:
+        if k >= 1:
+            while len(self._pos) < k:
+                self._pos.append(self._pos[-1] * self.series)
+            return self._pos[k - 1]
+        if k == 0:
+            raise ValueError("power 0 is not tabulated")
+        if not self._neg:
+            self._neg.append(laurent_reciprocal(self.series))
+        while len(self._neg) < -k:
+            self._neg.append(self._neg[-1] * self._neg[0])
+        return self._neg[-k - 1]
+
+    def substitute(self, p) -> LaurentSeries:
+        """``laurent_substitute(p, self.series)`` from the tabulated powers."""
+        if isinstance(p, UniPoly):
+            p_trunc = None
+        elif isinstance(p, LaurentSeries):
+            p_trunc = p.truncation_order
+        else:
+            raise TypeError(f"unsupported input {type(p).__name__}")
+        s = self.series
+        cap = None
+        if p_trunc is not None:
+            val = s.valuation()
+            if val is None or val < 1:
+                raise TruncationError(
+                    "substituting a truncated series requires the inner "
+                    "series to have valuation >= 1")
+            cap = (p_trunc + 1) * val - 1
+
+        result = LaurentSeries.zero(s.var)
+        for d, c in sorted(p.coeffs.items()):
+            if d:
+                result = result + self.power(d).scale(c)
+        const = p.coeffs.get(0)
+        if const:
+            result = result + LaurentSeries.exact({0: const}, s.var)
+        if cap is not None and cap < result._trunc_key():
             result = result.truncate(cap)
-    return result
+        return result
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,16 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Callable, Optional
 
+# CPython's own SHA-256 module: importing hashlib would also load OpenSSL,
+# about 3.5 MB more resident memory in every CLI process
+try:
+    from _sha256 import sha256              # CPython <= 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256            # CPython >= 3.12
+    except ImportError:
+        from hashlib import sha256
+
 from hodgehurwitz.exact_algebra import (
     HALF,
     ONE,
@@ -951,42 +961,61 @@ def dvv_verify(g: int, ell: int, table: Optional[HodgeTable] = None,
 # persistence (used by the CLI cache)
 
 
+CACHE_SCHEMA = 1
+
+
 def _cache_path(directory: str, method: str) -> str:
     return os.path.join(directory, f"hodge-{method}.json")
 
 
+def _levels_digest(levels) -> str:
+    """SHA-256 of the canonical JSON of the cached ``levels`` rows."""
+    canonical = json.dumps(levels, sort_keys=True, separators=(",", ":"))
+    return sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def save_table_cache(table: HodgeTable, directory: str, method: str) -> str:
-    """Write every filled level of ``table`` to the method's cache file."""
-    payload = {
-        "method": method,
-        "levels": [
-            {
-                "g": g,
-                "ell": ell,
-                "entries": [[list(idx), format_rational(val)]
-                            for idx, val in sorted(level.items())],
-            }
-            for (g, ell), level in sorted(table._by_level.items())
-        ],
-    }
+    """Write every filled level of ``table`` to the method's cache file,
+    with the schema version and the digest of the rows, atomically."""
+    levels = [
+        {
+            "g": g,
+            "ell": ell,
+            "entries": [[list(idx), format_rational(val)]
+                        for idx, val in sorted(level.items())],
+        }
+        for (g, ell), level in sorted(table._by_level.items())
+    ]
+    payload = {"schema": CACHE_SCHEMA, "method": method, "levels": levels,
+               "sha256": _levels_digest(levels)}
     path = _cache_path(directory, method)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=0, sort_keys=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=0, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     return path
 
 
 def load_table_cache(directory: str, method: str,
                      residues: Optional[ResidueCache] = None
                      ) -> Optional[HodgeTable]:
-    """Reload a persisted table, adopting it only after the base
-    entries revalidate exactly.  A missing, undecodable or misshapen
-    file is a miss (None)."""
+    """Reload a persisted table, adopting it only if its rows match the
+    stored digest and the base entries revalidate exactly.  A missing,
+    undecodable or misshapen file, another schema version or a digest
+    mismatch is a miss (None)."""
     path = _cache_path(directory, method)
     if not os.path.exists(path):
         return None
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
+        if (payload["schema"] != CACHE_SCHEMA
+                or payload["sha256"] != _levels_digest(payload["levels"])):
+            return None
         staged: dict[tuple[int, int], dict] = {}
         for level in payload["levels"]:
             g, ell = int(level["g"]), int(level["ell"])

@@ -15,14 +15,20 @@ This module builds, in exact arithmetic:
 Series in t live in the formal variable "1/t": stored degree d is the
 coefficient of t^{-d}, so polynomials in t occupy degrees <= 0.
 
-All caches are write-once per entry and the cached values immutable,
-so prepared towers are safe for concurrent reads.
+Each series is computed once per process.  The xi_hat tower, the
+Stirling coefficients and the eta families are write-once per entry.
+s(t) and v(t) are grow-only: the process holds each at the highest
+order requested so far and serves a lower order as its truncation; a
+higher order is reached by resuming the Newton iteration from the
+series held, and is verified against the defining equation like a
+solve from scratch.  ``s_powers`` and ``v_powers`` share the powers of
+the series served at one order across every composition into it.
+Cached values are never mutated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from hodgehurwitz.exact_algebra import (
@@ -31,6 +37,7 @@ from hodgehurwitz.exact_algebra import (
     ZERO,
     LaurentSeries,
     Rational,
+    SeriesPowers,
     UniPoly,
     bernoulli,
     double_factorial,
@@ -146,28 +153,33 @@ def _w_evaluated_at(sigma: LaurentSeries) -> LaurentSeries:
                               laurent_reciprocal(sigma))
 
 
-def s_involution(order: int) -> LaurentSeries:
-    """The deck transformation s(t): the second solution of w(s) = w(t).
+def _solve_s(order: int,
+             seed: Optional[LaurentSeries] = None) -> LaurentSeries:
+    """Solve for the deck transformation s(t) through t^-order.
 
-    Solved by Newton iteration on W(sigma) - w = 0 with the correction
+    Newton iteration on W(sigma) - w = 0 with the correction
     sigma += (W(sigma) - w) * sigma^2 (sigma - 1)  (the reciprocal of
-    -W'), seeded at -t + 2/3.  Each step roughly doubles the number of
-    correct coefficients but costs three orders of honest truncation,
-    so the iteration runs with padding and the result is re-verified
-    against the defining equation.  W' has valuation 3 in 1/t, so an
-    error in sigma at t^-k leaves a residual at t^-(k+3): the residual
-    must vanish through order + 3 for sigma to be right through order.
+    -W'), seeded at -t + 2/3, or at ``seed``, an earlier solve at a lower
+    order, which is right through its truncation order.  Each step
+    roughly doubles the number of correct coefficients but costs three
+    orders of honest truncation, so the iteration runs with padding and
+    the result is re-verified against the defining equation.  W' has
+    valuation 3 in 1/t, so an error in sigma at t^-k leaves a residual
+    at t^-(k+3): the residual must vanish through order + 3 for sigma to
+    be right through order.
     """
-    if order < 0:
-        raise ValueError("s_involution needs order >= 0")
-    steps, correct = 0, 2
+    if seed is None:
+        start, correct = {-1: -1, 0: rat(2, 3)}, 2
+    else:
+        start, correct = seed.coeffs, seed.truncation_order
+    steps = 0
     while correct <= order:
         correct = 2 * correct + 1
         steps += 1
     work = order + 3 * (steps + 1)
     w = w_series(work)
     one = LaurentSeries.exact({0: 1}, "1/t")
-    sigma = LaurentSeries({-1: -1, 0: rat(2, 3)}, "1/t", -1, work)
+    sigma = LaurentSeries(start, "1/t", -1, work)
     for _ in range(steps + 1):
         resid = (_w_evaluated_at(sigma) - w).tightened()
         if resid.truncate(order + 3).is_zero():
@@ -183,17 +195,18 @@ def s_involution(order: int) -> LaurentSeries:
     return sigma.truncate(order)
 
 
-def v_series(order: int) -> LaurentSeries:
-    """The branch coordinate v(t) with v^2/2 = w and leading term +1/t.
+def _solve_v(order: int,
+             seed: Optional[LaurentSeries] = None) -> LaurentSeries:
+    """Solve for the branch coordinate v(t) through t^-order.
 
-    Computed as v = (1/t) sqrt(2 w t^2) where 2 w t^2 = 1 + (2/3)/t + ...
-    is a unit; the square root is a Newton iteration y <- (y + A/y)/2
-    from y = 1, verified by y^2 = A before use.
+    v = (1/t) sqrt(A) where A = 2 w t^2 = 1 + (2/3)/t + ... is a unit,
+    known through t^-(order - 1); the square root is a Newton iteration
+    y <- (y + A/y)/2 from y = 1, or from ``seed`` (an earlier solve at a
+    lower order) times t, verified by y^2 = A before use.
     """
-    if order < 1:
-        raise ValueError("v_series needs order >= 1")
     a = w_series(order + 1).shift(-2).scale(2)  # honest through order - 1
-    y = LaurentSeries.exact({0: 1}, "1/t")
+    start = {0: 1} if seed is None else seed.shift(-1).coeffs
+    y = LaurentSeries(start, "1/t", 0, order - 1)
     for _ in range(2 + max(order, 2).bit_length()):
         if (y * y - a).is_zero():
             break
@@ -203,23 +216,62 @@ def v_series(order: int) -> LaurentSeries:
     return y.shift(1)
 
 
-@dataclass(frozen=True)
-class CurveSeries:
-    """Bundle of the curve series at one truncation order, built once."""
+class _CurveMemo:
+    """The curve series of one process: s(t) and v(t), each held at the
+    highest order solved so far, and the power tables of the series
+    served at each order."""
 
-    order: int
-    w_of_t: LaurentSeries
-    s_of_t: LaurentSeries
-    v_of_t: LaurentSeries
-    sk: tuple
+    def __init__(self):
+        self.top: dict[str, LaurentSeries] = {}
+        self.powers: dict[tuple[str, int], SeriesPowers] = {}
 
-    @classmethod
-    def build(cls, order: int, k_max: int = 16) -> "CurveSeries":
-        return cls(order=order,
-                   w_of_t=w_series(order),
-                   s_of_t=s_involution(order),
-                   v_of_t=v_series(order),
-                   sk=tuple(stirling_coefficients(k_max)))
+    def serve(self, name: str, order: int, solve) -> LaurentSeries:
+        """The series ``name`` through t^-order.  A lower order than the
+        one held is its truncation; a higher one is solved by ``solve``,
+        seeded with the series held."""
+        top = self.top.get(name)
+        if top is None or top.truncation_order < order:
+            top = self.top[name] = solve(order, top)
+        return top.truncate(order)
+
+    def table(self, name: str, series: LaurentSeries) -> SeriesPowers:
+        """The shared power table of a served series, keyed by its order."""
+        key = (name, series.truncation_order)
+        table = self.powers.get(key)
+        if table is None:
+            table = self.powers[key] = SeriesPowers(series)
+        return table
+
+
+_CURVE = _CurveMemo()
+
+
+def s_involution(order: int) -> LaurentSeries:
+    """The deck transformation s(t): the second solution of w(s) = w(t),
+    truncated at t^-order.  Solved once per process and grown on demand
+    (see ``_solve_s``)."""
+    if order < 0:
+        raise ValueError("s_involution needs order >= 0")
+    return _CURVE.serve("s", order, _solve_s)
+
+
+def v_series(order: int) -> LaurentSeries:
+    """The branch coordinate v(t) with v^2/2 = w and leading term +1/t,
+    truncated at t^-order.  Solved once per process and grown on demand
+    (see ``_solve_v``)."""
+    if order < 1:
+        raise ValueError("v_series needs order >= 1")
+    return _CURVE.serve("v", order, _solve_v)
+
+
+def s_powers(order: int) -> SeriesPowers:
+    """Powers of ``s_involution(order)`` and of 1/s, formed once."""
+    return _CURVE.table("s", s_involution(order))
+
+
+def v_powers(order: int) -> SeriesPowers:
+    """Powers of ``v_series(order)`` and of 1/v, formed once."""
+    return _CURVE.table("v", v_series(order))
 
 
 # ---------------------------------------------------------------------------
@@ -296,20 +348,19 @@ def eta_xi_identity_check(n: int, order: int) -> bool:
     """eta_n(v(t)) == (xi_hat_n(t) - xi_hat_n(s(t)))/2, as 1/t-series.
 
     Valid for n >= -1.  Raises if the requested order leaves no honest
-    comparison window.
+    comparison window, which for n >= 0 opens at order 2n + 2.
     """
     if n < -1:
         raise ValueError("identity holds for n >= -1")
-    s = s_involution(order)
-    v = v_series(order)
-    lhs = laurent_substitute(eta_series(n, order), v)
+    s = s_powers(order)
+    lhs = v_powers(order).substitute(eta_series(n, order))
     xh = xi_hat(n)
     if n >= 0:
-        rhs = (poly_as_recip_series(xh) - laurent_substitute(xh, s))
+        rhs = poly_as_recip_series(xh) - s.substitute(xh)
     else:
         # xi_hat_{-1} lives in the 1/t ring already; composing with s
         # means substituting 1/s(t) for its variable.
-        rhs = xh - laurent_substitute(xh, laurent_reciprocal(s))
+        rhs = xh - laurent_substitute(xh, s.power(-1))
     diff = lhs - rhs.scale(HALF)
     if diff.truncation_order is not None and diff.truncation_order < 0:
         raise ValueError(

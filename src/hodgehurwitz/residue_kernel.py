@@ -27,15 +27,14 @@ from hodgehurwitz.exact_algebra import (
     MultiPoly,
     UniPoly,
     laurent_reciprocal,
-    laurent_substitute,
     polynomial_part,
 )
 from hodgehurwitz.lambert_curve import (
     d_dt,
     eta_series,
     poly_as_recip_series,
-    s_involution,
-    v_series,
+    s_powers,
+    v_powers,
     xi_hat,
 )
 
@@ -56,16 +55,16 @@ class ResidueCache:
     def _context(self, order: int) -> dict:
         ctx = self._ctx.get(order)
         if ctx is None:
-            s = s_involution(order)
+            powers = s_powers(order)
+            s = powers.series
             t = LaurentSeries.exact({-1: 1}, "1/t")
             kernel = s.shift(-1) * laurent_reciprocal(t - s)  # t s/(t - s)
             inv_t2_tm1 = laurent_reciprocal(                  # 1/(t^2 (t-1))
                 LaurentSeries.exact({-3: 1, -2: -1}, "1/t"), order=order)
             ctx = {
-                "s": s,
+                "s": powers,
                 "kernel": kernel,
                 "inv_t2_tm1": inv_t2_tm1,
-                "inv_s": laurent_reciprocal(s),
                 "ds_dt": d_dt(s),
             }
             self._ctx[order] = ctx
@@ -77,8 +76,8 @@ class ResidueCache:
         ctx = self._context(order)
         s = ctx["s"]
         xa, xb = xi_hat(a + 1), xi_hat(b + 1)
-        xa_s = laurent_substitute(xa, s)
-        xb_s = xa_s if b == a else laurent_substitute(xb, s)
+        xa_s = s.substitute(xa)
+        xb_s = xa_s if b == a else s.substitute(xb)
         sym = (poly_as_recip_series(xa) * xb_s
                + xa_s * poly_as_recip_series(xb))
         full = ctx["kernel"] * ctx["inv_t2_tm1"] * sym
@@ -106,19 +105,18 @@ class ResidueCache:
 
     def _pn_at(self, n: int, order: int) -> MultiPoly:
         ctx = self._context(order)
-        s, kernel, inv_s = ctx["s"], ctx["kernel"], ctx["inv_s"]
+        s, kernel = ctx["s"], ctx["kernel"]
         xi = xi_hat(n + 1)
         base_fixed = kernel * ctx["ds_dt"] * poly_as_recip_series(xi)
-        base_swapped = kernel * laurent_substitute(xi, s)
+        base_swapped = kernel * s.substitute(xi)
         terms: dict[tuple[int, int], object] = {}
-        r_pow = inv_s  # 1/s(t)^{k+1}, expanded as a 1/t series
         for k in range(2 * n + 4):
             # coefficient of t_i^k in ker (xi(t) s'/(s - t_i) + xi(s)/(t - t_i))
+            r_pow = s.power(-(k + 1))  # 1/s(t)^{k+1}, expanded as a 1/t series
             bracket = base_fixed * r_pow + base_swapped.shift(k + 1)
             part = polynomial_part(bracket)
             for d, c in part.coeffs.items():
                 terms[(d, k)] = c
-            r_pow = r_pow * inv_s
         primitive = MultiPoly(("t", "t_i"), terms)
         return primitive.derivative_in("t_i")
 
@@ -149,12 +147,12 @@ class ResidueCache:
         degree = 2 * (a + b + 2)
         if order is None:
             order = degree + GUARD_HIGH
-        v = v_series(order)
+        v = v_powers(order)
         inv_eta = laurent_reciprocal(eta_series(-1, order))
         odd = eta_series(a + 1, order) * eta_series(b + 1, order) * inv_eta
         # the v-measure: multiply by v (shift in the v-ring), substitute
         # v = v(t), then by dv/dt as a 1/t series
-        composed = laurent_substitute(odd.shift(1), v) * d_dt(v)
+        composed = v.substitute(odd.shift(1)) * d_dt(v.series)
         return polynomial_part(composed.scale(HALF))
 
     def p_n_eta(self, n: int, order: Optional[int] = None,
@@ -165,17 +163,17 @@ class ResidueCache:
             order = 2 * n + 4 + GUARD_HIGH
         if m_max is None:
             m_max = n + 2  # higher m cannot contribute
-        v = v_series(order)
-        dv = d_dt(v)
+        v = v_powers(order)
+        dv = d_dt(v.series)
         eta_top = eta_series(n + 1, order)
         inv_eta = laurent_reciprocal(eta_series(-1, order))
         terms: dict[tuple[int, int], object] = {}
         for m in range(m_max + 1):
-            left = polynomial_part(laurent_substitute(eta_top.shift(2 * m), v))
+            left = polynomial_part(v.substitute(eta_top.shift(2 * m)))
             if left.is_zero():
                 continue
             right = polynomial_part(
-                laurent_substitute(inv_eta.shift(-(2 * m + 1)), v) * dv)
+                v.substitute(inv_eta.shift(-(2 * m + 1))) * dv)
             if right.is_zero():
                 continue
             for di, ci in left.coeffs.items():      # t_i factor

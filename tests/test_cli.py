@@ -138,6 +138,29 @@ def test_hodge_damaged_cache_is_recomputed(capsys, tmp_path, monkeypatch,
     assert json.loads(cache.read_text())["method"] == "cutjoin"
 
 
+def test_hodge_edited_cache_value_is_recomputed(capsys, tmp_path,
+                                                monkeypatch):
+    monkeypatch.setenv("HURWITZ_REC_CACHE", str(tmp_path))
+    cache = tmp_path / "hodge-cutjoin.json"
+    assert run(capsys, "hodge", "--g", "2", "--indices", "3") == \
+        (0, "j=1 value=1/480\n", "")
+
+    def tau_3_row(payload):  # the genus-2 <tau_3> row
+        level = next(lv for lv in payload["levels"]
+                     if (lv["g"], lv["ell"]) == (2, 1))
+        return next(row for row in level["entries"] if row[0] == [3])
+
+    # edit the value, leaving the stored digest as it was
+    payload = json.loads(cache.read_text())
+    row = tau_3_row(payload)
+    good, row[1] = row[1], "-1/7"
+    cache.write_text(json.dumps(payload))
+    assert run(capsys, "hodge", "--g", "2", "--indices", "3") == \
+        (0, "j=1 value=1/480\n", "")
+    assert tau_3_row(json.loads(cache.read_text()))[1] == good
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 # --- hurwitz -------------------------------------------------------------
 
 
@@ -290,6 +313,12 @@ def test_verify_rejects_tiny_order(capsys):
     code, _, err = run(capsys, "verify", "--suite", "series", "--order", "4")
     assert code == 1
     assert "order must be" in err
+
+
+def test_verify_rejects_order_below_the_eta_window(capsys):
+    # eta_8 is compared with xi_hat_8 only from order 18 on; no check runs
+    assert run(capsys, "verify", "--suite", "series", "--order", "17") == \
+        (1, "", "error: order must be ≥ 18\n")
 
 
 def test_flag_validation_precedes_work(capsys, solved):

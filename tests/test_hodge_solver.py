@@ -1,5 +1,6 @@
 """Tests for the Hodge-integral table and its two recursion pipelines."""
 
+import json
 from math import factorial
 
 import pytest
@@ -255,6 +256,21 @@ def test_cache_rejects_corrupted_base(tmp_path):
     tab.entries[(1, (1,))] = rat(1, 25)
     tab._by_level[(1, 1)][(1,)] = rat(1, 25)
     save_table_cache(tab, str(tmp_path), "cutjoin")
+    assert load_table_cache(str(tmp_path), "cutjoin") is None
+
+
+@pytest.mark.parametrize("edit", ["schema", "sha256", "value"])
+def test_cache_without_matching_digest_is_a_miss(tmp_path, edit):
+    path = save_table_cache(HodgeTable().fill_to_complexity(3),
+                            str(tmp_path), "cutjoin")
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if edit == "value":     # a well-formed non-base value, digest kept
+        payload["levels"][-1]["entries"][0][1] = "-1/7"
+    else:                   # a file written before the digest existed
+        del payload[edit]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
     assert load_table_cache(str(tmp_path), "cutjoin") is None
 
 

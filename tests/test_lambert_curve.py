@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from hodgehurwitz import hodge_solver, lambert_curve
+from hodgehurwitz.cli import main
 from hodgehurwitz.exact_algebra import (
     LaurentSeries,
     UniPoly,
@@ -11,7 +13,6 @@ from hodgehurwitz.exact_algebra import (
     rat,
 )
 from hodgehurwitz.lambert_curve import (
-    CurveSeries,
     EtaFamily,
     XiHatTower,
     d_dt,
@@ -28,8 +29,26 @@ from hodgehurwitz.lambert_curve import (
     xi_hat_over_t,
     xi_in_x_check,
 )
+from hodgehurwitz.residue_kernel import ResidueCache
 
 ORDER = 30
+
+
+@pytest.fixture
+def curve_solves(monkeypatch):
+    """A fresh process memo of the curve series, and the orders at which
+    s(t) and v(t) are then solved, in call order."""
+    monkeypatch.setattr(lambert_curve, "_CURVE", lambert_curve._CurveMemo())
+    solves = {"s": [], "v": []}
+    for name in solves:
+        solve = getattr(lambert_curve, f"_solve_{name}")
+
+        def counting(order, seed=None, name=name, solve=solve):
+            solves[name].append(order)
+            return solve(order, seed)
+
+        monkeypatch.setattr(lambert_curve, f"_solve_{name}", counting)
+    return solves
 
 
 # --- xi_hat tower ------------------------------------------------------------
@@ -107,11 +126,23 @@ def test_s_involution_printed_coefficients():
 
 
 def test_s_involution_low_orders_are_truncations():
-    # each order is the truncation of a deeper solve; at these orders a
+    # the uncached Newton solve, from scratch and grown from a lower
+    # solve, is the truncation of a deeper one; at these orders a
     # residual checked only through `order` leaves the top terms wrong
-    full = s_involution(ORDER)
+    full = s_involution(40)
     for k in list(range(2, 8)) + [11, 12, 13, 23, 24, 25]:
-        assert s_involution(k) == full.truncate(k), k
+        assert lambert_curve._solve_s(k) == full.truncate(k), k
+        seed = full.truncate(k // 2)
+        assert lambert_curve._solve_s(k, seed) == full.truncate(k), k
+
+
+def test_s_involution_grows_from_lower_orders(curve_solves):
+    # lower orders are truncations of the series held; a higher order
+    # resumes the solve from it and equals a solve from scratch
+    served = {k: s_involution(k) for k in (10, 4, 16, 12, 20)}
+    assert curve_solves["s"] == [10, 16, 20]
+    for k, s in served.items():
+        assert s == lambert_curve._solve_s(k), k
 
 
 def test_s_involution_fixes_w():
@@ -141,6 +172,18 @@ def test_v_series_printed_coefficients():
     assert v.coefficient(5) == rat(1331, 12960)
 
 
+def test_v_series_low_orders_are_truncations(curve_solves):
+    # v(t) is an infinite series at every order, including order 1
+    for k in range(1, 40):
+        v = v_series(k)  # each grows the process memo from order k - 1
+        assert v.truncation_order == k, k
+    full = v_series(40)
+    assert curve_solves["v"] == list(range(1, 41))
+    for k in range(1, 40):
+        assert v_series(k) == full.truncate(k), k
+        assert lambert_curve._solve_v(k) == full.truncate(k), k
+
+
 def test_v_squared_is_twice_w():
     v = v_series(ORDER)
     w = w_series(ORDER)
@@ -156,14 +199,6 @@ def test_v_is_odd_under_the_involution():
     total = v_of_s + v
     assert total.is_zero()
     assert total.truncation_order >= ORDER - 6
-
-
-def test_curve_series_bundle():
-    curve = CurveSeries.build(20, k_max=8)
-    assert curve.order == 20
-    assert curve.s_of_t.coefficient(2) == rat(4, 135)
-    assert curve.v_of_t.coefficient(1) == 1
-    assert curve.sk[0] == 1
 
 
 # --- Stirling coefficients and eta -------------------------------------------
@@ -251,3 +286,33 @@ def test_d_dt_on_w_gives_kernel_denominator():
     minus_one = LaurentSeries.exact({0: -1}, "1/t")
     diff = prod - minus_one
     assert diff.is_zero()
+
+
+# --- each series once per process --------------------------------------------
+
+
+def test_verify_series_solves_s_and_v_once(capsys, curve_solves):
+    assert main(["verify", "--suite", "series", "--order", "18"]) == 0
+    assert capsys.readouterr().out.count("ok   series:") == 7
+    assert curve_solves == {"s": [18], "v": [18]}
+
+
+def test_bm_hodge_solves_s_only_when_the_order_rises(capsys, monkeypatch,
+                                                     curve_solves):
+    monkeypatch.setattr(hodge_solver, "DEFAULT_CACHE", ResidueCache())
+    memo, requested = lambert_curve._CURVE, []
+    serve = memo.serve
+
+    def recording(name, order, solve):
+        if name == "s":
+            requested.append(order)
+        return serve(name, order, solve)
+
+    monkeypatch.setattr(memo, "serve", recording)
+    assert main(["hodge", "--g", "2", "--indices", "4", "--method",
+                 "bm"]) == 0
+    assert capsys.readouterr().out == "j=0 value=1/1152\n"
+    rises = [k for i, k in enumerate(requested)
+             if all(k > j for j in requested[:i])]
+    assert len(rises) < len(requested)
+    assert curve_solves["s"] == rises
