@@ -21,10 +21,11 @@ import csv
 import json
 import os
 import sys
+from functools import cache
 from typing import Optional
 
-from .exact_algebra import LaurentSeries, UniPoly, format_rational, \
-    laurent_reciprocal, laurent_substitute, rat
+from .exact_algebra import LaurentSeries, SeriesPowers, UniPoly, \
+    format_rational, laurent_reciprocal, rat
 from .hodge_solver import HodgeTable, dvv_verify, hodge_lambda, \
     load_table_cache, save_table_cache
 from .hurwitz import h_brute, h_direct, hurwitz_elsv, table_generate
@@ -293,16 +294,19 @@ def _run_table(args, tables: _Tables) -> int:
 
 
 def _series_checks(order: int) -> list:
+    @cache
+    def inv_s() -> SeriesPowers:
+        """Powers of 1/s, formed once for every composition into 1/s."""
+        return SeriesPowers(laurent_reciprocal(s_involution(order)))
+
     def involution():
-        s = s_involution(order)
-        ss = laurent_substitute(s, laurent_reciprocal(s))
+        ss = inv_s().substitute(s_involution(order))
         diff = ss - LaurentSeries.exact({-1: 1}, "1/t")
         return diff.is_zero() and diff.truncation_order >= order - 6
 
     def fixes_w():
-        s = s_involution(order)
         w = w_series(order)
-        diff = laurent_substitute(w, laurent_reciprocal(s)) - w
+        diff = inv_s().substitute(w) - w
         return diff.is_zero() and diff.truncation_order >= order - 4
 
     def half_v_squared():
@@ -310,9 +314,8 @@ def _series_checks(order: int) -> list:
         return ((v * v).scale(rat(1, 2)) - w_series(order)).is_zero()
 
     def v_odd_under_s():
-        s = s_involution(order)
         v = v_series(order)
-        diff = laurent_substitute(v, laurent_reciprocal(s)) + v
+        diff = inv_s().substitute(v) + v
         return diff.is_zero() and diff.truncation_order >= order - 6
 
     def eta_matches_xi():

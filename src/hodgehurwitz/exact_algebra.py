@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 
 try:
     from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional: the "fast" extra
     from fractions import Fraction as Rational
 
 RationalLike = Union[int, str, "Rational"]

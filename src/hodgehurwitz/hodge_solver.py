@@ -24,19 +24,29 @@ operator image is subtracted, and the loop must end at exactly zero —
 any leftover raises "identity violated".  The recursions are thus
 self-checking: a wrong weight anywhere cannot silently produce a table.
 
-The distinguished variable t of the ``bm`` form is handled by tagged
-keys (exponent of t, sorted rest).  Its unknowns are solved per choice
-of which index sits in the t-slot, and the solver verifies that all
-choices give the same value before storing — the permutation symmetry
-of the output is checked, not assumed.
+Both right-hand sides are one join/cut/split sum in different kernels:
+n = ell - 1 spectator slots sit beside one distinguished slot, the join
+reads level (g, n), the cut reads (g - 1, n + 2), and the splits pair
+levels with k1 + k2 = n spectators.  A ``_Kernel`` spec holds what
+differs (weight, join polynomial, cut polynomial, spectator basis, the
+number ``head`` of fixed key positions, operator and decoder), and
+``_recursion_terms`` writes the sum once for the folded solver and the
+expanded public builders.  Folded keys are flat: the first ``head``
+positions stay in place and the rest are sorted.  Cut-and-join has
+head 0; ``bm`` has head 1, the exponent of its distinguished variable t.
+The ``bm`` unknowns are solved per choice of which index sits in the
+t-slot, and the solver verifies that all choices give the same value
+before storing — the permutation symmetry of the output is checked, not
+assumed.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections import Counter
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations, permutations
 from math import factorial
 from typing import Callable, Optional
 
@@ -119,23 +129,45 @@ def _distinct_values(items: tuple[int, ...]) -> list[int]:
 
 
 def _value_pairs(items: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Unordered value pairs {a, b} extractable from the multiset."""
-    counts = Counter(items)
-    values = sorted(counts)
-    pairs = []
-    for i, a in enumerate(values):
-        for b in values[i:]:
-            if a != b or counts[a] >= 2:
-                pairs.append((a, b))
-    return pairs
+    """Unordered value pairs {a, b} extractable from the multiset, each
+    once as (min, max), in increasing order."""
+    return sorted({(min(x, y), max(x, y)) for x, y in combinations(items, 2)})
 
 
-def _fold_extend(folded: dict, poly: dict) -> dict:
-    """Attach one more symmetric slot carrying the univariate ``poly``."""
+def _slot_choices(indices: tuple[int, ...], head: int) -> list[tuple]:
+    """The unknowns of one index tuple: each distinct choice of the
+    indices in the ``head`` fixed slots, followed by the rest, sorted."""
+    choices = []
+    for fixed in sorted(set(permutations(indices, head)), reverse=True):
+        rest = indices
+        for v in fixed:
+            rest = _remove_one(rest, v)
+        choices.append(fixed + rest)
+    return choices
+
+
+def _fold_terms(terms: dict, head: int) -> dict:
+    """Fold multivariate terms: the first ``head`` exponents stay in
+    place and the others are sorted."""
+    out: dict = {}
+    for e, c in terms.items():
+        key = e[:head] + tuple(sorted(e[head:], reverse=True))
+        s = out.get(key, ZERO) + c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _fold_extend(folded: dict, poly: dict, head: int) -> dict:
+    """Attach one more symmetric slot carrying the univariate ``poly``;
+    the first ``head`` key positions are fixed slots and stay in place."""
     out: dict = {}
     for key, c in folded.items():
+        fixed, free = key[:head], key[head:]
         for d, pc in poly.items():
-            k2 = tuple(sorted(key + (d,), reverse=True))
+            k2 = fixed + tuple(sorted(free + (d,), reverse=True))
             prev = out.get(k2)
             val = c * pc if prev is None else prev + c * pc
             if val:
@@ -145,25 +177,11 @@ def _fold_extend(folded: dict, poly: dict) -> dict:
     return out
 
 
-def _fold_extend_tagged(folded: dict, poly: dict) -> dict:
-    """Same, for keys of the form (t-exponent, sorted rest)."""
-    out: dict = {}
-    for (e0, key), c in folded.items():
-        for d, pc in poly.items():
-            k2 = (e0, tuple(sorted(key + (d,), reverse=True)))
-            prev = out.get(k2)
-            val = c * pc if prev is None else prev + c * pc
-            if val:
-                out[k2] = val
-            elif prev is not None:
-                del out[k2]
-    return out
-
-
-def _fold_product(polys) -> dict:
+def _fold_product(polys, head: int) -> dict:
+    # the first factor's exponent lands in key position 0 for any head
     folded: dict = {(): ONE}
     for p in polys:
-        folded = _fold_extend(folded, p)
+        folded = _fold_extend(folded, p, head)
     return folded
 
 
@@ -185,26 +203,22 @@ def _fold_add_scaled(dst: dict, src: dict, factor) -> None:
 def _op_cutjoin(M: tuple[int, ...], chi: int) -> dict:
     """chi * prod xi_hat_{M} plus the promoted terms xi_hat_{v+1}/t."""
     op: dict = {}
-    _fold_add_scaled(op, _fold_product([xi_hat(m).coeffs for m in M]),
+    _fold_add_scaled(op, _fold_product([xi_hat(m).coeffs for m in M], 0),
                      rat(chi) / aut(M))
     for v in _distinct_values(M):
         rest = _remove_one(M, v)
         polys = [xi_hat_over_t(v).coeffs] + [xi_hat(m).coeffs for m in rest]
-        _fold_add_scaled(op, _fold_product(polys), ONE / aut(rest))
+        _fold_add_scaled(op, _fold_product(polys, 0), ONE / aut(rest))
     return op
 
 
-def _op_bm(pair: tuple[int, tuple[int, ...]]) -> dict:
-    """xi_form_v in the t-slot times prod xi_form_W over the rest."""
-    v, rest = pair
-    folded = {(d, ()): c for d, c in xi_form(v).coeffs.items()}
-    for m in rest:
-        folded = _fold_extend_tagged(folded, xi_form(m).coeffs)
-    if len(rest) == 0:
-        return folded
-    out: dict = {}
-    _fold_add_scaled(out, folded, ONE / aut(rest))
-    return out
+def _op_bm(unknown: tuple[int, ...], chi: int) -> dict:
+    """xi_form of the t-slot index times prod xi_form over the rest; the
+    residue form has no chi factor, so ``chi`` is unused."""
+    polys = [xi_form(m).coeffs for m in unknown]
+    op: dict = {}
+    _fold_add_scaled(op, _fold_product(polys, 1), ONE / aut(unknown[1:]))
+    return op
 
 
 def _decode_cutjoin(key: tuple[int, ...]) -> Optional[tuple[int, ...]]:
@@ -216,45 +230,147 @@ def _decode_cutjoin(key: tuple[int, ...]) -> Optional[tuple[int, ...]]:
                         reverse=True))
 
 
-def _decode_bm(key) -> Optional[tuple[int, tuple[int, ...]]]:
-    e0, rest = key
-    if e0 % 2 or any(e % 2 for e in rest):
+def _decode_bm(key: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    if any(e % 2 for e in key):
         return None
-    return (e0 // 2, tuple(e // 2 for e in rest))
+    return tuple(e // 2 for e in key)
 
 
-def _sort_cutjoin(key):
-    return (sum(key), key)
+# ---------------------------------------------------------------------------
+# divided-difference join polynomials and cut products (cut-and-join form)
 
 
-def _sort_bm(key):
-    return (key[0] + sum(key[1]), (key[0],) + key[1])
+@cache
+def _join_pair_poly(m: int) -> dict:
+    """(xi_hat_{m+1}(x) xi_hat_0(y) x^2 - (x <-> y)) / (x - y), as terms."""
+    variables = ("x", "y")
+    ax = MultiPoly.from_unipoly(xi_hat(m + 1), variables, 0)
+    ay = MultiPoly.from_unipoly(xi_hat(m + 1), variables, 1)
+    zx = MultiPoly.from_unipoly(xi_hat(0), variables, 0)
+    zy = MultiPoly.from_unipoly(xi_hat(0), variables, 1)
+    x2 = MultiPoly(variables, {(2, 0): 1})
+    y2 = MultiPoly(variables, {(0, 2): 1})
+    p = ax * zy * x2 - ay * zx * y2
+    return divided_difference(p, "x", "y").terms
 
 
-def _total_cutjoin(unknown) -> int:
-    return sum(unknown)
+@cache
+def _cut_pair_poly(a: int, b: int) -> UniPoly:
+    """xi_hat_{a+1} xi_hat_{b+1}."""
+    return xi_hat(a + 1) * xi_hat(b + 1)
 
 
-def _total_bm(unknown) -> int:
-    return unknown[0] + sum(unknown[1])
+# ---------------------------------------------------------------------------
+# the recursion skeleton
 
 
-def _run_extraction(rhs: dict, decode: Callable, op_builder: Callable,
-                    sort_key: Callable, total_of: Callable, dim: int,
+@dataclass(frozen=True)
+class _Kernel:
+    """What one recursion puts into the shared join/cut/split sum: join
+    terms keyed (distinguished, spectator exponent), the cut polynomial
+    of the distinguished slot, the spectator basis, and the left side as
+    an operator image (unknown, chi) -> folded dict and its decoder."""
+
+    weight: Rational
+    join: Callable[[ResidueCache, int], dict]
+    cut: Callable[[ResidueCache, int, int], UniPoly]
+    basis: Callable[[int], UniPoly]
+    head: int
+    op: Callable[[tuple[int, ...], int], dict]
+    decode: Callable[[tuple[int, ...]], Optional[tuple[int, ...]]]
+
+
+# the residue kernels are looked up on the cache at call time, so that a
+# wrapper installed on ResidueCache sees every call
+_KERNELS = {
+    "cutjoin": _Kernel(HALF,
+                       lambda residues, m: _join_pair_poly(m),
+                       lambda residues, a, b: _cut_pair_poly(a, b),
+                       xi_hat, 0, _op_cutjoin, _decode_cutjoin),
+    "bm": _Kernel(ONE,
+                  lambda residues, m: residues.p_n(m).terms,
+                  lambda residues, a, b: residues.p_ab(a, b),
+                  xi_form, 1, _op_bm, _decode_bm),
+}
+
+
+def _kernel(method: str) -> _Kernel:
+    kernel = _KERNELS.get(method)
+    if kernel is None:
+        raise ValueError(f"unknown method {method!r}")
+    return kernel
+
+
+def _splits(g: int, n: int):
+    """(g1, k1, g2, k2): two stable surfaces sharing n spectators."""
+    for g1 in range(g + 1):
+        for k1 in range(n + 1):
+            g2, k2 = g - g1, n - k1
+            if 2 * g1 + k1 >= 2 and 2 * g2 + k2 >= 2:
+                yield g1, k1, g2, k2
+
+
+def _recursion_terms(kernel: _Kernel, table: "HodgeTable",
+                     residues: ResidueCache, g: int, ell: int):
+    """Yield the right side at level (g, ell) as (terms, groups, coeff):
+    ``terms`` is keyed by the exponents of the distinguished slot and of
+    the spectator slots it occupies; each of ``groups`` is a multiset of
+    indices for the spectator slots left, placed in every distinct way;
+    ``coeff`` times ``kernel.weight`` multiplies the term."""
+    if 2 * g - 2 + ell < 2:
+        raise ValueError(
+            f"recursion applies for complexity 2g-2+ell >= 2; "
+            f"(g,ell)=({g},{ell}) is a base level")
+    n = ell - 1
+    # join: a spectator merges with the distinguished slot
+    if n >= 1:
+        for E, val in table.level_entries(g, n).items():
+            for m in _distinct_values(E):
+                yield kernel.join(residues, m), (_remove_one(E, m),), val
+    # cut: the distinguished slot closes a handle
+    if g >= 1:
+        paired: dict[tuple[int, ...], UniPoly] = {}
+        for E, val in table.level_entries(g - 1, n + 2).items():
+            for a, b in _value_pairs(E):
+                rest = _remove_one(_remove_one(E, a), b)
+                factor = val if a == b else 2 * val
+                contrib = kernel.cut(residues, a, b).scale(factor)
+                acc = paired.get(rest)
+                paired[rest] = contrib if acc is None else acc + contrib
+        for rest, poly in paired.items():
+            yield {(d,): c for d, c in poly.coeffs.items()}, (rest,), ONE
+    # split: two stable surfaces share the spectators
+    for g1, k1, g2, k2 in _splits(g, n):
+        left = table._star_values(g1, k1)
+        right = table._star_values(g2, k2)
+        for w1, amap in left.items():
+            for w2, bmap in right.items():
+                mixed = UniPoly.zero()
+                for a, va in amap.items():
+                    for b, vb in bmap.items():
+                        mixed = mixed + kernel.cut(residues, a, b).scale(
+                            va * vb)
+                if not mixed.is_zero():
+                    yield {(d,): c for d, c in mixed.coeffs.items()}, \
+                        (w1, w2), ONE
+
+
+def _run_extraction(rhs: dict, kernel: _Kernel, g: int, ell: int,
                     context: str) -> dict:
     """Descending-degree elimination; must end at exactly zero."""
+    chi, dim = 2 * g - 2 + ell, 3 * g - 3 + ell
     rem = dict(rhs)
     solved: dict = {}
     while rem:
-        key = max(rem, key=sort_key)
-        unknown = decode(key)
+        key = max(rem, key=lambda k: (sum(k), k))
+        unknown = kernel.decode(key)
         if unknown is None or unknown in solved:
             raise ValueError(f"identity violated at {context}: "
                              f"unresolvable monomial {key}")
-        if total_of(unknown) > dim:
+        if sum(unknown) > dim:
             raise ValueError(f"identity violated at {context}: "
                              f"monomial {key} beyond dimension {dim}")
-        op = op_builder(unknown)
+        op = kernel.op(unknown, chi)
         top = op.get(key)
         if not top:
             raise ValueError(f"identity violated at {context}: "
@@ -270,28 +386,19 @@ def _run_extraction(rhs: dict, decode: Callable, op_builder: Callable,
     return solved
 
 
-# ---------------------------------------------------------------------------
-# divided-difference join polynomials (cut-and-join form)
-
-
-_PAIR_POLY_CACHE: dict[int, dict] = {}
-
-
-def _join_pair_poly(m: int) -> dict:
-    """(xi_hat_{m+1}(x) xi_hat_0(y) x^2 - (x <-> y)) / (x - y), as terms."""
-    cached = _PAIR_POLY_CACHE.get(m)
-    if cached is None:
-        variables = ("x", "y")
-        ax = MultiPoly.from_unipoly(xi_hat(m + 1), variables, 0)
-        ay = MultiPoly.from_unipoly(xi_hat(m + 1), variables, 1)
-        zx = MultiPoly.from_unipoly(xi_hat(0), variables, 0)
-        zy = MultiPoly.from_unipoly(xi_hat(0), variables, 1)
-        x2 = MultiPoly(variables, {(2, 0): 1})
-        y2 = MultiPoly(variables, {(0, 2): 1})
-        p = ax * zy * x2 - ay * zx * y2
-        cached = divided_difference(p, "x", "y").terms
-        _PAIR_POLY_CACHE[m] = cached
-    return cached
+def _merge_slot_choices(solved: dict, head: int, context: str) -> dict:
+    """Collapse per-slot solutions onto sorted index tuples, verifying
+    that every choice of the fixed slots is solved and all agree."""
+    merged = {}
+    for unknown, val in solved.items():
+        key = tuple(sorted(unknown, reverse=True))
+        by_slot = {u: solved.get(u) for u in _slot_choices(key, head)}
+        if set(by_slot.values()) != {val}:
+            raise ValueError(
+                f"identity violated at {context}: "
+                f"asymmetric solution for indices {key}: {by_slot}")
+        merged[key] = val
+    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -352,18 +459,10 @@ class HodgeTable:
             pre.append((g, ell - 1))
         if g >= 1:
             pre.append((g - 1, ell + 1))
-        for g1 in range(g + 1):
-            for k1 in range(ell):
-                g2, k2 = g - g1, ell - 1 - k1
-                if 2 * g1 + k1 >= 2 and 2 * g2 + k2 >= 2:
-                    pre.append((g1, k1 + 1))
-                    pre.append((g2, k2 + 1))
-        seen, ordered = set(), []
-        for cell in pre:
-            if cell not in seen:
-                seen.add(cell)
-                ordered.append(cell)
-        return ordered
+        for g1, k1, g2, k2 in _splits(g, ell - 1):
+            pre.append((g1, k1 + 1))
+            pre.append((g2, k2 + 1))
+        return list(dict.fromkeys(pre))
 
     def ensure_level(self, g: int, ell: int, method: str = "cutjoin") -> None:
         """Demand-driven fill of one level and its recursion closure."""
@@ -405,39 +504,11 @@ class HodgeTable:
                     f"pipelines disagree at (g,ell)=({g},{ell}): "
                     f"cutjoin {a} vs bm {b}")
             return a
-        dim = 3 * g - 3 + ell
-        if method == "cutjoin":
-            rhs = self._cutjoin_rhs_folded(g, ell)
-            chi = 2 * g - 2 + ell
-            return _run_extraction(
-                rhs, _decode_cutjoin, lambda M: _op_cutjoin(M, chi),
-                _sort_cutjoin, _total_cutjoin, dim,
-                f"cutjoin level (g,ell)=({g},{ell})")
-        if method == "bm":
-            rhs = self._bm_rhs_folded(g, ell - 1)
-            pairs = _run_extraction(
-                rhs, _decode_bm, _op_bm, _sort_bm, _total_bm, dim,
-                f"bm level (g,ell)=({g},{ell})")
-            return self._merge_bm_pairs(pairs, g, ell)
-        raise ValueError(f"unknown method {method!r}")
-
-    @staticmethod
-    def _merge_bm_pairs(pairs: dict, g: int, ell: int) -> dict:
-        """Collapse per-slot solutions, verifying permutation symmetry."""
-        grouped: dict[tuple[int, ...], dict] = {}
-        for (v, rest), val in pairs.items():
-            key = tuple(sorted((v,) + rest, reverse=True))
-            grouped.setdefault(key, {})[v] = val
-        solved = {}
-        for key, by_slot in grouped.items():
-            wanted = set(key)
-            values = set(by_slot.values())
-            if set(by_slot) != wanted or len(values) != 1:
-                raise ValueError(
-                    f"identity violated at bm level (g,ell)=({g},{ell}): "
-                    f"asymmetric solution for indices {key}: {by_slot}")
-            solved[key] = values.pop()
-        return solved
+        kernel = _kernel(method)
+        context = f"{method} level (g,ell)=({g},{ell})"
+        solved = _run_extraction(self._rhs_folded(kernel, g, ell), kernel,
+                                 g, ell, context)
+        return _merge_slot_choices(solved, kernel.head, context)
 
     def _store_level(self, g: int, ell: int, solved: dict) -> None:
         level = self._by_level.setdefault((g, ell), {})
@@ -446,72 +517,23 @@ class HodgeTable:
             level[indices] = val
         self.filled.add((g, ell))
 
-    # -- folded right-hand sides
+    # -- the folded right-hand side
 
-    def _cutjoin_rhs_folded(self, g: int, ell: int) -> dict:
-        if 2 * g - 2 + ell < 2:
-            raise ValueError(
-                f"recursion applies for complexity 2g-2+ell >= 2; "
-                f"(g,ell)=({g},{ell}) is a base level")
+    def _rhs_folded(self, kernel: _Kernel, g: int, ell: int) -> dict:
+        """Folded right side of ``kernel``'s identity, whose unknowns
+        live at level (g, ell)."""
+        head = kernel.head
         rhs: dict = {}
-        if ell >= 2:
-            for E, val in self.level_entries(g, ell - 1).items():
-                for m in _distinct_values(E):
-                    rest = _remove_one(E, m)
-                    start: dict = {}
-                    for (e1, e2), c in _join_pair_poly(m).items():
-                        k = (e1, e2) if e1 >= e2 else (e2, e1)
-                        s = start.get(k, ZERO) + c
-                        if s:
-                            start[k] = s
-                        else:
-                            del start[k]
-                    folded = start
-                    for w in rest:
-                        folded = _fold_extend(folded, xi_hat(w).coeffs)
-                    _fold_add_scaled(rhs, folded, val / (2 * aut(rest)))
-        if g >= 1:
-            paired: dict[tuple[int, ...], UniPoly] = {}
-            for E, val in self.level_entries(g - 1, ell + 1).items():
-                for a, b in _value_pairs(E):
-                    rest = _remove_one(_remove_one(E, a), b)
-                    factor = val if a == b else 2 * val
-                    contrib = (xi_hat(a + 1) * xi_hat(b + 1)).scale(factor)
-                    acc = paired.get(rest)
-                    paired[rest] = contrib if acc is None else acc + contrib
-            for rest, qpoly in paired.items():
-                folded = _fold_product(
-                    [qpoly.coeffs] + [xi_hat(w).coeffs for w in rest])
-                _fold_add_scaled(rhs, folded, HALF / aut(rest))
-        for g1 in range(g + 1):
-            for k1 in range(ell):
-                g2, k2 = g - g1, ell - 1 - k1
-                if 2 * g1 + k1 < 2 or 2 * g2 + k2 < 2:
-                    continue
-                left = self._promoted_sums(g1, k1)
-                right = self._promoted_sums(g2, k2)
-                for w1, p1 in left.items():
-                    for w2, p2 in right.items():
-                        prod = p1 * p2
-                        if prod.is_zero():
-                            continue
-                        folded = _fold_product(
-                            [prod.coeffs]
-                            + [xi_hat(w).coeffs for w in w1 + w2])
-                        _fold_add_scaled(
-                            rhs, folded, HALF / (aut(w1) * aut(w2)))
+        for terms, groups, coeff in _recursion_terms(
+                kernel, self, self.residues, g, ell):
+            folded = _fold_terms(terms, head)
+            factor = kernel.weight * coeff
+            for group in groups:
+                factor = factor / aut(group)
+                for w in group:
+                    folded = _fold_extend(folded, kernel.basis(w).coeffs, head)
+            _fold_add_scaled(rhs, folded, factor)
         return rhs
-
-    def _promoted_sums(self, g: int, k: int) -> dict:
-        """W -> sum_a <tau_a tau_W> xi_hat_{a+1}, from level (g, k+1)."""
-        out: dict[tuple[int, ...], UniPoly] = {}
-        for E, val in self.level_entries(g, k + 1).items():
-            for a in _distinct_values(E):
-                rest = _remove_one(E, a)
-                contrib = xi_hat(a + 1).scale(val)
-                acc = out.get(rest)
-                out[rest] = contrib if acc is None else acc + contrib
-        return out
 
     def _star_values(self, g: int, k: int) -> dict:
         """W -> {a: <tau_a tau_W>}, read off level (g, k+1)."""
@@ -521,62 +543,6 @@ class HodgeTable:
                 out.setdefault(_remove_one(E, a), {})[a] = val
         return out
 
-    def _bm_rhs_folded(self, g: int, ell: int) -> dict:
-        """Folded right side of the residue-form identity with ell
-        symmetric slots; its unknowns live at level (g, ell + 1)."""
-        if 2 * g - 1 + ell < 2:
-            raise ValueError(
-                f"recursion applies for complexity 2g-1+ell >= 2; "
-                f"level (g,ell)=({g},{ell + 1}) is a base level")
-        residues = self.residues
-        rhs: dict = {}
-        if ell >= 1:
-            for E, val in self.level_entries(g, ell).items():
-                for m in _distinct_values(E):
-                    rest = _remove_one(E, m)
-                    folded = {(et, (ei,)): c
-                              for (et, ei), c in residues.p_n(m).terms.items()}
-                    for w in rest:
-                        folded = _fold_extend_tagged(folded, xi_form(w).coeffs)
-                    _fold_add_scaled(rhs, folded, val / aut(rest))
-        if g >= 1:
-            paired: dict[tuple[int, ...], UniPoly] = {}
-            for E, val in self.level_entries(g - 1, ell + 2).items():
-                for a, b in _value_pairs(E):
-                    rest = _remove_one(_remove_one(E, a), b)
-                    factor = val if a == b else 2 * val
-                    contrib = residues.p_ab(a, b).scale(factor)
-                    acc = paired.get(rest)
-                    paired[rest] = contrib if acc is None else acc + contrib
-            for rest, qpoly in paired.items():
-                folded = {(d, ()): c for d, c in qpoly.coeffs.items()}
-                for w in rest:
-                    folded = _fold_extend_tagged(folded, xi_form(w).coeffs)
-                _fold_add_scaled(rhs, folded, ONE / aut(rest))
-        for g1 in range(g + 1):
-            for k1 in range(ell + 1):
-                g2, k2 = g - g1, ell - k1
-                if 2 * g1 + k1 < 2 or 2 * g2 + k2 < 2:
-                    continue
-                left = self._star_values(g1, k1)
-                right = self._star_values(g2, k2)
-                for w1, amap in left.items():
-                    for w2, bmap in right.items():
-                        mixed = UniPoly.zero()
-                        for a, va in amap.items():
-                            for b, vb in bmap.items():
-                                mixed = mixed + residues.p_ab(a, b).scale(
-                                    va * vb)
-                        if mixed.is_zero():
-                            continue
-                        folded = {(d, ()): c for d, c in mixed.coeffs.items()}
-                        for w in w1 + w2:
-                            folded = _fold_extend_tagged(folded,
-                                                         xi_form(w).coeffs)
-                        _fold_add_scaled(rhs, folded,
-                                         ONE / (aut(w1) * aut(w2)))
-        return rhs
-
     # -- verification surface
 
     def identity_remainder(self, g: int, ell: int, method: str) -> dict:
@@ -585,21 +551,13 @@ class HodgeTable:
         The recursions' machine-checkable content: the result must be
         an empty dict at every solvable level.
         """
-        if method not in ("bm", "cutjoin"):
-            raise ValueError(f"unknown method {method!r}")
+        kernel = _kernel(method)
         self.ensure_level(g, ell, method)
-        solved = self._by_level[(g, ell)]
-        if method == "cutjoin":
-            rhs = self._cutjoin_rhs_folded(g, ell)
-            chi = 2 * g - 2 + ell
-            for M, val in solved.items():
-                _fold_add_scaled(rhs, _op_cutjoin(M, chi), -val)
-        else:
-            rhs = self._bm_rhs_folded(g, ell - 1)
-            for M, val in solved.items():
-                for v in _distinct_values(M):
-                    _fold_add_scaled(rhs, _op_bm((v, _remove_one(M, v))),
-                                     -val)
+        rhs = self._rhs_folded(kernel, g, ell)
+        chi = 2 * g - 2 + ell
+        for M, val in self._by_level[(g, ell)].items():
+            for unknown in _slot_choices(M, kernel.head):
+                _fold_add_scaled(rhs, kernel.op(unknown, chi), -val)
         return rhs
 
     # -- serialization
@@ -622,20 +580,48 @@ class HodgeTable:
 # public identity builders (genuine multivariate polynomials)
 
 
-def _embed_uni(p: UniPoly, variables: tuple[str, ...], slot: int) -> MultiPoly:
-    return MultiPoly.from_unipoly(p, variables, slot)
-
-
-def _embed_pair(terms: dict, variables: tuple[str, ...],
-                slot_a: int, slot_b: int) -> MultiPoly:
+def _embed(terms: dict, variables: tuple[str, ...],
+           slots: tuple[int, ...]) -> MultiPoly:
+    """Place the exponent tuples of ``terms`` in variable positions
+    ``slots``."""
     n = len(variables)
     out = {}
-    for (ea, eb), c in terms.items():
+    for exps, c in terms.items():
         vec = [0] * n
-        vec[slot_a] = ea
-        vec[slot_b] = eb
+        for slot, e in zip(slots, exps):
+            vec[slot] = e
         out[tuple(vec)] = c
     return MultiPoly(variables, out)
+
+
+def _rhs_expanded(kernel: _Kernel, table: HodgeTable,
+                  residues: ResidueCache, g: int,
+                  variables: tuple[str, ...], slots) -> MultiPoly:
+    """``kernel``'s right side in ``variables``, summed over the choice
+    of the distinguished slot among ``slots``; every other variable is a
+    spectator.  Its unknowns live at level (g, len(variables))."""
+    total = MultiPoly.zero(variables)
+    for terms, groups, coeff in _recursion_terms(
+            kernel, table, residues, g, len(variables)):
+        if not terms:
+            continue
+        width = len(next(iter(terms))) - 1
+        # a distinct order of the group-tagged indices over the free slots
+        # is a subset of them per group, each in a distinct order
+        tagged = tuple((i, w) for i, group in enumerate(groups) for w in group)
+        for slot in slots:
+            others = [s for s in range(len(variables)) if s != slot]
+            for picked in permutations(others, width):
+                base = _embed(terms, variables, (slot,) + picked).scale(
+                    kernel.weight * coeff)
+                free = [s for s in others if s not in picked]
+                for order in distinct_permutations(tagged):
+                    term = base
+                    for s, (_, w) in zip(free, order):
+                        term = term * MultiPoly.from_unipoly(
+                            kernel.basis(w), variables, s)
+                    total = total + term
+    return total
 
 
 def cutjoin_rhs(g: int, ell: int, table: HodgeTable) -> XiIdentity:
@@ -644,81 +630,13 @@ def cutjoin_rhs(g: int, ell: int, table: HodgeTable) -> XiIdentity:
     Returns the exact right-hand side in (t_1..t_ell) together with the
     left-hand operator description: the unknowns of the level itself
     enter through (2g-2+ell) prod xi_hat_{n_i} plus the promoted terms
-    sum_i xi_hat_{n_i + 1}(t_i)/t_i prod_{j != i} xi_hat_{n_j}.
+    sum_i xi_hat_{n_i + 1}(t_i)/t_i prod_{j != i} xi_hat_{n_j}.  The
+    right side is the recursion sum with its distinguished slot summed
+    over every t_i; the weight 1/2 counts each symmetric join pair once.
     """
-    chi = 2 * g - 2 + ell
-    if chi < 2:
-        raise ValueError(
-            f"recursion applies for complexity 2g-2+ell >= 2; "
-            f"(g,ell)=({g},{ell}) is a base level")
     variables = tuple(f"t_{i}" for i in range(1, ell + 1))
-    total = MultiPoly.zero(variables)
-    slots = list(range(ell))
-    if ell >= 2:
-        for E, val in table.level_entries(g, ell - 1).items():
-            for m in _distinct_values(E):
-                rest = _remove_one(E, m)
-                pair = _join_pair_poly(m)
-                for i in slots:
-                    for j in slots[i + 1:]:
-                        others = [s for s in slots if s not in (i, j)]
-                        base = _embed_pair(pair, variables, i, j).scale(val)
-                        for perm in distinct_permutations(rest):
-                            term = base
-                            for slot, w in zip(others, perm):
-                                term = term * _embed_uni(xi_hat(w),
-                                                         variables, slot)
-                            total = total + term
-    if g >= 1:
-        for E, val in table.level_entries(g - 1, ell + 1).items():
-            for a, b in _value_pairs(E):
-                rest = _remove_one(_remove_one(E, a), b)
-                factor = (val if a == b else 2 * val) * HALF
-                pq = (xi_hat(a + 1) * xi_hat(b + 1)).scale(factor)
-                for i in slots:
-                    others = [s for s in slots if s != i]
-                    base = _embed_uni(pq, variables, i)
-                    for perm in distinct_permutations(rest):
-                        term = base
-                        for slot, w in zip(others, perm):
-                            term = term * _embed_uni(xi_hat(w),
-                                                     variables, slot)
-                        total = total + term
-    for i in slots:
-        others = [s for s in slots if s != i]
-        for split in range(1 << len(others)):
-            left_slots = [others[p] for p in range(len(others))
-                          if split >> p & 1]
-            right_slots = [s for s in others if s not in left_slots]
-            for g1 in range(g + 1):
-                g2 = g - g1
-                k1, k2 = len(left_slots), len(right_slots)
-                if 2 * g1 + k1 < 2 or 2 * g2 + k2 < 2:
-                    continue
-                star1 = table._star_values(g1, k1)
-                star2 = table._star_values(g2, k2)
-                for w1, amap in star1.items():
-                    for w2, bmap in star2.items():
-                        mixed = UniPoly.zero()
-                        for a, va in amap.items():
-                            for b, vb in bmap.items():
-                                mixed = mixed + (
-                                    xi_hat(a + 1) * xi_hat(b + 1)
-                                ).scale(va * vb)
-                        if mixed.is_zero():
-                            continue
-                        base = _embed_uni(mixed.scale(HALF), variables, i)
-                        for perm1 in distinct_permutations(w1):
-                            t1 = base
-                            for slot, w in zip(left_slots, perm1):
-                                t1 = t1 * _embed_uni(xi_hat(w),
-                                                     variables, slot)
-                            for perm2 in distinct_permutations(w2):
-                                term = t1
-                                for slot, w in zip(right_slots, perm2):
-                                    term = term * _embed_uni(xi_hat(w),
-                                                             variables, slot)
-                                total = total + term
+    total = _rhs_expanded(_KERNELS["cutjoin"], table, table.residues, g,
+                          variables, range(ell))
     return XiIdentity("cutjoin", g, variables, total)
 
 
@@ -734,64 +652,9 @@ def bm_rhs(g: int, ell: int, table: HodgeTable,
     if 2 * g - 1 + ell < 1:
         raise ValueError(f"unstable (g,ell)=({g},{ell + 1})")
     variables = ("t",) + tuple(f"t_{i}" for i in range(1, ell + 1))
-    total = MultiPoly.zero(variables)
-    slots = list(range(1, ell + 1))
-    if ell >= 1:
-        for E, val in table.level_entries(g, ell).items():
-            for m in _distinct_values(E):
-                rest = _remove_one(E, m)
-                pair_terms = residues.p_n(m).terms
-                for i in slots:
-                    others = [s for s in slots if s != i]
-                    base = _embed_pair(pair_terms, variables, 0, i).scale(val)
-                    for perm in distinct_permutations(rest):
-                        term = base
-                        for slot, w in zip(others, perm):
-                            term = term * _embed_uni(xi_form(w),
-                                                     variables, slot)
-                        total = total + term
-    if g >= 1 and 2 * (g - 1) - 2 + ell + 2 >= 1:
-        for E, val in table.level_entries(g - 1, ell + 2).items():
-            for a, b in _value_pairs(E):
-                rest = _remove_one(_remove_one(E, a), b)
-                factor = val if a == b else 2 * val
-                base_poly = residues.p_ab(a, b).scale(factor)
-                base = _embed_uni(base_poly, variables, 0)
-                for perm in distinct_permutations(rest):
-                    term = base
-                    for slot, w in zip(slots, perm):
-                        term = term * _embed_uni(xi_form(w), variables, slot)
-                    total = total + term
-    for split in range(1 << ell):
-        left_slots = [slots[p] for p in range(ell) if split >> p & 1]
-        right_slots = [s for s in slots if s not in left_slots]
-        for g1 in range(g + 1):
-            g2 = g - g1
-            k1, k2 = len(left_slots), len(right_slots)
-            if 2 * g1 + k1 < 2 or 2 * g2 + k2 < 2:
-                continue
-            star1 = table._star_values(g1, k1)
-            star2 = table._star_values(g2, k2)
-            for w1, amap in star1.items():
-                for w2, bmap in star2.items():
-                    mixed = UniPoly.zero()
-                    for a, va in amap.items():
-                        for b, vb in bmap.items():
-                            mixed = mixed + residues.p_ab(a, b).scale(va * vb)
-                    if mixed.is_zero():
-                        continue
-                    base = _embed_uni(mixed, variables, 0)
-                    for perm1 in distinct_permutations(w1):
-                        t1 = base
-                        for slot, w in zip(left_slots, perm1):
-                            t1 = t1 * _embed_uni(xi_form(w), variables, slot)
-                        for perm2 in distinct_permutations(w2):
-                            term = t1
-                            for slot, w in zip(right_slots, perm2):
-                                term = term * _embed_uni(xi_form(w),
-                                                         variables, slot)
-                            total = total + term
-    return total
+    if 2 * g - 1 + ell < 2:
+        return MultiPoly.zero(variables)
+    return _rhs_expanded(_KERNELS["bm"], table, residues, g, variables, (0,))
 
 
 def extract_in_xi_basis(identity: XiIdentity) -> dict:
@@ -803,36 +666,19 @@ def extract_in_xi_basis(identity: XiIdentity) -> dict:
     the t-slot index; for "cutjoin" they are non-increasing index
     tuples.  A nonzero final remainder raises "identity violated".
     """
-    rhs = identity.rhs
-    g = identity.g
+    shape, g = identity.unknown_shape, identity.g
     n_vars = len(identity.variables)
-    dim = 3 * g - 3 + n_vars
-    if identity.unknown_shape == "cutjoin":
-        sym_slots = n_vars
-        folded: dict = {}
-        for e, c in rhs.terms.items():
-            _fold_add_scaled(folded,
-                             {tuple(sorted(e, reverse=True)): c},
-                             ONE / factorial(sym_slots))
-        chi = 2 * g - 2 + n_vars
-        return _run_extraction(
-            folded, _decode_cutjoin, lambda M: _op_cutjoin(M, chi),
-            _sort_cutjoin, _total_cutjoin, dim,
-            f"extraction (g={g}, cutjoin)")
-    if identity.unknown_shape == "bm":
-        if identity.variables[0] != "t":
-            raise ValueError("bm identities carry the distinguished "
-                             "variable t in slot 0")
-        sym_slots = n_vars - 1
-        folded = {}
-        for e, c in rhs.terms.items():
-            key = (e[0], tuple(sorted(e[1:], reverse=True)))
-            _fold_add_scaled(folded, {key: c}, ONE / factorial(sym_slots))
-        pairs = _run_extraction(
-            folded, _decode_bm, _op_bm, _sort_bm, _total_bm, dim,
-            f"extraction (g={g}, bm)")
-        return {(v,) + rest: val for (v, rest), val in pairs.items()}
-    raise ValueError(f"unknown identity shape {identity.unknown_shape!r}")
+    kernel = _KERNELS.get(shape)
+    if kernel is None:
+        raise ValueError(f"unknown identity shape {shape!r}")
+    if kernel.head and identity.variables[0] != "t":
+        raise ValueError(f"{shape} identities carry the distinguished "
+                         "variable t in slot 0")
+    sym_slots = n_vars - kernel.head
+    folded = {key: c / factorial(sym_slots) for key, c in
+              _fold_terms(identity.rhs.terms, kernel.head).items()}
+    return _run_extraction(folded, kernel, g, n_vars,
+                           f"extraction (g={g}, {shape})")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from hodgehurwitz.exact_algebra import MultiPoly, UniPoly, rat
 from hodgehurwitz.hodge_solver import (
+    _KERNELS,
     HodgeTable,
     TauKey,
     XiIdentity,
@@ -188,6 +189,37 @@ def test_cutjoin_rhs_rejects_base_level(table_cj):
 
 def test_bm_rhs_empty_at_base_level(table_cj):
     assert bm_rhs(1, 0, table_cj).is_zero()
+
+
+def test_bm_rhs_empty_at_genus_zero_base_level(table_cj):
+    # unknowns at the base level (0, 3); the recursion reads no level
+    assert bm_rhs(0, 2, table_cj).is_zero()
+
+
+def _fold_expanded(poly: MultiPoly, head: int) -> dict:
+    """Orbit masses over the symmetric slots (all but the first ``head``),
+    divided by the factorial of their count."""
+    masses: dict = {}
+    for e, c in poly.terms.items():
+        key = e[:head] + tuple(sorted(e[head:], reverse=True))
+        masses[key] = masses.get(key, 0) + c
+    slots = factorial(len(poly.vars) - head)
+    return {key: c / slots for key, c in masses.items() if c}
+
+
+RECURSIVE_LEVELS_TO_CHI_4 = [
+    (g, chi + 2 - 2 * g) for chi in range(2, 5)
+    for g in range((chi + 1) // 2 + 1) if chi + 2 - 2 * g >= 1]
+
+
+@pytest.mark.parametrize("g,ell", RECURSIVE_LEVELS_TO_CHI_4)
+def test_folded_rhs_is_the_fold_of_the_expanded_rhs(table_cj, g, ell):
+    expanded = cutjoin_rhs(g, ell, table_cj).rhs
+    assert table_cj._rhs_folded(_KERNELS["cutjoin"], g, ell) == \
+        _fold_expanded(expanded, 0)
+    expanded = bm_rhs(g, ell - 1, table_cj)
+    assert table_cj._rhs_folded(_KERNELS["bm"], g, ell) == \
+        _fold_expanded(expanded, 1)
 
 
 def test_bm_public_level_12_pairs(table_cj):
