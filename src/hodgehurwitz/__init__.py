@@ -7,56 +7,8 @@ Bouchard-Marino topological recursion — and every consumer-facing
 result is cross-checked between them.
 """
 
-from hodgehurwitz.exact_algebra import (
-    LaurentSeries,
-    MultiPoly,
-    Rational,
-    TruncationError,
-    UniPoly,
-    bernoulli,
-    divided_difference,
-    double_factorial,
-    format_rational,
-    laurent_reciprocal,
-    laurent_substitute,
-    parse_rational,
-    polynomial_part,
-    rat,
-)
-from hodgehurwitz.lambert_curve import (
-    XiHatTower,
-    eta_series,
-    s_involution,
-    stirling_coefficients,
-    v_series,
-    w_series,
-    xi_form,
-    xi_hat,
-)
-from hodgehurwitz.residue_kernel import (
-    ResidueCache,
-    p_ab,
-    p_ab_eta,
-    p_n,
-    p_n_eta,
-)
-from hodgehurwitz.hodge_solver import (
-    HodgeTable,
-    TauKey,
-    XiIdentity,
-    bm_rhs,
-    cutjoin_rhs,
-    default_table,
-    dvv_verify,
-    extract_in_xi_basis,
-    hodge_lambda,
-    load_table_cache,
-    save_table_cache,
-)
+from hodgehurwitz.hodge_solver import HodgeTable, dvv_verify, hodge_lambda
 from hodgehurwitz.hurwitz import (
-    HTable,
-    HurwitzKey,
-    default_htable,
     elsv_invert,
     h_brute,
     h_direct,
@@ -67,51 +19,13 @@ from hodgehurwitz.hurwitz import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "HTable",
     "HodgeTable",
-    "HurwitzKey",
-    "LaurentSeries",
-    "MultiPoly",
-    "Rational",
-    "ResidueCache",
-    "TauKey",
-    "TruncationError",
-    "UniPoly",
-    "XiHatTower",
-    "XiIdentity",
-    "bernoulli",
-    "bm_rhs",
-    "cutjoin_rhs",
-    "default_htable",
-    "default_table",
-    "divided_difference",
-    "double_factorial",
     "dvv_verify",
     "elsv_invert",
-    "eta_series",
-    "extract_in_xi_basis",
-    "format_rational",
     "h_brute",
     "h_direct",
     "hodge_lambda",
     "hurwitz_elsv",
-    "laurent_reciprocal",
-    "laurent_substitute",
-    "load_table_cache",
-    "p_ab",
-    "p_ab_eta",
-    "p_n",
-    "p_n_eta",
-    "parse_rational",
-    "polynomial_part",
-    "rat",
-    "s_involution",
-    "save_table_cache",
-    "stirling_coefficients",
     "table_generate",
-    "v_series",
-    "w_series",
-    "xi_form",
-    "xi_hat",
     "__version__",
 ]

@@ -18,6 +18,7 @@ method's table persists there as one JSON file (see ``_Tables``).
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -137,6 +138,13 @@ def _validate_common(args) -> None:
         raise ValueError("complexity-budget must be ≥ 1")
 
 
+def _refuse_over_budget(chi: int, budget: int) -> None:
+    if chi > budget:
+        raise ValueError(
+            f"complexity 2g-2+ell = {chi} exceeds --complexity-budget "
+            f"{budget}")
+
+
 class _Tables:
     """One call's Hodge tables, one per method, created on first use and
     filled on demand.  With HURWITZ_REC_CACHE set, a table starts from
@@ -168,7 +176,6 @@ class _Tables:
 
 
 def _run_hodge(args, tables: _Tables) -> int:
-    _validate_common(args)
     if args.g < 0:
         raise ValueError(f"genus must be ≥ 0, got {args.g}")
     indices = _parse_parts(args.indices, "indices")
@@ -179,10 +186,7 @@ def _run_hodge(args, tables: _Tables) -> int:
         # unstable; raise the canonical error without building a table
         hodge_lambda(args.g, indices, method=args.method,
                      table=HodgeTable())
-    if chi > args.complexity_budget:
-        raise ValueError(
-            f"complexity 2g-2+ell = {chi} exceeds --complexity-budget "
-            f"{args.complexity_budget}")
+    _refuse_over_budget(chi, args.complexity_budget)
     j, value = hodge_lambda(args.g, indices, method=args.method,
                             table=tables.get(args.method))
     if args.format == "json":
@@ -198,7 +202,6 @@ def _run_hodge(args, tables: _Tables) -> int:
 
 
 def _run_hurwitz(args, tables: _Tables) -> int:
-    _validate_common(args)
     if args.g < 0:
         raise ValueError(f"genus must be ≥ 0, got {args.g}")
     mu = _parse_parts(args.mu, "mu")
@@ -211,10 +214,7 @@ def _run_hurwitz(args, tables: _Tables) -> int:
         print(format_rational(h_brute(args.g, mu)))
         return 0
     if args.method == "elsv":
-        if chi > args.complexity_budget:
-            raise ValueError(
-                f"complexity 2g-2+ell = {chi} exceeds --complexity-budget "
-                f"{args.complexity_budget}")
+        _refuse_over_budget(chi, args.complexity_budget)
         print(format_rational(hurwitz_elsv(args.g, mu,
                                            table=tables.get("cutjoin"))))
         return 0
@@ -247,8 +247,8 @@ def _table_payload(rows: list[dict], fmt: str) -> str:
             "checked": row["checked"],
         } for row in rows]
         return json.dumps(payload, indent=2) + "\n"
-    out = []
-    writer = csv.writer(_ListWriter(out), lineterminator="\n")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["g", "mu", "h", "method", "checked"])
     for row in rows:
         writer.writerow([
@@ -258,19 +258,10 @@ def _table_payload(rows: list[dict], fmt: str) -> str:
             row["method"],
             "true" if row["checked"] else "false",
         ])
-    return "".join(out)
-
-
-class _ListWriter:
-    def __init__(self, sink: list):
-        self._sink = sink
-
-    def write(self, text: str) -> None:
-        self._sink.append(text)
+    return out.getvalue()
 
 
 def _run_table(args, tables: _Tables) -> int:
-    _validate_common(args)
     rows = table_generate(
         args.g_max, args.size_max,
         include_genus_zero=args.include_genus_zero,
@@ -462,7 +453,6 @@ def _appendix_checks(budget: int, tables: _Tables) -> list:
 
 
 def _run_verify(args, tables: _Tables) -> int:
-    _validate_common(args)
     if args.order < MIN_SERIES_ORDER:
         raise ValueError(f"order must be ≥ {MIN_SERIES_ORDER}")
     checks = []
@@ -505,6 +495,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     tables = _Tables()
     try:
+        _validate_common(args)
         code = _RUNNERS[args.command](args, tables)
         tables.save()
         return code

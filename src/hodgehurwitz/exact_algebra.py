@@ -40,10 +40,6 @@ def format_rational(q: RationalLike) -> str:
     return str(Rational(q))
 
 
-def parse_rational(s: str) -> Rational:
-    return Rational(s)
-
-
 class TruncationError(ValueError):
     """A series was asked for data beyond its honest truncation order."""
 
@@ -92,11 +88,6 @@ class UniPoly:
     @classmethod
     def one(cls, var: str = "t") -> "UniPoly":
         return cls({0: 1}, var)
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: RationalLike = 1,
-                 var: str = "t") -> "UniPoly":
-        return cls({degree: coeff}, var)
 
     # -- structure
 
@@ -220,15 +211,6 @@ class UniPoly:
         out.coeffs = {d - k: v for d, v in self.coeffs.items()}
         return out
 
-    # -- serialization
-
-    def to_json(self) -> dict[str, str]:
-        return {str(k): format_rational(v) for k, v in sorted(self.coeffs.items())}
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, str], var: str = "t") -> "UniPoly":
-        return cls({int(k): Rational(v) for k, v in data.items()}, var)
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -286,11 +268,6 @@ class MultiPoly:
     @classmethod
     def zero(cls, variables: Iterable[str]) -> "MultiPoly":
         return cls(variables, {})
-
-    @classmethod
-    def constant(cls, variables: Iterable[str], c: RationalLike) -> "MultiPoly":
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): c})
 
     @classmethod
     def from_unipoly(cls, p: UniPoly, variables: Iterable[str],
@@ -850,6 +827,15 @@ def distinct_permutations(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         seen.add(v)
         for rest in distinct_permutations(items[:i] + items[i + 1:]):
             yield (v,) + rest
+
+
+def subsets(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...],
+                                                      tuple[int, ...]]]:
+    """Each split of the positions of ``items`` into a chosen part and
+    the rest, as (chosen, rest), both in the order of ``items``."""
+    for mask in range(1 << len(items)):
+        yield (tuple(v for p, v in enumerate(items) if mask >> p & 1),
+               tuple(v for p, v in enumerate(items) if not mask >> p & 1))
 
 
 # ---------------------------------------------------------------------------

@@ -73,9 +73,10 @@ from hodgehurwitz.exact_algebra import (
     double_factorial,
     format_rational,
     rat,
+    subsets,
 )
 from hodgehurwitz.lambert_curve import xi_form, xi_hat, xi_hat_over_t
-from hodgehurwitz.residue_kernel import DEFAULT_CACHE, ResidueCache
+from hodgehurwitz.residue_kernel import p_ab, p_n
 
 
 @dataclass(frozen=True, order=True)
@@ -272,24 +273,20 @@ class _Kernel:
     an operator image (unknown, chi) -> folded dict and its decoder."""
 
     weight: Rational
-    join: Callable[[ResidueCache, int], dict]
-    cut: Callable[[ResidueCache, int, int], UniPoly]
+    join: Callable[[int], dict]
+    cut: Callable[[int, int], UniPoly]
     basis: Callable[[int], UniPoly]
     head: int
     op: Callable[[tuple[int, ...], int], dict]
     decode: Callable[[tuple[int, ...]], Optional[tuple[int, ...]]]
 
 
-# the residue kernels are looked up on the cache at call time, so that a
-# wrapper installed on ResidueCache sees every call
+# p_ab and p_n look up the process-wide ResidueCache at call time, so
+# that a wrapper installed on ResidueCache sees every call
 _KERNELS = {
-    "cutjoin": _Kernel(HALF,
-                       lambda residues, m: _join_pair_poly(m),
-                       lambda residues, a, b: _cut_pair_poly(a, b),
+    "cutjoin": _Kernel(HALF, _join_pair_poly, _cut_pair_poly,
                        xi_hat, 0, _op_cutjoin, _decode_cutjoin),
-    "bm": _Kernel(ONE,
-                  lambda residues, m: residues.p_n(m).terms,
-                  lambda residues, a, b: residues.p_ab(a, b),
+    "bm": _Kernel(ONE, lambda m: p_n(m).terms, p_ab,
                   xi_form, 1, _op_bm, _decode_bm),
 }
 
@@ -310,8 +307,7 @@ def _splits(g: int, n: int):
                 yield g1, k1, g2, k2
 
 
-def _recursion_terms(kernel: _Kernel, table: "HodgeTable",
-                     residues: ResidueCache, g: int, ell: int):
+def _recursion_terms(kernel: _Kernel, table: "HodgeTable", g: int, ell: int):
     """Yield the right side at level (g, ell) as (terms, groups, coeff):
     ``terms`` is keyed by the exponents of the distinguished slot and of
     the spectator slots it occupies; each of ``groups`` is a multiset of
@@ -326,7 +322,7 @@ def _recursion_terms(kernel: _Kernel, table: "HodgeTable",
     if n >= 1:
         for E, val in table.level_entries(g, n).items():
             for m in _distinct_values(E):
-                yield kernel.join(residues, m), (_remove_one(E, m),), val
+                yield kernel.join(m), (_remove_one(E, m),), val
     # cut: the distinguished slot closes a handle
     if g >= 1:
         paired: dict[tuple[int, ...], UniPoly] = {}
@@ -334,7 +330,7 @@ def _recursion_terms(kernel: _Kernel, table: "HodgeTable",
             for a, b in _value_pairs(E):
                 rest = _remove_one(_remove_one(E, a), b)
                 factor = val if a == b else 2 * val
-                contrib = kernel.cut(residues, a, b).scale(factor)
+                contrib = kernel.cut(a, b).scale(factor)
                 acc = paired.get(rest)
                 paired[rest] = contrib if acc is None else acc + contrib
         for rest, poly in paired.items():
@@ -348,8 +344,7 @@ def _recursion_terms(kernel: _Kernel, table: "HodgeTable",
                 mixed = UniPoly.zero()
                 for a, va in amap.items():
                     for b, vb in bmap.items():
-                        mixed = mixed + kernel.cut(residues, a, b).scale(
-                            va * vb)
+                        mixed = mixed + kernel.cut(a, b).scale(va * vb)
                 if not mixed.is_zero():
                     yield {(d,): c for d, c in mixed.coeffs.items()}, \
                         (w1, w2), ONE
@@ -421,8 +416,7 @@ class HodgeTable:
     the recursions, which only apply for complexity 2g - 2 + ell >= 2.
     """
 
-    def __init__(self, residues: Optional[ResidueCache] = None):
-        self.residues = residues if residues is not None else DEFAULT_CACHE
+    def __init__(self):
         self.entries: dict[tuple[int, tuple[int, ...]], Rational] = {}
         self._by_level: dict[tuple[int, int], dict] = {}
         self.filled: set[tuple[int, int]] = set()
@@ -524,8 +518,7 @@ class HodgeTable:
         live at level (g, ell)."""
         head = kernel.head
         rhs: dict = {}
-        for terms, groups, coeff in _recursion_terms(
-                kernel, self, self.residues, g, ell):
+        for terms, groups, coeff in _recursion_terms(kernel, self, g, ell):
             folded = _fold_terms(terms, head)
             factor = kernel.weight * coeff
             for group in groups:
@@ -594,15 +587,14 @@ def _embed(terms: dict, variables: tuple[str, ...],
     return MultiPoly(variables, out)
 
 
-def _rhs_expanded(kernel: _Kernel, table: HodgeTable,
-                  residues: ResidueCache, g: int,
+def _rhs_expanded(kernel: _Kernel, table: HodgeTable, g: int,
                   variables: tuple[str, ...], slots) -> MultiPoly:
     """``kernel``'s right side in ``variables``, summed over the choice
     of the distinguished slot among ``slots``; every other variable is a
     spectator.  Its unknowns live at level (g, len(variables))."""
     total = MultiPoly.zero(variables)
-    for terms, groups, coeff in _recursion_terms(
-            kernel, table, residues, g, len(variables)):
+    for terms, groups, coeff in _recursion_terms(kernel, table, g,
+                                                 len(variables)):
         if not terms:
             continue
         width = len(next(iter(terms))) - 1
@@ -635,26 +627,23 @@ def cutjoin_rhs(g: int, ell: int, table: HodgeTable) -> XiIdentity:
     over every t_i; the weight 1/2 counts each symmetric join pair once.
     """
     variables = tuple(f"t_{i}" for i in range(1, ell + 1))
-    total = _rhs_expanded(_KERNELS["cutjoin"], table, table.residues, g,
-                          variables, range(ell))
+    total = _rhs_expanded(_KERNELS["cutjoin"], table, g, variables,
+                          range(ell))
     return XiIdentity("cutjoin", g, variables, total)
 
 
-def bm_rhs(g: int, ell: int, table: HodgeTable,
-           residues: Optional[ResidueCache] = None) -> MultiPoly:
+def bm_rhs(g: int, ell: int, table: HodgeTable) -> MultiPoly:
     """The residue-form identity's right-hand side in (t, t_1..t_ell).
 
     Its unknowns live at level (g, ell + 1); an empty polynomial means
     the level is not determined by the recursion (a base case).
     """
-    if residues is None:
-        residues = table.residues
     if 2 * g - 1 + ell < 1:
         raise ValueError(f"unstable (g,ell)=({g},{ell + 1})")
     variables = ("t",) + tuple(f"t_{i}" for i in range(1, ell + 1))
     if 2 * g - 1 + ell < 2:
         return MultiPoly.zero(variables)
-    return _rhs_expanded(_KERNELS["bm"], table, residues, g, variables, (0,))
+    return _rhs_expanded(_KERNELS["bm"], table, g, variables, (0,))
 
 
 def extract_in_xi_basis(identity: XiIdentity) -> dict:
@@ -716,8 +705,7 @@ def hodge_lambda(g: int, indices, method: str = "cutjoin",
     return j, (value if j % 2 == 0 else -value)
 
 
-def dvv_verify(g: int, ell: int, table: Optional[HodgeTable] = None,
-               method: str = "cutjoin") -> bool:
+def dvv_verify(g: int, ell: int, table: Optional[HodgeTable] = None) -> bool:
     """Check the Virasoro-type recursion on the pure psi-class sector.
 
     Validates, for every top-dimensional entry at level (g, ell + 1)
@@ -737,17 +725,20 @@ def dvv_verify(g: int, ell: int, table: Optional[HodgeTable] = None,
     if 2 * g - 2 + target_ell < 2:
         return True
 
-    def psi(gg: int, idx: tuple[int, ...]) -> Rational:
-        if any(n < 0 for n in idx):
-            return ZERO
-        if 2 * gg - 2 + len(idx) < 1:
+    def sigma(gg: int, idx: tuple[int, ...]) -> Rational:
+        """<sigma_idx>_gg: zero off the psi sector, for a negative index
+        and at an unstable level."""
+        if any(n < 0 for n in idx) or 2 * gg - 2 + len(idx) < 1:
             return ZERO
         if sum(idx) != 3 * gg - 3 + len(idx):
             return ZERO
-        table.ensure_level(gg, len(idx), method)
-        return table.value(gg, idx)
+        table.ensure_level(gg, len(idx))
+        value = table.value(gg, idx)
+        for n in idx:
+            value = value * double_factorial(2 * n + 1)
+        return value
 
-    table.ensure_level(g, target_ell, method)
+    table.ensure_level(g, target_ell)
     dim = 3 * g - 3 + target_ell
     ok = True
     for key, _ in sorted(table.level_entries(g, target_ell).items()):
@@ -755,49 +746,22 @@ def dvv_verify(g: int, ell: int, table: Optional[HodgeTable] = None,
             continue
         for n in sorted(set(key), reverse=True):
             rest = _remove_one(key, n)
-            lhs = double_factorial(2 * n + 1)
-            for m in rest:
-                lhs = lhs * double_factorial(2 * m + 1)
-            lhs = lhs * psi(g, key)
+            lhs = sigma(g, key)
             rhs = ZERO
             for i, ni in enumerate(rest):
                 sub = rest[:i] + rest[i + 1:]
-                merged = tuple(sorted(sub + (n + ni - 1,), reverse=True))
-                coeff = double_factorial(2 * (n + ni) - 1) * (2 * ni + 1)
-                for m in sub:
-                    coeff = coeff * double_factorial(2 * m + 1)
-                rhs = rhs + coeff * psi(g, merged)
+                rhs = rhs + (2 * ni + 1) * sigma(g, sub + (n + ni - 1,))
             for a in range(n - 1):
                 b = n - 2 - a
-                sigma_ab = (double_factorial(2 * a + 1)
-                            * double_factorial(2 * b + 1))
                 if g >= 1:
-                    coeff = sigma_ab
-                    for m in rest:
-                        coeff = coeff * double_factorial(2 * m + 1)
-                    joined = tuple(sorted(rest + (a, b), reverse=True))
-                    rhs = rhs + HALF * coeff * psi(g - 1, joined)
-                for split in range(1 << len(rest)):
-                    left = tuple(rest[p] for p in range(len(rest))
-                                 if split >> p & 1)
-                    right = tuple(rest[p] for p in range(len(rest))
-                                  if not split >> p & 1)
+                    rhs = rhs + HALF * sigma(g - 1, rest + (a, b))
+                for left, right in subsets(rest):
                     for g1 in range(g + 1):
-                        g2 = g - g1
-                        if (2 * g1 - 1 + len(left) <= 0
-                                or 2 * g2 - 1 + len(right) <= 0):
-                            continue
-                        c1 = psi(g1, tuple(sorted(left + (a,), reverse=True)))
+                        c1 = sigma(g1, left + (a,))
                         if not c1:
                             continue
-                        c2 = psi(g2, tuple(sorted(right + (b,),
-                                                  reverse=True)))
-                        if not c2:
-                            continue
-                        coeff = sigma_ab
-                        for m in rest:
-                            coeff = coeff * double_factorial(2 * m + 1)
-                        rhs = rhs + HALF * coeff * c1 * c2
+                        c2 = sigma(g - g1, right + (b,))
+                        rhs = rhs + HALF * c1 * c2
             if lhs != rhs:
                 ok = False
     return ok
@@ -846,9 +810,7 @@ def save_table_cache(table: HodgeTable, directory: str, method: str) -> str:
     return path
 
 
-def load_table_cache(directory: str, method: str,
-                     residues: Optional[ResidueCache] = None
-                     ) -> Optional[HodgeTable]:
+def load_table_cache(directory: str, method: str) -> Optional[HodgeTable]:
     """Reload a persisted table, adopting it only if its rows match the
     stored digest and the base entries revalidate exactly.  A missing,
     undecodable or misshapen file, another schema version or a digest
@@ -876,7 +838,7 @@ def load_table_cache(directory: str, method: str,
         level = staged.get((g, len(idx)))
         if level is None or level.get(idx) != val:
             return None
-    table = HodgeTable(residues)
+    table = HodgeTable()
     for (g, ell), level in staged.items():
         if (g, ell) not in table.filled:
             table._store_level(g, ell, level)

@@ -23,11 +23,12 @@ check between the recursions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import factorial
 from typing import Optional
 
 from hodgehurwitz.exact_algebra import ONE, ZERO, HALF, Rational, aut, \
-    distinct_permutations, rat
+    distinct_permutations, rat, subsets
 from hodgehurwitz.hodge_solver import HodgeTable, default_table
 
 
@@ -57,88 +58,56 @@ class HurwitzKey:
         return 2 * self.g - 2 + len(self.mu) + sum(self.mu)
 
 
-class HTable:
-    """Memoized cut-and-join recursion for simple Hurwitz numbers."""
+@cache
+def _rescaled(g: int, mu: tuple[int, ...]) -> Rational:
+    """H = |Aut(mu)| h / r!, the recursion-friendly normalization.
 
-    def __init__(self):
-        self._h_over_r: dict[tuple[int, tuple[int, ...]], Rational] = {}
+    Peeling the last simple branch point gives
 
-    def h(self, g: int, mu) -> Rational:
-        key = HurwitzKey.make(g, mu)
-        value = self._rescaled(key.g, key.mu)
-        return value * factorial(key.r) / aut(key.mu)
+      r H(g, mu) = sum_{i<j} (mu_i + mu_j) H(g, join_{ij}(mu))
+        + 1/2 sum_i sum_{a+b=mu_i} a b [ H(g-1, cut_i(mu; a, b))
+        + sum_{g1+g2=g} sum_{S subset of mu minus i}
+          H(g1, S + (a,)) H(g2, S^c + (b,)) ]
 
-    def _rescaled(self, g: int, mu: tuple[int, ...]) -> Rational:
-        """H = |Aut(mu)| h / r!, the recursion-friendly normalization.
-
-        Peeling the last simple branch point gives
-
-          r H(g, mu) = sum_{i<j} (mu_i + mu_j) H(g, join_{ij}(mu))
-            + 1/2 sum_i sum_{a+b=mu_i} a b [ H(g-1, cut_i(mu; a, b))
-            + sum_{g1+g2=g} sum_{S subset of mu minus i}
-              H(g1, S + (a,)) H(g2, S^c + (b,)) ]
-
-        over part positions; the split sum runs over ordered pairs.
-        """
-        cached = self._h_over_r.get((g, mu))
-        if cached is not None:
-            return cached
-        r = 2 * g - 2 + len(mu) + sum(mu)
-        if r <= 0:
-            value = ONE if (g, mu) == (0, (1,)) else ZERO
-            self._h_over_r[(g, mu)] = value
-            return value
-        total = ZERO
-        ell = len(mu)
-        for i in range(ell):
-            for j in range(i + 1, ell):
-                rest = mu[:i] + mu[i + 1:j] + mu[j + 1:]
-                joined = tuple(sorted(rest + (mu[i] + mu[j],), reverse=True))
-                total = total + (mu[i] + mu[j]) * self._rescaled(g, joined)
-        for i in range(ell):
-            k = mu[i]
-            rest = mu[:i] + mu[i + 1:]
-            for a in range(1, k):
-                b = k - a
-                weight = HALF * a * b
-                if g >= 1:
-                    cut = tuple(sorted(rest + (a, b), reverse=True))
-                    total = total + weight * self._rescaled(g - 1, cut)
-                for split in range(1 << len(rest)):
-                    left = tuple(rest[p] for p in range(len(rest))
-                                 if split >> p & 1)
-                    right = tuple(rest[p] for p in range(len(rest))
-                                  if not split >> p & 1)
-                    mu1 = tuple(sorted(left + (a,), reverse=True))
-                    mu2 = tuple(sorted(right + (b,), reverse=True))
-                    for g1 in range(g + 1):
-                        c1 = self._rescaled(g1, mu1)
-                        if not c1:
-                            continue
-                        c2 = self._rescaled(g - g1, mu2)
-                        if not c2:
-                            continue
-                        total = total + weight * c1 * c2
-        value = total / r
-        self._h_over_r[(g, mu)] = value
-        return value
+    over part positions; the split sum runs over ordered pairs.
+    """
+    r = 2 * g - 2 + len(mu) + sum(mu)
+    if r <= 0:
+        return ONE if (g, mu) == (0, (1,)) else ZERO
+    total = ZERO
+    ell = len(mu)
+    for i in range(ell):
+        for j in range(i + 1, ell):
+            rest = mu[:i] + mu[i + 1:j] + mu[j + 1:]
+            joined = tuple(sorted(rest + (mu[i] + mu[j],), reverse=True))
+            total = total + (mu[i] + mu[j]) * _rescaled(g, joined)
+    for i in range(ell):
+        k = mu[i]
+        rest = mu[:i] + mu[i + 1:]
+        for a in range(1, k):
+            b = k - a
+            weight = HALF * a * b
+            if g >= 1:
+                cut = tuple(sorted(rest + (a, b), reverse=True))
+                total = total + weight * _rescaled(g - 1, cut)
+            for left, right in subsets(rest):
+                mu1 = tuple(sorted(left + (a,), reverse=True))
+                mu2 = tuple(sorted(right + (b,), reverse=True))
+                for g1 in range(g + 1):
+                    c1 = _rescaled(g1, mu1)
+                    if not c1:
+                        continue
+                    c2 = _rescaled(g - g1, mu2)
+                    if not c2:
+                        continue
+                    total = total + weight * c1 * c2
+    return total / r
 
 
-_DEFAULT_HTABLE: Optional[HTable] = None
-
-
-def default_htable() -> HTable:
-    global _DEFAULT_HTABLE
-    if _DEFAULT_HTABLE is None:
-        _DEFAULT_HTABLE = HTable()
-    return _DEFAULT_HTABLE
-
-
-def h_direct(g: int, mu, table: Optional[HTable] = None) -> Rational:
+def h_direct(g: int, mu) -> Rational:
     """Simple Hurwitz number via the branch-point recursion."""
-    if table is None:
-        table = default_htable()
-    return table.h(g, mu)
+    key = HurwitzKey.make(g, mu)
+    return _rescaled(key.g, key.mu) * factorial(key.r) / aut(key.mu)
 
 
 def genus_zero_one_part(k: int) -> Rational:
@@ -156,8 +125,7 @@ def genus_zero_two_part(a: int, b: int) -> Rational:
     return value / (factorial(a) * factorial(b) * aut((a, b)))
 
 
-def hurwitz_elsv(g: int, mu, table: Optional[HodgeTable] = None,
-                 method: str = "cutjoin") -> Rational:
+def hurwitz_elsv(g: int, mu, table: Optional[HodgeTable] = None) -> Rational:
     """Simple Hurwitz number as a weighted sum of Hodge integrals:
 
       h(g, mu) = r!/|Aut(mu)| prod(mu_i^mu_i / mu_i!)
@@ -169,7 +137,7 @@ def hurwitz_elsv(g: int, mu, table: Optional[HodgeTable] = None,
         raise ValueError(f"unstable (g,ell)=({g},{ell})")
     if table is None:
         table = default_table()
-    table.ensure_level(g, ell, method)
+    table.ensure_level(g, ell)
     total = ZERO
     for idx, val in table.level_entries(g, ell).items():
         for perm in distinct_permutations(idx):
@@ -248,7 +216,7 @@ def h_brute(g: int, mu) -> Rational:
     return rat(hits, z)
 
 
-def elsv_invert(g: int, ell: int, htable: Optional[HTable] = None) -> dict:
+def elsv_invert(g: int, ell: int) -> dict:
     """Recover the Hodge-table level (g, ell) from Hurwitz numbers.
 
     For each admissible index multiset N the profile mu = N + 1 gives
@@ -257,8 +225,6 @@ def elsv_invert(g: int, ell: int, htable: Optional[HTable] = None) -> dict:
     """
     if 2 * g - 2 + ell < 1:
         raise ValueError(f"unstable (g,ell)=({g},{ell})")
-    if htable is None:
-        htable = default_htable()
     dim = 3 * g - 3 + ell
 
     def multisets(size: int, bound: int, total: int):
@@ -286,7 +252,7 @@ def elsv_invert(g: int, ell: int, htable: Optional[HTable] = None) -> dict:
                     term = term * rat(m) ** n
                 acc = acc + term
             coeffs[index_of[n_col]] = acc
-        h = htable.h(g, mu)
+        h = h_direct(g, mu)
         r = 2 * g - 2 + ell + sum(mu)
         normalized = h * aut(mu) / factorial(r)
         for m in mu:
@@ -333,8 +299,6 @@ def _partitions(d: int, cap: Optional[int] = None):
 def table_generate(g_max: int, d_max: int, include_genus_zero: bool = False,
                    check: bool = False,
                    hodge_table: Optional[HodgeTable] = None,
-                   htable: Optional[HTable] = None,
-                   method: str = "cutjoin",
                    chi_budget: Optional[int] = None) -> list[dict]:
     """Rows of simple Hurwitz numbers, deterministically ordered.
 
@@ -350,8 +314,6 @@ def table_generate(g_max: int, d_max: int, include_genus_zero: bool = False,
         raise ValueError("d-max must be ≥ 1")
     if hodge_table is None:
         hodge_table = default_table()
-    if htable is None:
-        htable = default_htable()
     rows = []
     genera = range(0 if include_genus_zero else 1, g_max + 1)
     for g in genera:
@@ -360,14 +322,13 @@ def table_generate(g_max: int, d_max: int, include_genus_zero: bool = False,
                 chi = 2 * g - 2 + len(mu)
                 if chi >= 1 and (chi_budget is None or chi <= chi_budget):
                     how = "elsv"
-                    value = hurwitz_elsv(g, mu, table=hodge_table,
-                                         method=method)
+                    value = hurwitz_elsv(g, mu, table=hodge_table)
                 else:
                     how = "direct"
-                    value = h_direct(g, mu, table=htable)
+                    value = h_direct(g, mu)
                 checked = False
                 if check:
-                    other = h_direct(g, mu, table=htable)
+                    other = h_direct(g, mu)
                     if other != value:
                         raise ValueError(
                             f"pipelines disagree at h({g}, {mu}): "

@@ -15,8 +15,9 @@ This module builds, in exact arithmetic:
 Series in t live in the formal variable "1/t": stored degree d is the
 coefficient of t^{-d}, so polynomials in t occupy degrees <= 0.
 
-Each series is computed once per process.  The xi_hat tower, the
-Stirling coefficients and the eta families are write-once per entry.
+Each series is computed once per process.  The xi_hat tower and the
+Stirling coefficients grow as module lists; ``xi_form``,
+``xi_hat_over_t`` and ``eta_series`` are memoized per argument.
 s(t) and v(t) are grow-only: the process holds each at the highest
 order requested so far and serves a lower order as its truncation; a
 higher order is reached by resuming the Newton iteration from the
@@ -29,6 +30,7 @@ Cached values are never mutated.
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import Optional
 
 from hodgehurwitz.exact_algebra import (
@@ -49,8 +51,13 @@ from hodgehurwitz.exact_algebra import (
 _T_SQUARED_T_MINUS_1 = UniPoly({3: 1, 2: -1})  # t^2 (t - 1)
 
 
-class XiHatTower:
-    """Memoized tower of the polynomials xi_hat_n.
+_XI_HAT: list = [UniPoly({1: 1, 0: -1})]
+_XI_HAT_M1 = LaurentSeries.exact({0: 1, 1: -1}, "1/t")
+_XI_HAT_M2 = LaurentSeries.exact({2: rat(-1, 2)}, "1/t")
+
+
+def xi_hat(n: int):
+    """xi_hat_n: a UniPoly for n >= 0, a Laurent form for n = -1, -2.
 
     xi_hat_0 = t - 1 and xi_hat_{n+1} = t^2 (t - 1) (d/dt) xi_hat_n, a
     polynomial of degree 2n+1 with leading coefficient (2n-1)!! for
@@ -60,58 +67,31 @@ class XiHatTower:
     any identity computed here, so it is simply left out (only
     differences and derivatives of xi_hat_{-2} are meaningful).
     """
-
-    def __init__(self):
-        self._polys: dict[int, UniPoly] = {0: UniPoly({1: 1, 0: -1})}
-        self._forms: dict[int, UniPoly] = {}
-        self._xi_hat_m1 = LaurentSeries.exact({0: 1, 1: -1}, "1/t")
-        self._xi_hat_m2 = LaurentSeries.exact({2: rat(-1, 2)}, "1/t")
-
-    def xi_hat(self, n: int):
-        """xi_hat_n: a UniPoly for n >= 0, a Laurent form for n = -1, -2."""
-        if n < -2:
-            raise ValueError(f"xi_hat is not defined for n = {n} < -2")
-        if n == -1:
-            return self._xi_hat_m1
-        if n == -2:
-            return self._xi_hat_m2
-        top = max(self._polys)
-        while top < n:
-            nxt = _T_SQUARED_T_MINUS_1 * self._polys[top].derivative()
-            top += 1
-            self._polys[top] = nxt
-        return self._polys[n]
-
-    def xi_form(self, n: int) -> UniPoly:
-        """xi_n = d/dt xi_hat_n: degree 2n, leading coefficient (2n+1)!!."""
-        if n < 0:
-            raise ValueError(f"xi_form requires n >= 0, got {n}")
-        form = self._forms.get(n)
-        if form is None:
-            form = self.xi_hat(n).derivative()
-            self._forms[n] = form
-        return form
-
-    def xi_hat_over_t(self, n: int) -> UniPoly:
-        """xi_hat_{n+1}(t)/t for n >= 0 — exact, since t^2 | xi_hat_{n+1}."""
-        if n < 0:
-            raise ValueError(f"xi_hat_over_t requires n >= 0, got {n}")
-        return self.xi_hat(n + 1).divide_by_power(1)
+    if n < -2:
+        raise ValueError(f"xi_hat is not defined for n = {n} < -2")
+    if n == -1:
+        return _XI_HAT_M1
+    if n == -2:
+        return _XI_HAT_M2
+    while len(_XI_HAT) <= n:
+        _XI_HAT.append(_T_SQUARED_T_MINUS_1 * _XI_HAT[-1].derivative())
+    return _XI_HAT[n]
 
 
-_TOWER = XiHatTower()
-
-
-def xi_hat(n: int):
-    return _TOWER.xi_hat(n)
-
-
+@cache
 def xi_form(n: int) -> UniPoly:
-    return _TOWER.xi_form(n)
+    """xi_n = d/dt xi_hat_n: degree 2n, leading coefficient (2n+1)!!."""
+    if n < 0:
+        raise ValueError(f"xi_form requires n >= 0, got {n}")
+    return xi_hat(n).derivative()
 
 
+@cache
 def xi_hat_over_t(n: int) -> UniPoly:
-    return _TOWER.xi_hat_over_t(n)
+    """xi_hat_{n+1}(t)/t for n >= 0 — exact, since t^2 | xi_hat_{n+1}."""
+    if n < 0:
+        raise ValueError(f"xi_hat_over_t requires n >= 0, got {n}")
+    return xi_hat(n + 1).divide_by_power(1)
 
 
 def poly_as_recip_series(p: UniPoly) -> LaurentSeries:
@@ -300,44 +280,24 @@ def stirling_coefficients(k_max: int) -> list:
     return _STIRLING[:k_max + 1]
 
 
-class EtaFamily:
-    """The odd Laurent series eta_n(v) at one fixed truncation order.
+@cache
+def eta_series(n: int, order: int) -> LaurentSeries:
+    """The odd Laurent series eta_n(v), truncated at v^order.
 
     eta_n(v) = sum_{k>=0} s_k (2(n-k)-1)!! v^{2(k-n)-1}, an odd series
     starting at v^{-(2n+1)}; the double factorial at negative odd
     arguments follows the recurrence extension.
     """
-
-    def __init__(self, order: int):
-        self.order = order
-        self._cache: dict[int, LaurentSeries] = {}
-
-    def eta(self, n: int) -> LaurentSeries:
-        series = self._cache.get(n)
-        if series is None:
-            lo = -(2 * n + 1)
-            coeffs = {}
-            k = 0
-            while True:
-                d = 2 * (k - n) - 1
-                if d > self.order:
-                    break
-                coeffs[d] = (stirling_coefficients(k)[k]
-                             * double_factorial(2 * (n - k) - 1))
-                k += 1
-            series = LaurentSeries(coeffs, "v", lo, self.order)
-            self._cache[n] = series
-        return series
-
-
-_ETA_FAMILIES: dict[int, EtaFamily] = {}
-
-
-def eta_series(n: int, order: int) -> LaurentSeries:
-    family = _ETA_FAMILIES.get(order)
-    if family is None:
-        family = _ETA_FAMILIES[order] = EtaFamily(order)
-    return family.eta(n)
+    coeffs = {}
+    k = 0
+    while True:
+        d = 2 * (k - n) - 1
+        if d > order:
+            break
+        coeffs[d] = (stirling_coefficients(k)[k]
+                     * double_factorial(2 * (n - k) - 1))
+        k += 1
+    return LaurentSeries(coeffs, "v", -(2 * n + 1), order)
 
 
 # ---------------------------------------------------------------------------

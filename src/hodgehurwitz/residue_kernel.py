@@ -139,55 +139,6 @@ class ResidueCache:
         self.pn[n] = result
         return result
 
-    # -- eta forms (independent oracles)
-
-    def p_ab_eta(self, a: int, b: int, order: Optional[int] = None) -> UniPoly:
-        if a < 0 or b < 0:
-            raise ValueError("p_ab_eta indices must be >= 0")
-        degree = 2 * (a + b + 2)
-        if order is None:
-            order = degree + GUARD_HIGH
-        v = v_powers(order)
-        inv_eta = laurent_reciprocal(eta_series(-1, order))
-        odd = eta_series(a + 1, order) * eta_series(b + 1, order) * inv_eta
-        # the v-measure: multiply by v (shift in the v-ring), substitute
-        # v = v(t), then by dv/dt as a 1/t series
-        composed = v.substitute(odd.shift(1)) * d_dt(v.series)
-        return polynomial_part(composed.scale(HALF))
-
-    def p_n_eta(self, n: int, order: Optional[int] = None,
-                m_max: Optional[int] = None) -> MultiPoly:
-        if n < 0:
-            raise ValueError("p_n_eta index must be >= 0")
-        if order is None:
-            order = 2 * n + 4 + GUARD_HIGH
-        if m_max is None:
-            m_max = n + 2  # higher m cannot contribute
-        v = v_powers(order)
-        dv = d_dt(v.series)
-        eta_top = eta_series(n + 1, order)
-        inv_eta = laurent_reciprocal(eta_series(-1, order))
-        terms: dict[tuple[int, int], object] = {}
-        for m in range(m_max + 1):
-            left = polynomial_part(v.substitute(eta_top.shift(2 * m)))
-            if left.is_zero():
-                continue
-            right = polynomial_part(
-                v.substitute(inv_eta.shift(-(2 * m + 1))) * dv)
-            if right.is_zero():
-                continue
-            for di, ci in left.coeffs.items():      # t_i factor
-                for dt, ct in right.coeffs.items():  # t factor
-                    key = (dt, di)
-                    val = terms.get(key)
-                    val = ci * ct if val is None else val + ci * ct
-                    if val:
-                        terms[key] = val
-                    else:
-                        del terms[key]
-        primitive = MultiPoly(("t", "t_i"), terms)
-        return primitive.derivative_in("t_i")
-
 
 DEFAULT_CACHE = ResidueCache()
 
@@ -200,10 +151,54 @@ def p_n(n: int) -> MultiPoly:
     return DEFAULT_CACHE.p_n(n)
 
 
+# ---------------------------------------------------------------------------
+# eta forms (independent oracles)
+
+
 def p_ab_eta(a: int, b: int, order: Optional[int] = None) -> UniPoly:
-    return DEFAULT_CACHE.p_ab_eta(a, b, order)
+    if a < 0 or b < 0:
+        raise ValueError("p_ab_eta indices must be >= 0")
+    degree = 2 * (a + b + 2)
+    if order is None:
+        order = degree + GUARD_HIGH
+    v = v_powers(order)
+    inv_eta = laurent_reciprocal(eta_series(-1, order))
+    odd = eta_series(a + 1, order) * eta_series(b + 1, order) * inv_eta
+    # the v-measure: multiply by v (shift in the v-ring), substitute
+    # v = v(t), then by dv/dt as a 1/t series
+    composed = v.substitute(odd.shift(1)) * d_dt(v.series)
+    return polynomial_part(composed.scale(HALF))
 
 
 def p_n_eta(n: int, order: Optional[int] = None,
             m_max: Optional[int] = None) -> MultiPoly:
-    return DEFAULT_CACHE.p_n_eta(n, order, m_max)
+    if n < 0:
+        raise ValueError("p_n_eta index must be >= 0")
+    if order is None:
+        order = 2 * n + 4 + GUARD_HIGH
+    if m_max is None:
+        m_max = n + 2  # higher m cannot contribute
+    v = v_powers(order)
+    dv = d_dt(v.series)
+    eta_top = eta_series(n + 1, order)
+    inv_eta = laurent_reciprocal(eta_series(-1, order))
+    terms: dict[tuple[int, int], object] = {}
+    for m in range(m_max + 1):
+        left = polynomial_part(v.substitute(eta_top.shift(2 * m)))
+        if left.is_zero():
+            continue
+        right = polynomial_part(
+            v.substitute(inv_eta.shift(-(2 * m + 1))) * dv)
+        if right.is_zero():
+            continue
+        for di, ci in left.coeffs.items():      # t_i factor
+            for dt, ct in right.coeffs.items():  # t factor
+                key = (dt, di)
+                val = terms.get(key)
+                val = ci * ct if val is None else val + ci * ct
+                if val:
+                    terms[key] = val
+                else:
+                    del terms[key]
+    primitive = MultiPoly(("t", "t_i"), terms)
+    return primitive.derivative_in("t_i")

@@ -1,10 +1,12 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+import hodgehurwitz
 from hodgehurwitz.cli import main
 from hodgehurwitz.hodge_solver import HodgeTable
 
@@ -350,3 +352,19 @@ def test_unknown_subcommand_exits_nonzero():
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
     assert proc.stderr.count("\n") == 1
+
+
+# --- library surface -----------------------------------------------------
+
+
+def test_package_surface_is_the_documented_one():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    match = re.search(r"from hodgehurwitz import \(([^)]*)\)", readme)
+    assert match, "README lacks its `from hodgehurwitz import (...)` block"
+    documented = [name.strip() for name in match.group(1).split(",")
+                  if name.strip()]
+    assert sorted(hodgehurwitz.__all__) == sorted(documented + ["__version__"])
+    for name in hodgehurwitz.__all__:
+        assert getattr(hodgehurwitz, name) is not None

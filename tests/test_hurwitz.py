@@ -5,7 +5,6 @@ import pytest
 from hodgehurwitz.exact_algebra import rat
 from hodgehurwitz.hodge_solver import HodgeTable
 from hodgehurwitz.hurwitz import (
-    HTable,
     HurwitzKey,
     elsv_invert,
     genus_zero_one_part,
@@ -166,9 +165,3 @@ def test_table_generate_rejects_bad_bounds():
         table_generate(0, 3)
     with pytest.raises(ValueError, match="d-max"):
         table_generate(1, 0)
-
-
-def test_fresh_htable_is_isolated():
-    mine = HTable()
-    assert mine.h(1, (2,)) == rat(1, 2)
-    assert len(mine._h_over_r) > 0

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hodgehurwitz import hodge_solver, lambert_curve
+from hodgehurwitz import lambert_curve, residue_kernel
 from hodgehurwitz.cli import main
 from hodgehurwitz.exact_algebra import (
     LaurentSeries,
@@ -13,8 +13,6 @@ from hodgehurwitz.exact_algebra import (
     rat,
 )
 from hodgehurwitz.lambert_curve import (
-    EtaFamily,
-    XiHatTower,
     d_dt,
     eta_series,
     eta_xi_identity_check,
@@ -96,12 +94,6 @@ def test_xi_hat_over_t_is_exact_polynomial():
     for n in range(8):
         q = xi_hat_over_t(n)
         assert q * UniPoly({1: 1}) == xi_hat(n + 1)
-
-
-def test_tower_instances_are_independent():
-    tower = XiHatTower()
-    assert tower.xi_hat(3) == xi_hat(3)
-    assert tower.xi_form(3) == xi_form(3)
 
 
 # --- curve series ------------------------------------------------------------
@@ -239,12 +231,6 @@ def test_eta_recursion():
         assert diff.truncation_order >= order - 2
 
 
-def test_eta_family_cache():
-    fam = EtaFamily(11)
-    assert fam.eta(0) == fam.eta(0)
-    assert fam.eta(0) == eta_series(0, 11)
-
-
 def test_eta_matches_xi_hat_under_the_involution():
     for n in range(-1, 9):
         assert eta_xi_identity_check(n, ORDER)
@@ -299,7 +285,7 @@ def test_verify_series_solves_s_and_v_once(capsys, curve_solves):
 
 def test_bm_hodge_solves_s_only_when_the_order_rises(capsys, monkeypatch,
                                                      curve_solves):
-    monkeypatch.setattr(hodge_solver, "DEFAULT_CACHE", ResidueCache())
+    monkeypatch.setattr(residue_kernel, "DEFAULT_CACHE", ResidueCache())
     memo, requested = lambert_curve._CURVE, []
     serve = memo.serve
 
