@@ -12,28 +12,30 @@ pipelines fill it level by level in the complexity chi = 2g - 2 + ell:
   residue polynomials, whose unknowns live one variable up.
 
 Both identities are equalities of polynomials that are symmetric in the
-t_i.  Rather than expanding them monomial by monomial, the solver works
-with *folded* vectors: the coefficient mass of each orbit of monomials,
-keyed by the sorted exponent tuple.  Folding is faithful on symmetric
-polynomials, and both sides here are symmetric by construction, so a
-zero folded remainder is equivalent to the exact polynomial identity.
-Extraction proceeds by descending total degree: the top monomial orbit
-of the remainder names its unknown (degree parity separates the
-operator parts), the coefficient is read off, the unknown's full
-operator image is subtracted, and the loop must end at exactly zero —
-any leftover raises "identity violated".  The recursions are thus
+t_i.  The solver writes each in a triangular *label basis*, b_k of
+degree k: for cut-and-join b_0 = 1, b_{2n+1} = xi_hat_n and
+b_{2n+2} = xi_hat_{n+1}/t; for ``bm`` b_{2n} = xi_n and
+b_{2n+1} = t^{2n+1}.  Sides are *folded*: the mass of each orbit of
+label products, keyed by the sorted label tuple, which is faithful on
+symmetric polynomials.  A spectator is then one label, and only the join
+and cut polynomials are converted, each once.
+Each unknown's image is a few keys, and each key names one unknown, so
+extraction reads every unknown off directly.  Every read must agree and
+the image of the solution must equal the right side exactly — any
+leftover raises "identity violated".  The recursions are thus
 self-checking: a wrong weight anywhere cannot silently produce a table.
 
 Both right-hand sides are one join/cut/split sum in different kernels:
 n = ell - 1 spectator slots sit beside one distinguished slot, the join
 reads level (g, n), the cut reads (g - 1, n + 2), and the splits pair
 levels with k1 + k2 = n spectators.  A ``_Kernel`` spec holds what
-differs (weight, join polynomial, cut polynomial, spectator basis, the
-number ``head`` of fixed key positions, operator and decoder), and
-``_recursion_terms`` writes the sum once for the folded solver and the
-expanded public builders.  Folded keys are flat: the first ``head``
-positions stay in place and the rest are sorted.  Cut-and-join has
-head 0; ``bm`` has head 1, the exponent of its distinguished variable t.
+differs (weight, join and cut polynomials, label basis, spectator label
+parity, the number ``head`` of fixed key positions, image and decoder),
+and ``_recursion_terms`` writes the sum once for the solver, in labels,
+and for the expanded public builders, in monomials.  Folded keys are
+flat: the first ``head`` positions stay in place and the rest are
+sorted.  Cut-and-join has head 0; ``bm`` has head 1, the label of its
+distinguished variable t.
 The ``bm`` unknowns are solved per choice of which index sits in the
 t-slot, and the solver verifies that all choices give the same value
 before storing — the permutation symmetry of the output is checked, not
@@ -117,7 +119,7 @@ class XiIdentity:
 
 
 # ---------------------------------------------------------------------------
-# folded-vector helpers
+# folded vectors in the label bases
 
 
 def _remove_one(items: tuple[int, ...], value: int) -> tuple[int, ...]:
@@ -147,88 +149,85 @@ def _slot_choices(indices: tuple[int, ...], head: int) -> list[tuple]:
     return choices
 
 
-def _fold_terms(terms: dict, head: int) -> dict:
-    """Fold multivariate terms: the first ``head`` exponents stay in
-    place and the others are sorted."""
-    out: dict = {}
+def _add_to(dst: dict, key, value) -> None:
+    s = dst.get(key, ZERO) + value
+    if s:
+        dst[key] = s
+    else:
+        dst.pop(key, None)
+
+
+def _add_scaled(dst: dict, src: dict, factor) -> None:
+    if factor:
+        for k, c in src.items():
+            _add_to(dst, k, c * factor)
+
+
+def _cutjoin_basis(k: int) -> UniPoly:
+    """b_0 = 1, b_{2n+1} = xi_hat_n, b_{2n+2} = xi_hat_{n+1}/t."""
+    if k == 0:
+        return UniPoly.one()
+    return xi_hat(k // 2) if k % 2 else xi_hat_over_t(k // 2 - 1)
+
+
+def _bm_basis(k: int) -> UniPoly:
+    """b_{2n} = xi_n, b_{2n+1} = t^{2n+1}."""
+    return UniPoly({k: 1}) if k % 2 else xi_form(k // 2)
+
+
+def _in_basis(terms: dict, kernel: _Kernel) -> dict:
+    """Multivariate ``terms`` keyed by exponent tuples, rewritten in
+    ``kernel``'s label basis one slot at a time, by triangular
+    elimination from the top degree, then folded: the first ``head``
+    labels stay in place and the others are sorted."""
+    for slot in range(len(next(iter(terms), ()))):
+        rows: dict = {}
+        for e, c in terms.items():
+            rows.setdefault(e[:slot] + e[slot + 1:], {})[e[slot]] = c
+        terms = {}
+        for rest, rem in rows.items():
+            while rem:
+                d = max(rem)
+                b = kernel.basis(d)
+                top = rem.pop(d) / b.leading_coefficient()
+                terms[rest[:slot] + (d,) + rest[slot:]] = top
+                for lower, bc in b.coeffs.items():
+                    if lower < d:
+                        _add_to(rem, lower, -top * bc)
+    folded: dict = {}
     for e, c in terms.items():
-        key = e[:head] + tuple(sorted(e[head:], reverse=True))
-        s = out.get(key, ZERO) + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
-
-
-def _fold_extend(folded: dict, poly: dict, head: int) -> dict:
-    """Attach one more symmetric slot carrying the univariate ``poly``;
-    the first ``head`` key positions are fixed slots and stay in place."""
-    out: dict = {}
-    for key, c in folded.items():
-        fixed, free = key[:head], key[head:]
-        for d, pc in poly.items():
-            k2 = fixed + tuple(sorted(free + (d,), reverse=True))
-            prev = out.get(k2)
-            val = c * pc if prev is None else prev + c * pc
-            if val:
-                out[k2] = val
-            elif prev is not None:
-                del out[k2]
-    return out
-
-
-def _fold_product(polys, head: int) -> dict:
-    # the first factor's exponent lands in key position 0 for any head
-    folded: dict = {(): ONE}
-    for p in polys:
-        folded = _fold_extend(folded, p, head)
+        _add_to(folded, e[:kernel.head]
+                + tuple(sorted(e[kernel.head:], reverse=True)), c)
     return folded
 
 
-def _fold_add_scaled(dst: dict, src: dict, factor) -> None:
-    if not factor:
-        return
-    for k, c in src.items():
-        s = dst.get(k, ZERO) + c * factor
-        if s:
-            dst[k] = s
-        else:
-            dst.pop(k, None)
-
-
 # ---------------------------------------------------------------------------
-# the two left-hand-side operators, folded
+# the two left-hand-side operators, in labels
 
 
-def _op_cutjoin(M: tuple[int, ...], chi: int) -> dict:
+def _image_cutjoin(M: tuple[int, ...], chi: int) -> dict:
     """chi * prod xi_hat_{M} plus the promoted terms xi_hat_{v+1}/t."""
-    op: dict = {}
-    _fold_add_scaled(op, _fold_product([xi_hat(m).coeffs for m in M], 0),
-                     rat(chi) / aut(M))
+    image = {tuple(2 * m + 1 for m in M): rat(chi) / aut(M)}
     for v in _distinct_values(M):
         rest = _remove_one(M, v)
-        polys = [xi_hat_over_t(v).coeffs] + [xi_hat(m).coeffs for m in rest]
-        _fold_add_scaled(op, _fold_product(polys, 0), ONE / aut(rest))
-    return op
+        key = tuple(sorted([2 * v + 2] + [2 * m + 1 for m in rest],
+                           reverse=True))
+        image[key] = ONE / aut(rest)
+    return image
 
 
-def _op_bm(unknown: tuple[int, ...], chi: int) -> dict:
+def _image_bm(unknown: tuple[int, ...], chi: int) -> dict:
     """xi_form of the t-slot index times prod xi_form over the rest; the
     residue form has no chi factor, so ``chi`` is unused."""
-    polys = [xi_form(m).coeffs for m in unknown]
-    op: dict = {}
-    _fold_add_scaled(op, _fold_product(polys, 1), ONE / aut(unknown[1:]))
-    return op
+    return {tuple(2 * m for m in unknown): ONE / aut(unknown[1:])}
 
 
 def _decode_cutjoin(key: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    # labels 2m+1 and, promoted, 2m+2 both carry index m = (label-1)//2
     evens = [e for e in key if e % 2 == 0]
-    if len(evens) != 1 or evens[0] < 2:
+    if len(evens) > 1 or 0 in evens:
         return None
-    v = evens[0] // 2 - 1
-    return tuple(sorted([v] + [(e - 1) // 2 for e in key if e % 2 == 1],
-                        reverse=True))
+    return tuple(sorted(((e - 1) // 2 for e in key), reverse=True))
 
 
 def _decode_bm(key: tuple[int, ...]) -> Optional[tuple[int, ...]]:
@@ -255,39 +254,46 @@ def _join_pair_poly(m: int) -> dict:
     return divided_difference(p, "x", "y").terms
 
 
+def _terms(p: UniPoly) -> dict:
+    return {(d,): c for d, c in p.coeffs.items()}
+
+
 @cache
-def _cut_pair_poly(a: int, b: int) -> UniPoly:
-    """xi_hat_{a+1} xi_hat_{b+1}."""
-    return xi_hat(a + 1) * xi_hat(b + 1)
+def _cut_pair_poly(a: int, b: int) -> dict:
+    """xi_hat_{a+1} xi_hat_{b+1}, as terms."""
+    return _terms(xi_hat(a + 1) * xi_hat(b + 1))
 
 
 # ---------------------------------------------------------------------------
 # the recursion skeleton
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Kernel:
     """What one recursion puts into the shared join/cut/split sum: join
-    terms keyed (distinguished, spectator exponent), the cut polynomial
-    of the distinguished slot, the spectator basis, and the left side as
-    an operator image (unknown, chi) -> folded dict and its decoder."""
+    terms keyed (distinguished, spectator exponent), the cut terms of
+    the distinguished slot, the label basis, the parity p of the label
+    2w + p of a spectator w, and the left side as a sparse image
+    (unknown, chi) -> {key: weight} and its decoder key -> unknown."""
 
     weight: Rational
     join: Callable[[int], dict]
-    cut: Callable[[int, int], UniPoly]
+    cut: Callable[[int, int], dict]
     basis: Callable[[int], UniPoly]
+    parity: int
     head: int
-    op: Callable[[tuple[int, ...], int], dict]
+    image: Callable[[tuple[int, ...], int], dict]
     decode: Callable[[tuple[int, ...]], Optional[tuple[int, ...]]]
 
 
 # p_ab and p_n look up the process-wide ResidueCache at call time, so
-# that a wrapper installed on ResidueCache sees every call
+# that a wrapper installed on ResidueCache sees every build
 _KERNELS = {
-    "cutjoin": _Kernel(HALF, _join_pair_poly, _cut_pair_poly,
-                       xi_hat, 0, _op_cutjoin, _decode_cutjoin),
-    "bm": _Kernel(ONE, lambda m: p_n(m).terms, p_ab,
-                  xi_form, 1, _op_bm, _decode_bm),
+    "cutjoin": _Kernel(HALF, _join_pair_poly, _cut_pair_poly, _cutjoin_basis,
+                       1, 0, _image_cutjoin, _decode_cutjoin),
+    "bm": _Kernel(ONE, lambda m: p_n(m).terms,
+                  lambda a, b: _terms(p_ab(a, b)), _bm_basis,
+                  0, 1, _image_bm, _decode_bm),
 }
 
 
@@ -296,6 +302,13 @@ def _kernel(method: str) -> _Kernel:
     if kernel is None:
         raise ValueError(f"unknown method {method!r}")
     return kernel
+
+
+@cache
+def _labels(kernel: _Kernel, part: str, *indices: int) -> dict:
+    """``kernel``'s join or cut terms in its label basis, converted once
+    per kernel object (a replaced kernel gets its own memo)."""
+    return _in_basis(getattr(kernel, part)(*indices), kernel)
 
 
 def _splits(g: int, n: int):
@@ -307,12 +320,15 @@ def _splits(g: int, n: int):
                 yield g1, k1, g2, k2
 
 
-def _recursion_terms(kernel: _Kernel, table: "HodgeTable", g: int, ell: int):
+def _recursion_terms(join: Callable[[int], dict],
+                     cut: Callable[[int, int], dict],
+                     table: "HodgeTable", g: int, ell: int):
     """Yield the right side at level (g, ell) as (terms, groups, coeff):
-    ``terms`` is keyed by the exponents of the distinguished slot and of
-    the spectator slots it occupies; each of ``groups`` is a multiset of
-    indices for the spectator slots left, placed in every distinct way;
-    ``coeff`` times ``kernel.weight`` multiplies the term."""
+    ``terms`` is keyed by the exponents (or labels) of the distinguished
+    slot and of the spectator slots it occupies, as ``join`` and ``cut``
+    give them; each of ``groups`` is a multiset of indices for the
+    spectator slots left, placed in every distinct way; ``coeff`` times
+    the kernel weight multiplies the term."""
     if 2 * g - 2 + ell < 2:
         raise ValueError(
             f"recursion applies for complexity 2g-2+ell >= 2; "
@@ -322,62 +338,59 @@ def _recursion_terms(kernel: _Kernel, table: "HodgeTable", g: int, ell: int):
     if n >= 1:
         for E, val in table.level_entries(g, n).items():
             for m in _distinct_values(E):
-                yield kernel.join(m), (_remove_one(E, m),), val
+                yield join(m), (_remove_one(E, m),), val
     # cut: the distinguished slot closes a handle
     if g >= 1:
-        paired: dict[tuple[int, ...], UniPoly] = {}
+        paired: dict[tuple[int, ...], dict] = {}
         for E, val in table.level_entries(g - 1, n + 2).items():
             for a, b in _value_pairs(E):
                 rest = _remove_one(_remove_one(E, a), b)
                 factor = val if a == b else 2 * val
-                contrib = kernel.cut(a, b).scale(factor)
-                acc = paired.get(rest)
-                paired[rest] = contrib if acc is None else acc + contrib
-        for rest, poly in paired.items():
-            yield {(d,): c for d, c in poly.coeffs.items()}, (rest,), ONE
+                _add_scaled(paired.setdefault(rest, {}), cut(a, b), factor)
+        for rest, terms in paired.items():
+            yield terms, (rest,), ONE
     # split: two stable surfaces share the spectators
     for g1, k1, g2, k2 in _splits(g, n):
         left = table._star_values(g1, k1)
         right = table._star_values(g2, k2)
         for w1, amap in left.items():
             for w2, bmap in right.items():
-                mixed = UniPoly.zero()
+                mixed: dict = {}
                 for a, va in amap.items():
                     for b, vb in bmap.items():
-                        mixed = mixed + kernel.cut(a, b).scale(va * vb)
-                if not mixed.is_zero():
-                    yield {(d,): c for d, c in mixed.coeffs.items()}, \
-                        (w1, w2), ONE
+                        _add_scaled(mixed, cut(a, b), va * vb)
+                if mixed:
+                    yield mixed, (w1, w2), ONE
 
 
 def _run_extraction(rhs: dict, kernel: _Kernel, g: int, ell: int,
                     context: str) -> dict:
-    """Descending-degree elimination; must end at exactly zero."""
+    """Read each unknown off its keys of ``rhs``; every read must agree
+    and the image of the solution must equal ``rhs`` exactly."""
     chi, dim = 2 * g - 2 + ell, 3 * g - 3 + ell
-    rem = dict(rhs)
     solved: dict = {}
-    while rem:
-        key = max(rem, key=lambda k: (sum(k), k))
+    for key, c in rhs.items():
         unknown = kernel.decode(key)
-        if unknown is None or unknown in solved:
+        if unknown is None:
             raise ValueError(f"identity violated at {context}: "
-                             f"unresolvable monomial {key}")
+                             f"unresolvable key {key}")
         if sum(unknown) > dim:
             raise ValueError(f"identity violated at {context}: "
-                             f"monomial {key} beyond dimension {dim}")
-        op = kernel.op(unknown, chi)
-        top = op.get(key)
-        if not top:
+                             f"key {key} beyond dimension {dim}")
+        weight = kernel.image(unknown, chi).get(key)
+        if not weight:
             raise ValueError(f"identity violated at {context}: "
-                             f"operator misses its top monomial {key}")
-        value = rem[key] / top
-        solved[unknown] = value
-        for k, c in op.items():
-            s = rem.get(k, ZERO) - value * c
-            if s:
-                rem[k] = s
-            else:
-                rem.pop(k, None)
+                             f"operator misses its key {key}")
+        value = c / weight
+        if solved.setdefault(unknown, value) != value:
+            raise ValueError(f"identity violated at {context}: reads of "
+                             f"{unknown} disagree at key {key}")
+    remainder = dict(rhs)
+    for unknown, value in solved.items():
+        _add_scaled(remainder, kernel.image(unknown, chi), -value)
+    if remainder:
+        raise ValueError(f"identity violated at {context}: leftover at "
+                         f"{len(remainder)} keys, top {max(remainder)}")
     return solved
 
 
@@ -500,7 +513,7 @@ class HodgeTable:
             return a
         kernel = _kernel(method)
         context = f"{method} level (g,ell)=({g},{ell})"
-        solved = _run_extraction(self._rhs_folded(kernel, g, ell), kernel,
+        solved = _run_extraction(self._rhs_in_basis(kernel, g, ell), kernel,
                                  g, ell, context)
         return _merge_slot_choices(solved, kernel.head, context)
 
@@ -511,21 +524,25 @@ class HodgeTable:
             level[indices] = val
         self.filled.add((g, ell))
 
-    # -- the folded right-hand side
+    # -- the right-hand side in the label basis
 
-    def _rhs_folded(self, kernel: _Kernel, g: int, ell: int) -> dict:
-        """Folded right side of ``kernel``'s identity, whose unknowns
-        live at level (g, ell)."""
+    def _rhs_in_basis(self, kernel: _Kernel, g: int, ell: int) -> dict:
+        """Folded right side of ``kernel``'s identity in its label basis,
+        whose unknowns live at level (g, ell)."""
         head = kernel.head
         rhs: dict = {}
-        for terms, groups, coeff in _recursion_terms(kernel, self, g, ell):
-            folded = _fold_terms(terms, head)
+        for terms, groups, coeff in _recursion_terms(
+                lambda m: _labels(kernel, "join", m),
+                lambda a, b: _labels(kernel, "cut", a, b), self, g, ell):
             factor = kernel.weight * coeff
+            labels: tuple[int, ...] = ()
             for group in groups:
                 factor = factor / aut(group)
-                for w in group:
-                    folded = _fold_extend(folded, kernel.basis(w).coeffs, head)
-            _fold_add_scaled(rhs, folded, factor)
+                labels += tuple(2 * w + kernel.parity for w in group)
+            for key, c in terms.items():
+                _add_to(rhs, key[:head] + tuple(sorted(key[head:] + labels,
+                                                       reverse=True)),
+                        c * factor)
         return rhs
 
     def _star_values(self, g: int, k: int) -> dict:
@@ -539,18 +556,19 @@ class HodgeTable:
     # -- verification surface
 
     def identity_remainder(self, g: int, ell: int, method: str) -> dict:
-        """Recompute the folded RHS minus the solved operator image.
+        """Recompute the folded RHS minus the image of the solved values,
+        both in the method's label basis.
 
         The recursions' machine-checkable content: the result must be
         an empty dict at every solvable level.
         """
         kernel = _kernel(method)
         self.ensure_level(g, ell, method)
-        rhs = self._rhs_folded(kernel, g, ell)
+        rhs = self._rhs_in_basis(kernel, g, ell)
         chi = 2 * g - 2 + ell
         for M, val in self._by_level[(g, ell)].items():
             for unknown in _slot_choices(M, kernel.head):
-                _fold_add_scaled(rhs, kernel.op(unknown, chi), -val)
+                _add_scaled(rhs, kernel.image(unknown, chi), -val)
         return rhs
 
     # -- serialization
@@ -593,8 +611,8 @@ def _rhs_expanded(kernel: _Kernel, table: HodgeTable, g: int,
     of the distinguished slot among ``slots``; every other variable is a
     spectator.  Its unknowns live at level (g, len(variables))."""
     total = MultiPoly.zero(variables)
-    for terms, groups, coeff in _recursion_terms(kernel, table, g,
-                                                 len(variables)):
+    for terms, groups, coeff in _recursion_terms(
+            kernel.join, kernel.cut, table, g, len(variables)):
         if not terms:
             continue
         width = len(next(iter(terms))) - 1
@@ -611,7 +629,7 @@ def _rhs_expanded(kernel: _Kernel, table: HodgeTable, g: int,
                     term = base
                     for s, (_, w) in zip(free, order):
                         term = term * MultiPoly.from_unipoly(
-                            kernel.basis(w), variables, s)
+                            kernel.basis(2 * w + kernel.parity), variables, s)
                     total = total + term
     return total
 
@@ -649,11 +667,12 @@ def bm_rhs(g: int, ell: int, table: HodgeTable) -> MultiPoly:
 def extract_in_xi_basis(identity: XiIdentity) -> dict:
     """Solve an expanded identity for its unknown coefficients.
 
-    Folds the right-hand side (faithful: both recursion forms are
-    symmetric in the t_i), then eliminates by descending total degree.
-    For the "bm" shape the returned keys are (n_0, n_1, ..) with n_0
-    the t-slot index; for "cutjoin" they are non-increasing index
-    tuples.  A nonzero final remainder raises "identity violated".
+    Converts the right-hand side into the shape's label basis and folds
+    it (faithful: both recursion forms are symmetric in the t_i), then
+    reads each unknown off its keys directly.  For the "bm" shape the
+    returned keys are (n_0, n_1, ..) with n_0 the t-slot index; for
+    "cutjoin" they are non-increasing index tuples.  Disagreeing reads
+    or a nonzero remainder raise "identity violated".
     """
     shape, g = identity.unknown_shape, identity.g
     n_vars = len(identity.variables)
@@ -665,7 +684,7 @@ def extract_in_xi_basis(identity: XiIdentity) -> dict:
                          "variable t in slot 0")
     sym_slots = n_vars - kernel.head
     folded = {key: c / factorial(sym_slots) for key, c in
-              _fold_terms(identity.rhs.terms, kernel.head).items()}
+              _in_basis(identity.rhs.terms, kernel).items()}
     return _run_extraction(folded, kernel, g, n_vars,
                            f"extraction (g={g}, {shape})")
 

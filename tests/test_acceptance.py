@@ -5,6 +5,8 @@ The two Hodge tables are filled once, lazily, and shared; criterion 1
 times the fills it triggers.
 """
 
+import hashlib
+import json
 import time
 
 import pytest
@@ -44,6 +46,17 @@ def test_criterion_1_hodge_reference_values_both_pipelines():
             got_j, got = hodge_lambda(g, indices, method=method, table=table)
             assert (got_j, got) == (j, rat(value)), (method, g, indices)
     assert time.monotonic() - start < 120
+
+
+def test_criterion_1_tables_match_their_pinned_digest():
+    # both pipelines, each filled to CHI_MAX, give one table, pinned;
+    # levels other tests add beyond CHI_MAX are left out of the digest
+    for method in ("cutjoin", "bm"):
+        rows = [r for r in _filled(method).to_rows()
+                if 2 * r["g"] - 2 + len(r["indices"]) <= CHI_MAX]
+        assert len(rows) == 811, method
+        assert hashlib.md5(json.dumps(rows).encode()).hexdigest() == \
+            "8f889d19aaeff9c9ae653c13a7e20e84", method
 
 
 def test_criterion_2_hurwitz_reference_values_both_pipelines():
@@ -124,7 +137,7 @@ def _solvable_levels(chi_lo: int, chi_hi: int):
 def test_criterion_6_identity_remainders_vanish():
     for method in ("cutjoin", "bm"):
         table = _filled(method)
-        for g, ell in _solvable_levels(2, 6):
+        for g, ell in _solvable_levels(2, CHI_MAX):
             assert table.identity_remainder(g, ell, method) == {}, \
                 (method, g, ell)
 

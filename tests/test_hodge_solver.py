@@ -1,6 +1,7 @@
 """Tests for the Hodge-integral table and its two recursion pipelines."""
 
 import json
+from dataclasses import replace
 from math import factorial
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from hodgehurwitz.exact_algebra import MultiPoly, UniPoly, rat
 from hodgehurwitz.hodge_solver import (
     _KERNELS,
+    _in_basis,
     HodgeTable,
     TauKey,
     XiIdentity,
@@ -19,7 +21,7 @@ from hodgehurwitz.hodge_solver import (
     load_table_cache,
     save_table_cache,
 )
-from hodgehurwitz.lambert_curve import xi_form
+from hodgehurwitz.lambert_curve import xi_form, xi_hat
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +166,17 @@ def test_extraction_rejects_garbage():
         extract_in_xi_basis(XiIdentity("bm", 1, variables, rhs))
 
 
+def test_extraction_rejects_a_partial_image():
+    # one unknown's all-odd key alone reads consistently, but the
+    # promoted keys of its image are missing from the right side
+    variables = ("t_1", "t_2", "t_3", "t_4")
+    rhs = MultiPoly.from_unipoly(xi_hat(1), variables, 0)
+    for slot in (1, 2, 3):
+        rhs = rhs * MultiPoly.from_unipoly(xi_hat(0), variables, slot)
+    with pytest.raises(ValueError, match="identity violated.*leftover"):
+        extract_in_xi_basis(XiIdentity("cutjoin", 0, variables, rhs))
+
+
 def test_cutjoin_public_level_04(table_cj):
     ident = cutjoin_rhs(0, 4, table_cj)
     assert ident.unknown_shape == "cutjoin"
@@ -196,15 +209,13 @@ def test_bm_rhs_empty_at_genus_zero_base_level(table_cj):
     assert bm_rhs(0, 2, table_cj).is_zero()
 
 
-def _fold_expanded(poly: MultiPoly, head: int) -> dict:
-    """Orbit masses over the symmetric slots (all but the first ``head``),
-    divided by the factorial of their count."""
-    masses: dict = {}
-    for e, c in poly.terms.items():
-        key = e[:head] + tuple(sorted(e[head:], reverse=True))
-        masses[key] = masses.get(key, 0) + c
-    slots = factorial(len(poly.vars) - head)
-    return {key: c / slots for key, c in masses.items() if c}
+def _expanded_in_basis(poly: MultiPoly, method: str) -> dict:
+    """The expanded ``poly`` in the method's label basis, folded over
+    its symmetric slots (all but the first ``head``) and divided by the
+    factorial of their count."""
+    kernel = _KERNELS[method]
+    slots = factorial(len(poly.vars) - kernel.head)
+    return {key: c / slots for key, c in _in_basis(poly.terms, kernel).items()}
 
 
 RECURSIVE_LEVELS_TO_CHI_4 = [
@@ -214,12 +225,59 @@ RECURSIVE_LEVELS_TO_CHI_4 = [
 
 @pytest.mark.parametrize("g,ell", RECURSIVE_LEVELS_TO_CHI_4)
 def test_folded_rhs_is_the_fold_of_the_expanded_rhs(table_cj, g, ell):
+    # the solver's right side, built in labels, is the expanded oracle
+    # converted into the label basis and folded
     expanded = cutjoin_rhs(g, ell, table_cj).rhs
-    assert table_cj._rhs_folded(_KERNELS["cutjoin"], g, ell) == \
-        _fold_expanded(expanded, 0)
+    assert table_cj._rhs_in_basis(_KERNELS["cutjoin"], g, ell) == \
+        _expanded_in_basis(expanded, "cutjoin")
     expanded = bm_rhs(g, ell - 1, table_cj)
-    assert table_cj._rhs_folded(_KERNELS["bm"], g, ell) == \
-        _fold_expanded(expanded, 1)
+    assert table_cj._rhs_in_basis(_KERNELS["bm"], g, ell) == \
+        _expanded_in_basis(expanded, "bm")
+
+
+@pytest.mark.parametrize("method", ["cutjoin", "bm"])
+def test_label_basis_is_triangular_and_converts_monomials(method):
+    kernel = _KERNELS[method]
+    for d in range(14):
+        assert kernel.basis(d).degree() == d
+        back = UniPoly.zero()
+        for (k,), c in _in_basis({(d,): 1}, kernel).items():
+            assert k <= d
+            back = back + kernel.basis(k).scale(c)
+        assert back == UniPoly({d: 1})
+
+
+# each mutation of a correct solver must end in "identity violated"
+
+
+@pytest.mark.parametrize("method", ["cutjoin", "bm"])
+def test_mutated_kernel_weight_raises(monkeypatch, method):
+    kernel = _KERNELS[method]
+    monkeypatch.setitem(_KERNELS, method,
+                        replace(kernel, weight=kernel.weight * rat(2, 3)))
+    with pytest.raises(ValueError, match="identity violated"):
+        HodgeTable().fill_to_complexity(5, method=method)
+
+
+@pytest.mark.parametrize("method", ["cutjoin", "bm"])
+def test_mutated_stored_value_raises(method):
+    tab = HodgeTable()
+    tab.ensure_level(1, 2, method)
+    assert (1, 3) not in tab.filled and (2, 1) not in tab.filled
+    level = tab._by_level[(1, 2)]
+    level[(1, 0)] = tab.entries[(1, (1, 0))] = level[(1, 0)] + 1
+    with pytest.raises(ValueError, match="identity violated"):
+        tab.fill_to_complexity(5, method=method)
+
+
+@pytest.mark.parametrize("method", ["cutjoin", "bm"])
+def test_mutated_join_polynomial_raises(monkeypatch, method):
+    # doubled, the join keeps every key resolvable: the reads must catch it
+    kernel = _KERNELS[method]
+    monkeypatch.setitem(_KERNELS, method, replace(
+        kernel, join=lambda m: {e: 2 * c for e, c in kernel.join(m).items()}))
+    with pytest.raises(ValueError, match="identity violated"):
+        HodgeTable().fill_to_complexity(5, method=method)
 
 
 def test_bm_public_level_12_pairs(table_cj):

@@ -1,8 +1,9 @@
 import math
+from dataclasses import replace
 
 import pytest
 
-from hodgehurwitz import lambert_curve, residue_kernel
+from hodgehurwitz import hodge_solver, lambert_curve, residue_kernel
 from hodgehurwitz.cli import main
 from hodgehurwitz.exact_algebra import (
     LaurentSeries,
@@ -286,6 +287,10 @@ def test_verify_series_solves_s_and_v_once(capsys, curve_solves):
 def test_bm_hodge_solves_s_only_when_the_order_rises(capsys, monkeypatch,
                                                      curve_solves):
     monkeypatch.setattr(residue_kernel, "DEFAULT_CACHE", ResidueCache())
+    # the solver memoizes p_ab and p_n in its label basis per kernel
+    # object, so a copy of the bm kernel asks the fresh cache again
+    monkeypatch.setitem(hodge_solver._KERNELS, "bm",
+                        replace(hodge_solver._KERNELS["bm"]))
     memo, requested = lambert_curve._CURVE, []
     serve = memo.serve
 
