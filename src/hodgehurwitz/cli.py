@@ -41,6 +41,14 @@ DEFAULT_BUDGET = 9
 # comparison window opens at truncation order 2n + 2
 ETA_INDICES = range(-1, 9)
 MIN_SERIES_ORDER = 2 * ETA_INDICES[-1] + 2
+# the series suite at order 60 takes about 2.5 s on one core; its cost
+# grows about as the cube of the order (80: 6 s, 100: 13 s)
+MAX_SERIES_ORDER = 60
+# h(g, mu) needs r = 2g - 2 + ell + |mu| simple branch points, and the
+# branch-point recursion descends once per branch point.  The dearest
+# profiles found at r = 24 (such as g = 4, mu = 11,1,1,1) take about
+# 3 s, and each step of r multiplies that by about 1.4.
+MAX_BRANCH_POINTS = 24
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,7 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
         "hurwitz", help="one simple Hurwitz number")
     hurwitz.add_argument("--g", type=int, required=True, help="genus")
     hurwitz.add_argument("--mu", required=True, metavar="M1,M2,...",
-                         help="ramification profile, e.g. 2,1")
+                         help="ramification profile, e.g. 2,1; the number "
+                              "of simple branch points r = 2g-2+ell+|mu| "
+                              f"may be at most {MAX_BRANCH_POINTS}")
     hurwitz.add_argument("--method",
                          choices=["cutjoin", "elsv", "brute", "cross"],
                          default="cutjoin",
@@ -112,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="all")
     verify.add_argument("--order", type=int, default=30,
                         help="series truncation order (default 30, "
-                             f"at least {MIN_SERIES_ORDER})")
+                             f"{MIN_SERIES_ORDER} to {MAX_SERIES_ORDER})")
     _add_common(verify)
 
     return parser
@@ -207,6 +217,11 @@ def _run_hurwitz(args, tables: _Tables) -> int:
     mu = _parse_parts(args.mu, "mu")
     ell = len(mu)
     chi = 2 * args.g - 2 + ell
+    r = chi + sum(mu)
+    if r > MAX_BRANCH_POINTS:
+        raise ValueError(
+            f"r = 2g-2+ell+|mu| = {r} simple branch points exceeds the "
+            f"limit {MAX_BRANCH_POINTS}")
     if args.method == "cutjoin":
         print(format_rational(h_direct(args.g, mu)))
         return 0
@@ -223,7 +238,6 @@ def _run_hurwitz(args, tables: _Tables) -> int:
     if chi >= 1 and chi <= args.complexity_budget:
         results.append(("elsv", hurwitz_elsv(args.g, mu,
                                              table=tables.get("cutjoin"))))
-    r = 2 * args.g - 2 + ell + sum(mu)
     if sum(mu) <= 5 and r <= 8:
         results.append(("brute", h_brute(args.g, mu)))
     vals = {format_rational(v) for _, v in results}
@@ -455,6 +469,8 @@ def _appendix_checks(budget: int, tables: _Tables) -> list:
 def _run_verify(args, tables: _Tables) -> int:
     if args.order < MIN_SERIES_ORDER:
         raise ValueError(f"order must be ≥ {MIN_SERIES_ORDER}")
+    if args.order > MAX_SERIES_ORDER:
+        raise ValueError(f"order must be ≤ {MAX_SERIES_ORDER}")
     checks = []
     if args.suite in ("series", "all"):
         checks += _series_checks(args.order)

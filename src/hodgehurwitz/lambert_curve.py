@@ -6,9 +6,10 @@ This module builds, in exact arithmetic:
 
 * the polynomial tower ``xi_hat(n)`` generated from t - 1 by the
   operator t^2(t-1) d/dt, and its derivative forms ``xi_form(n)``;
-* the deck transformation (involution) ``s_involution``, the branch
-  coordinate ``v_series`` with v^2/2 = w, and the Stirling expansion
-  coefficients ``stirling_coefficients``;
+* the deck transformation (involution) ``s_involution``, the second
+  solution of w(s) = w(t), the branch coordinate ``v_series`` with
+  v^2/2 = w, and the Stirling expansion coefficients
+  ``stirling_coefficients``;
 * the odd Laurent family ``eta_series`` in v, plus the identity checks
   tying all of these together as truncated series.
 
@@ -20,11 +21,17 @@ Stirling coefficients grow as module lists; ``xi_form``,
 ``xi_hat_over_t`` and ``eta_series`` are memoized per argument.
 s(t) and v(t) are grow-only: the process holds each at the highest
 order requested so far and serves a lower order as its truncation; a
-higher order is reached by resuming the Newton iteration from the
-series held, and is verified against the defining equation like a
-solve from scratch.  ``s_powers`` and ``v_powers`` share the powers of
-the series served at one order across every composition into it.
-Cached values are never mutated.
+higher order is reached by resuming from the series held, and is
+verified against the defining equation like a solve from scratch.
+
+s(t) comes from the ODE s' t^2 (t - 1) = s^2 (s - 1), which is
+w'(s) s' = w'(t) with w'(t) = -1/(t^2 (t - 1)).  Its coefficients in
+1/t follow one by one from s = -t + ..., each at O(n) cost through a
+running list of the coefficients of s^2, so N of them cost O(N^2)
+rational operations (see ``_solve_s``).  v(t) is a Newton square root.
+``s_powers`` and ``v_powers`` share the powers of the series served at
+one order across every composition into it.  Cached values are never
+mutated.
 """
 
 from __future__ import annotations
@@ -126,53 +133,72 @@ def w_series(order: int) -> LaurentSeries:
                          "1/t", 2, order)
 
 
-def _w_evaluated_at(sigma: LaurentSeries) -> LaurentSeries:
-    """W(sigma) for a t-like series (valuation -1), honest to sigma's order."""
-    t_cur = sigma.truncation_order
-    return laurent_substitute(w_series(max(t_cur, 2)),
-                              laurent_reciprocal(sigma))
+def _s_coefficients(held: list, order: int) -> list:
+    """c_{-1} .. c_order of s(t) = sum_k c_k t^-k, continuing the
+    recurrence from ``held`` = [c_{-1}, ..., c_T].
+
+    In the list, c[i] is c_{i-1}, and sq[j] = sum_{a<=j} c[a] c[j-a] is
+    the coefficient of t^-(j-2) in s^2.  Comparing t^-(n-2) on both
+    sides of s' t^2 (t - 1) = s^2 (s - 1) gives
+
+        (n + 3) c_n = (n - 1) c_{n-1} + P - R + [s^2]_{n-2},
+        P = sum_{a=1}^{n} c[a] c[n+1-a],  R = sum_{a=1}^{n} c[a] sq[n+1-a],
+
+    where c_n enters s^3 three times (through c_{-1}^2 = 1) and s' once.
+    Then [s^2]_{n-1} = P - 2 c_n extends sq, so each c_n costs O(n).
+    """
+    c = list(held)
+    sq = [sum(c[a] * c[j - a] for a in range(j + 1)) for j in range(len(c))]
+    for n in range(len(c) - 1, order + 1):
+        p = r = ZERO
+        for a in range(1, n + 1):
+            p += c[a] * c[n + 1 - a]
+            r += c[a] * sq[n + 1 - a]
+        cn = ((n - 1) * c[n] + p - r + sq[n]) / (n + 3)
+        c.append(cn)
+        sq.append(p - 2 * cn)
+    return c
 
 
 def _solve_s(order: int,
              seed: Optional[LaurentSeries] = None) -> LaurentSeries:
     """Solve for the deck transformation s(t) through t^-order.
 
-    Newton iteration on W(sigma) - w = 0 with the correction
-    sigma += (W(sigma) - w) * sigma^2 (sigma - 1)  (the reciprocal of
-    -W'), seeded at -t + 2/3, or at ``seed``, an earlier solve at a lower
-    order, which is right through its truncation order.  Each step
-    roughly doubles the number of correct coefficients but costs three
-    orders of honest truncation, so the iteration runs with padding and
-    the result is re-verified against the defining equation.  W' has
-    valuation 3 in 1/t, so an error in sigma at t^-k leaves a residual
-    at t^-(k+3): the residual must vanish through order + 3 for sigma to
-    be right through order.
+    Differentiating w(s) = w(t) with w'(t) = -1/(t^2 (t - 1)) gives the
+    ODE s' t^2 (t - 1) = s^2 (s - 1).  In u = 1/t, with
+    s = sum_{k >= -1} c_k u^k, the u^-3 term reads c_{-1} = c_{-1}^3:
+    c_{-1} = 1 is the identity s = t, and c_{-1} = -1 picks the deck
+    transformation.  Every later c_n solves a linear equation with the
+    coefficient n + 3, which never vanishes, so the branch and the
+    coefficients are unique (``_s_coefficients``).  Keeping the
+    coefficients of s^2 as they grow makes c_n cost O(n), so N
+    coefficients cost O(N^2) rational operations.  ``seed``, an earlier
+    solve at a lower order, resumes the recurrence from the
+    coefficients it holds.
+
+    The result is then verified against the defining equation itself,
+    composing the power series of w with 1/sigma: W' has valuation 3 in
+    1/t, so an error in sigma at t^-k leaves a residual of W(sigma) - w
+    at t^-(k+3), and the residual must vanish through order + 3 for
+    sigma to be right through order.  The powers of 1/sigma are cut at
+    order + 3, the last degree the check reads.
     """
-    if seed is None:
-        start, correct = {-1: -1, 0: rat(2, 3)}, 2
-    else:
-        start, correct = seed.coeffs, seed.truncation_order
-    steps = 0
-    while correct <= order:
-        correct = 2 * correct + 1
-        steps += 1
-    work = order + 3 * (steps + 1)
-    w = w_series(work)
-    one = LaurentSeries.exact({0: 1}, "1/t")
-    sigma = LaurentSeries(start, "1/t", -1, work)
-    for _ in range(steps + 1):
-        resid = (_w_evaluated_at(sigma) - w).tightened()
-        if resid.truncate(order + 3).is_zero():
-            break
-        sigma = (sigma + resid * sigma * sigma * (sigma - one)).tightened()
-    else:
-        resid = _w_evaluated_at(sigma) - w
-        if not resid.truncate(order + 3).is_zero():
-            raise RuntimeError(
-                "involution iteration failed to converge (internal error)")
-    if sigma.coefficient(1) != 0:
+    held = [-ONE] if seed is None else [
+        seed.coefficient(k) for k in range(-1, seed.truncation_order + 1)]
+    c = _s_coefficients(held, max(order, 1))
+    if c[2] != 0:
         raise RuntimeError("involution acquired a t^-1 term (internal error)")
-    return sigma.truncate(order)
+    sigma = LaurentSeries(dict(enumerate(c[:order + 2], -1)), "1/t", -1,
+                          order)
+    x = laurent_reciprocal(sigma)  # 1/sigma, honest through order + 2
+    power, resid = x, -w_series(order + 3)
+    for m in range(2, order + 4):  # W(sigma) = sum_m x^m/m, to order + 3
+        power = (power * x).truncate(order + 3)
+        resid = resid + power.scale(rat(1, m))
+    if not resid.is_zero():
+        raise RuntimeError(
+            "involution recurrence violates w(s) = w(t) (internal error)")
+    return sigma
 
 
 def _solve_v(order: int,

@@ -43,12 +43,14 @@ GUARD_HIGH = 12
 
 
 class ResidueCache:
-    """Memoized residue polynomials plus the per-order series context."""
+    """Memoized residue polynomials, the per-order series context, and
+    each xi_hat_k(s(t)) at the highest order needed so far."""
 
     def __init__(self):
         self.pab: dict[tuple[int, int], UniPoly] = {}
         self.pn: dict[int, MultiPoly] = {}
         self._ctx: dict[int, dict] = {}
+        self._xi_s: dict[int, tuple[int, LaurentSeries]] = {}
 
     # -- shared series context
 
@@ -70,14 +72,23 @@ class ResidueCache:
             self._ctx[order] = ctx
         return ctx
 
+    def _xi_hat_of_s(self, k: int, order: int) -> LaurentSeries:
+        """xi_hat_k(s(t)) with s through t^-order.  It is composed once,
+        at the highest order asked so far, and served as its truncation
+        at order - deg + 1, where s^deg stops being honest."""
+        held = self._xi_s.get(k)
+        if held is None or held[0] < order:
+            composed = self._context(order)["s"].substitute(xi_hat(k))
+            held = self._xi_s[k] = (order, composed)
+        return held[1].truncate(order - xi_hat(k).degree() + 1)
+
     # -- direct forms
 
     def _pab_at(self, a: int, b: int, order: int) -> UniPoly:
         ctx = self._context(order)
-        s = ctx["s"]
         xa, xb = xi_hat(a + 1), xi_hat(b + 1)
-        xa_s = s.substitute(xa)
-        xb_s = xa_s if b == a else s.substitute(xb)
+        xa_s = self._xi_hat_of_s(a + 1, order)
+        xb_s = xa_s if b == a else self._xi_hat_of_s(b + 1, order)
         sym = (poly_as_recip_series(xa) * xb_s
                + xa_s * poly_as_recip_series(xb))
         full = ctx["kernel"] * ctx["inv_t2_tm1"] * sym
@@ -108,7 +119,7 @@ class ResidueCache:
         s, kernel = ctx["s"], ctx["kernel"]
         xi = xi_hat(n + 1)
         base_fixed = kernel * ctx["ds_dt"] * poly_as_recip_series(xi)
-        base_swapped = kernel * s.substitute(xi)
+        base_swapped = kernel * self._xi_hat_of_s(n + 1, order)
         terms: dict[tuple[int, int], object] = {}
         for k in range(2 * n + 4):
             # coefficient of t_i^k in ker (xi(t) s'/(s - t_i) + xi(s)/(t - t_i))

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 import hodgehurwitz
-from hodgehurwitz.cli import main
+from hodgehurwitz import cli, lambert_curve
+from hodgehurwitz.cli import MAX_BRANCH_POINTS, MAX_SERIES_ORDER, main
 from hodgehurwitz.hodge_solver import HodgeTable
 
 
@@ -205,6 +206,33 @@ def test_hurwitz_rejects_bad_partition(capsys):
     assert "partition parts must be positive" in err
 
 
+@pytest.mark.parametrize("g, mu, r", [
+    ("1", "99999999999999999999", 10 ** 20),
+    ("500", "2", 1001),
+    ("0", "3000", 2999),
+    ("0", "26", 25),
+])
+@pytest.mark.parametrize("method", ["cutjoin", "elsv", "brute", "cross"])
+def test_hurwitz_refuses_too_many_branch_points(capsys, monkeypatch, g, mu,
+                                                r, method):
+    # refused before any work: the recursion would overflow the stack or
+    # run for minutes
+    for route in ("h_direct", "h_brute", "hurwitz_elsv"):
+        monkeypatch.setattr(cli, route, None)
+    code, out, err = run(capsys, "hurwitz", "--g", g, "--mu", mu,
+                         "--method", method)
+    assert (code, out) == (1, "")
+    assert err == (f"error: r = 2g-2+ell+|mu| = {r} simple branch points "
+                   f"exceeds the limit {MAX_BRANCH_POINTS}\n")
+    assert "Traceback" not in err
+
+
+def test_hurwitz_answers_at_the_branch_point_limit(capsys):
+    # r = 24 exactly
+    assert run(capsys, "hurwitz", "--g", "0", "--mu", "25") == \
+        (0, "5684341886080801486968994140625\n", "")
+
+
 # --- table ---------------------------------------------------------------
 
 
@@ -321,6 +349,14 @@ def test_verify_rejects_order_below_the_eta_window(capsys):
     # eta_8 is compared with xi_hat_8 only from order 18 on; no check runs
     assert run(capsys, "verify", "--suite", "series", "--order", "17") == \
         (1, "", "error: order must be ≥ 18\n")
+
+
+def test_verify_rejects_order_above_the_ceiling(capsys, monkeypatch):
+    monkeypatch.setattr(lambert_curve, "_solve_s", None)
+    assert run(capsys, "verify", "--suite", "series", "--order", "61") == \
+        (1, "", f"error: order must be ≤ {MAX_SERIES_ORDER}\n")
+    assert run(capsys, "verify", "--suite", "series", "--order", "400") == \
+        (1, "", f"error: order must be ≤ {MAX_SERIES_ORDER}\n")
 
 
 def test_flag_validation_precedes_work(capsys, solved):

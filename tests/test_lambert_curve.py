@@ -119,14 +119,52 @@ def test_s_involution_printed_coefficients():
 
 
 def test_s_involution_low_orders_are_truncations():
-    # the uncached Newton solve, from scratch and grown from a lower
-    # solve, is the truncation of a deeper one; at these orders a
+    # the uncached solve, from scratch and grown from a lower solve, is
+    # the truncation of a deeper one; at orders 2-7, 11-13 and 23-25 a
     # residual checked only through `order` leaves the top terms wrong
-    full = s_involution(40)
-    for k in list(range(2, 8)) + [11, 12, 13, 23, 24, 25]:
+    full = lambert_curve._solve_s(60)
+    for k in range(61):
         assert lambert_curve._solve_s(k) == full.truncate(k), k
+    for k in list(range(2, 8)) + [11, 12, 13, 23, 24, 25, 60]:
         seed = full.truncate(k // 2)
         assert lambert_curve._solve_s(k, seed) == full.truncate(k), k
+
+
+def test_s_recurrence_resumes_from_the_held_coefficients(monkeypatch):
+    # growing passes the held coefficients on unchanged and computes
+    # only the new ones
+    seed = lambert_curve._solve_s(12)
+    resumed = []
+    extend = lambert_curve._s_coefficients
+
+    def recording(held, order):
+        resumed.append(len(held))
+        return extend(held, order)
+
+    monkeypatch.setattr(lambert_curve, "_s_coefficients", recording)
+    assert lambert_curve._solve_s(20, seed) == lambert_curve._solve_s(20)
+    assert resumed == [14, 1]
+    # so a wrong coefficient held is carried on, and the check refuses it
+    bad = LaurentSeries({**seed.coeffs, 5: seed.coefficient(5) * 2},
+                        "1/t", -1, 12)
+    with pytest.raises(RuntimeError, match="internal error"):
+        lambert_curve._solve_s(20, bad)
+
+
+@pytest.mark.parametrize("index", [0, 1, 2, 9, 40, 60])
+def test_s_recurrence_corruption_is_caught(monkeypatch, index):
+    # one wrong coefficient out of the recurrence, at t^-index, must
+    # fail the defining-equation check (or, at t^-1, the t^-1 check)
+    extend = lambert_curve._s_coefficients
+
+    def corrupted(held, order):
+        c = extend(held, order)
+        c[index + 1] += rat(1, 10 ** 6)
+        return c
+
+    monkeypatch.setattr(lambert_curve, "_s_coefficients", corrupted)
+    with pytest.raises(RuntimeError, match="internal error"):
+        lambert_curve._solve_s(60)
 
 
 def test_s_involution_grows_from_lower_orders(curve_solves):
@@ -139,11 +177,12 @@ def test_s_involution_grows_from_lower_orders(curve_solves):
 
 
 def test_s_involution_fixes_w():
-    s = s_involution(ORDER)
-    w = w_series(ORDER)
-    diff = laurent_substitute(w, laurent_reciprocal(s)) - w
-    assert diff.is_zero()
-    assert diff.truncation_order >= ORDER - 4
+    for order in (ORDER, 60):
+        s = s_involution(order)
+        w = w_series(order)
+        diff = laurent_substitute(w, laurent_reciprocal(s)) - w
+        assert diff.is_zero(), order
+        assert diff.truncation_order >= order - 4, order
 
 
 def test_s_involution_is_an_involution():

@@ -7,6 +7,7 @@ from hodgehurwitz.exact_algebra import (
     double_factorial,
     rat,
 )
+from hodgehurwitz.lambert_curve import s_powers, xi_hat
 from hodgehurwitz.residue_kernel import (
     ResidueCache,
     p_ab,
@@ -91,6 +92,17 @@ def test_cache_instances_are_consistent():
     cache = ResidueCache()
     assert cache.p_ab(1, 2) == p_ab(2, 1)
     assert cache.p_n(1) == p_n(1)
+
+
+def test_composition_with_s_is_shared_across_orders():
+    # xi_hat_k(s) is composed at the highest order asked so far; a lower
+    # order gets its truncation, equal to a fresh composition there,
+    # truncation order included
+    cache = ResidueCache()
+    for k, order in ((3, 20), (3, 14), (1, 9), (3, 26), (1, 26), (3, 8)):
+        fresh = s_powers(order).substitute(xi_hat(k))
+        assert cache._xi_hat_of_s(k, order) == fresh, (k, order)
+    assert {k: held[0] for k, held in cache._xi_s.items()} == {1: 26, 3: 26}
 
 
 def test_invalid_indices():
