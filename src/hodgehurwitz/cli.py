@@ -101,7 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser(
         "table", help="emit a table of Hurwitz numbers")
-    table.add_argument("--g-max", type=int, required=True)
+    table.add_argument("--g-max", type=int, required=True,
+                       help="largest genus; the largest row needs r = "
+                            "2*g_max-2+2*D simple branch points, which may "
+                            f"be at most {MAX_BRANCH_POINTS}")
     table.add_argument("--size-max", type=int, default=6, metavar="D",
                        help="largest degree |mu| (default 6)")
     table.add_argument("--out", metavar="FILE",
@@ -146,6 +149,13 @@ def _parse_parts(text: str, what: str) -> tuple:
 def _validate_common(args) -> None:
     if args.complexity_budget < 1:
         raise ValueError("complexity-budget must be ≥ 1")
+
+
+def _refuse_over_branch_points(r: int) -> None:
+    if r > MAX_BRANCH_POINTS:
+        raise ValueError(
+            f"r = 2g-2+ell+|mu| = {r} simple branch points exceeds the "
+            f"limit {MAX_BRANCH_POINTS}")
 
 
 def _refuse_over_budget(chi: int, budget: int) -> None:
@@ -218,10 +228,7 @@ def _run_hurwitz(args, tables: _Tables) -> int:
     ell = len(mu)
     chi = 2 * args.g - 2 + ell
     r = chi + sum(mu)
-    if r > MAX_BRANCH_POINTS:
-        raise ValueError(
-            f"r = 2g-2+ell+|mu| = {r} simple branch points exceeds the "
-            f"limit {MAX_BRANCH_POINTS}")
+    _refuse_over_branch_points(r)
     if args.method == "cutjoin":
         print(format_rational(h_direct(args.g, mu)))
         return 0
@@ -276,6 +283,7 @@ def _table_payload(rows: list[dict], fmt: str) -> str:
 
 
 def _run_table(args, tables: _Tables) -> int:
+    _refuse_over_branch_points(2 * args.g_max - 2 + 2 * args.size_max)
     rows = table_generate(
         args.g_max, args.size_max,
         include_genus_zero=args.include_genus_zero,

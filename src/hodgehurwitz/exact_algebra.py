@@ -592,42 +592,12 @@ class LaurentSeries:
         return LaurentSeries({k: v for k, v in self.coeffs.items() if k <= order},
                              self.var, self.min_degree, order)
 
-    def tightened(self) -> "LaurentSeries":
-        """Raise min_degree to the actual valuation.
-
-        Honest, because every coefficient in [min_degree,
-        truncation_order] is exactly known — leading zeros are real
-        zeros.  Keeps pessimistic truncation tracking from compounding
-        when a computed series (e.g. a Newton residual) has much higher
-        valuation than its a-priori bound.
-        """
-        val = self.valuation()
-        if val is None:
-            val = (self.min_degree if self.truncation_order is None
-                   else self.truncation_order + 1)
-        if val == self.min_degree:
-            return self
-        return LaurentSeries(self.coeffs, self.var, val, self.truncation_order)
-
     def derivative(self) -> "LaurentSeries":
         """d/d(var), term by term."""
         t = self.truncation_order
         return LaurentSeries({k - 1: k * v for k, v in self.coeffs.items() if k},
                              self.var, self.min_degree - 1,
                              None if t is None else t - 1)
-
-    def __pow__(self, n: int) -> "LaurentSeries":
-        if n < 0:
-            raise ValueError("use laurent_reciprocal for negative powers")
-        result = LaurentSeries.exact({0: 1}, self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LaurentSeries) and self.var == other.var

@@ -28,7 +28,8 @@ s(t) comes from the ODE s' t^2 (t - 1) = s^2 (s - 1), which is
 w'(s) s' = w'(t) with w'(t) = -1/(t^2 (t - 1)).  Its coefficients in
 1/t follow one by one from s = -t + ..., each at O(n) cost through a
 running list of the coefficients of s^2, so N of them cost O(N^2)
-rational operations (see ``_solve_s``).  v(t) is a Newton square root.
+rational operations (see ``_solve_s``).  v(t) follows the same way,
+from y^2 = 2 w t^2 for y = t v (see ``_solve_v``).
 ``s_powers`` and ``v_powers`` share the powers of the series served at
 one order across every composition into it.  Cached values are never
 mutated.
@@ -201,24 +202,35 @@ def _solve_s(order: int,
     return sigma
 
 
+def _v_coefficients(held: list, order: int) -> list:
+    """y_0 .. y_{order-1} of y = t v(t) = sqrt(2 w t^2), continuing the
+    recurrence from ``held`` = [y_0, ..., y_T].
+
+    With 2 w t^2 = sum_{n>=0} 2/(n + 2) t^-n, comparing t^-n in
+    y^2 = 2 w t^2 gives 2 y_n = 2/(n + 2) - sum_{0<k<n} y_k y_{n-k},
+    from y_0 = 1, so each y_n costs O(n).
+    """
+    y = list(held)
+    for n in range(len(y), order):
+        y.append(rat(1, n + 2)
+                 - HALF * sum(y[k] * y[n - k] for k in range(1, n)))
+    return y
+
+
 def _solve_v(order: int,
              seed: Optional[LaurentSeries] = None) -> LaurentSeries:
-    """Solve for the branch coordinate v(t) through t^-order.
+    """Solve for the branch coordinate v(t) = y/t through t^-order.
 
-    v = (1/t) sqrt(A) where A = 2 w t^2 = 1 + (2/3)/t + ... is a unit,
-    known through t^-(order - 1); the square root is a Newton iteration
-    y <- (y + A/y)/2 from y = 1, or from ``seed`` (an earlier solve at a
-    lower order) times t, verified by y^2 = A before use.
+    y = sqrt(A), A = 2 w t^2, follows from its recurrence
+    (``_v_coefficients``), resumed from the coefficients of ``seed``, an
+    earlier solve at a lower order, and is verified by y^2 = A before use.
     """
-    a = w_series(order + 1).shift(-2).scale(2)  # honest through order - 1
-    start = {0: 1} if seed is None else seed.shift(-1).coeffs
-    y = LaurentSeries(start, "1/t", 0, order - 1)
-    for _ in range(2 + max(order, 2).bit_length()):
-        if (y * y - a).is_zero():
-            break
-        y = (y + a * laurent_reciprocal(y)).scale(HALF)
-    if not (y * y - a).is_zero():
-        raise RuntimeError("square-root iteration failed (internal error)")
+    held = [ONE] if seed is None else [
+        seed.coefficient(k + 1) for k in range(seed.truncation_order)]
+    y = _v_coefficients(held, order)
+    y = LaurentSeries(dict(enumerate(y)), "1/t", 0, order - 1)
+    if not (y * y - w_series(order + 1).shift(-2).scale(2)).is_zero():
+        raise RuntimeError("square-root recurrence failed (internal error)")
     return y.shift(1)
 
 

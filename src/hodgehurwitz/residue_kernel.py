@@ -10,16 +10,26 @@ Two families are computed, each in two independent ways:
 * ``p_n(n)`` — a polynomial in (t, t_i) of degree exactly 2n+2 in each
   variable, and its eta-form twin ``p_n_eta``.
 
+The direct forms need xi_hat_k(s(t)), and read it off the tower rather
+than compose: D = t^2 (t - 1) d/dt, the operator that builds the tower
+from xi_hat_0 = t - 1, is -d/dw, and the deck transformation keeps w
+fixed, so D commutes with composition by s and
+xi_hat_k(s(t)) = D^k (s(t) - 1).  In one line: for F(t) = f(s(t)),
+D F = t^2 (t - 1) f'(s) s' = s^2 (s - 1) f'(s) = (D f)(s), by the ODE
+s' t^2 (t - 1) = s^2 (s - 1) that s solves.
+
 All series arithmetic runs at a guarded truncation: the direct forms
 are evaluated at two different orders (target degree + 6 and + 12) and
 the polynomial parts must agree exactly, otherwise an internal error is
-raised.  The honest-truncation tracking in the series layer underpins
-this: a too-low order fails loudly instead of corrupting coefficients.
+raised.  Each order builds its own series context, tower included, so
+the two evaluations share nothing but the solve of s.  The
+honest-truncation tracking in the series layer underpins this: a
+too-low order fails loudly instead of corrupting coefficients.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from hodgehurwitz.exact_algebra import (
     HALF,
@@ -33,7 +43,7 @@ from hodgehurwitz.lambert_curve import (
     d_dt,
     eta_series,
     poly_as_recip_series,
-    s_powers,
+    s_involution,
     v_powers,
     xi_hat,
 )
@@ -42,45 +52,66 @@ GUARD_LOW = 6
 GUARD_HIGH = 12
 
 
+def _tower_step(f: LaurentSeries) -> LaurentSeries:
+    """D f = t^2 (t - 1) df/dt; t^2 (t - 1) is xi_hat_1."""
+    return poly_as_recip_series(xi_hat(1)) * d_dt(f)
+
+
+def _guarded(memo: dict, key, name: str, at: Callable[[int], object],
+             degree: int, degrees: Callable[[object], tuple]):
+    """``memo[key]``, evaluated on first use as ``at(order)`` at order
+    degree + GUARD_LOW.  That must equal ``at(degree + GUARD_HIGH)``,
+    and every entry of ``degrees`` of it must be ``degree``; otherwise
+    an internal error is raised."""
+    if key not in memo:
+        result = at(degree + GUARD_LOW)
+        if result != at(degree + GUARD_HIGH):
+            raise RuntimeError(
+                f"truncation guard mismatch for {name} (internal error)")
+        if set(degrees(result)) != {degree}:
+            raise RuntimeError(f"{name} degrees {degrees(result)} != "
+                               f"{degree} (internal error)")
+        memo[key] = result
+    return memo[key]
+
+
 class ResidueCache:
-    """Memoized residue polynomials, the per-order series context, and
-    each xi_hat_k(s(t)) at the highest order needed so far."""
+    """Memoized residue polynomials and the series context of each
+    truncation order."""
 
     def __init__(self):
         self.pab: dict[tuple[int, int], UniPoly] = {}
         self.pn: dict[int, MultiPoly] = {}
         self._ctx: dict[int, dict] = {}
-        self._xi_s: dict[int, tuple[int, LaurentSeries]] = {}
 
     # -- shared series context
 
     def _context(self, order: int) -> dict:
+        """s through t^-order and what the direct forms build from it:
+        1/s, the kernel K = t s/(t - s), K/(t^2 (t - 1)), s', and the
+        tower [s - 1, D(s - 1), ...] of xi_hat_k(s), grown on demand."""
         ctx = self._ctx.get(order)
         if ctx is None:
-            powers = s_powers(order)
-            s = powers.series
+            s = s_involution(order)
             t = LaurentSeries.exact({-1: 1}, "1/t")
             kernel = s.shift(-1) * laurent_reciprocal(t - s)  # t s/(t - s)
-            inv_t2_tm1 = laurent_reciprocal(                  # 1/(t^2 (t-1))
-                LaurentSeries.exact({-3: 1, -2: -1}, "1/t"), order=order)
-            ctx = {
-                "s": powers,
+            ctx = self._ctx[order] = {
+                "inv_s": laurent_reciprocal(s),
                 "kernel": kernel,
-                "inv_t2_tm1": inv_t2_tm1,
+                "kernel_over_t2_tm1": kernel * laurent_reciprocal(
+                    poly_as_recip_series(xi_hat(1)), order=order),
                 "ds_dt": d_dt(s),
+                "xi_s": [s - LaurentSeries.exact({0: 1}, "1/t")],
             }
-            self._ctx[order] = ctx
         return ctx
 
     def _xi_hat_of_s(self, k: int, order: int) -> LaurentSeries:
-        """xi_hat_k(s(t)) with s through t^-order.  It is composed once,
-        at the highest order asked so far, and served as its truncation
-        at order - deg + 1, where s^deg stops being honest."""
-        held = self._xi_s.get(k)
-        if held is None or held[0] < order:
-            composed = self._context(order)["s"].substitute(xi_hat(k))
-            held = self._xi_s[k] = (order, composed)
-        return held[1].truncate(order - xi_hat(k).degree() + 1)
+        """xi_hat_k(s(t)) with s through t^-order: D^k (s - 1), honest
+        through t^-(order - 2k)."""
+        tower = self._context(order)["xi_s"]
+        while len(tower) <= k:
+            tower.append(_tower_step(tower[-1]))
+        return tower[k]
 
     # -- direct forms
 
@@ -91,41 +122,27 @@ class ResidueCache:
         xb_s = xa_s if b == a else self._xi_hat_of_s(b + 1, order)
         sym = (poly_as_recip_series(xa) * xb_s
                + xa_s * poly_as_recip_series(xb))
-        full = ctx["kernel"] * ctx["inv_t2_tm1"] * sym
+        full = ctx["kernel_over_t2_tm1"] * sym
         return polynomial_part(full.scale(HALF))
 
     def p_ab(self, a: int, b: int) -> UniPoly:
         if a < 0 or b < 0:
             raise ValueError("p_ab indices must be >= 0")
         key = (min(a, b), max(a, b))
-        cached = self.pab.get(key)
-        if cached is not None:
-            return cached
-        degree = 2 * (a + b + 2)
-        result = self._pab_at(key[0], key[1], degree + GUARD_LOW)
-        recheck = self._pab_at(key[0], key[1], degree + GUARD_HIGH)
-        if result != recheck:
-            raise RuntimeError(
-                f"truncation guard mismatch for p_ab{key} (internal error)")
-        if result.degree() != degree:
-            raise RuntimeError(
-                f"p_ab{key} degree {result.degree()} != {degree} "
-                "(internal error)")
-        self.pab[key] = result
-        return result
+        return _guarded(self.pab, key, f"p_ab{key}",
+                        lambda order: self._pab_at(*key, order),
+                        2 * (a + b + 2), lambda q: (q.degree(),))
 
     def _pn_at(self, n: int, order: int) -> MultiPoly:
         ctx = self._context(order)
-        s, kernel = ctx["s"], ctx["kernel"]
-        xi = xi_hat(n + 1)
-        base_fixed = kernel * ctx["ds_dt"] * poly_as_recip_series(xi)
-        base_swapped = kernel * self._xi_hat_of_s(n + 1, order)
+        kernel, inv_s = ctx["kernel"], ctx["inv_s"]
+        fixed = kernel * ctx["ds_dt"] * poly_as_recip_series(xi_hat(n + 1))
+        swapped = kernel * self._xi_hat_of_s(n + 1, order)
         terms: dict[tuple[int, int], object] = {}
         for k in range(2 * n + 4):
             # coefficient of t_i^k in ker (xi(t) s'/(s - t_i) + xi(s)/(t - t_i))
-            r_pow = s.power(-(k + 1))  # 1/s(t)^{k+1}, expanded as a 1/t series
-            bracket = base_fixed * r_pow + base_swapped.shift(k + 1)
-            part = polynomial_part(bracket)
+            fixed = fixed * inv_s  # ker xi(t) s'/s(t)^{k+1}, a 1/t series
+            part = polynomial_part(fixed + swapped.shift(k + 1))
             for d, c in part.coeffs.items():
                 terms[(d, k)] = c
         primitive = MultiPoly(("t", "t_i"), terms)
@@ -134,21 +151,9 @@ class ResidueCache:
     def p_n(self, n: int) -> MultiPoly:
         if n < 0:
             raise ValueError("p_n index must be >= 0")
-        cached = self.pn.get(n)
-        if cached is not None:
-            return cached
-        degree = 2 * n + 2
-        result = self._pn_at(n, degree + GUARD_LOW)
-        recheck = self._pn_at(n, degree + GUARD_HIGH)
-        if result != recheck:
-            raise RuntimeError(
-                f"truncation guard mismatch for p_n({n}) (internal error)")
-        if (result.degree_in("t") != degree
-                or result.degree_in("t_i") != degree):
-            raise RuntimeError(
-                f"p_n({n}) degrees != {degree} (internal error)")
-        self.pn[n] = result
-        return result
+        return _guarded(self.pn, n, f"p_n({n})",
+                        lambda order: self._pn_at(n, order), 2 * n + 2,
+                        lambda q: (q.degree_in("t"), q.degree_in("t_i")))
 
 
 DEFAULT_CACHE = ResidueCache()

@@ -251,6 +251,27 @@ def test_table_rejects_genus_zero_max(capsys):
     assert err == "error: g-max must be ≥ 1 for the Hurwitz table\n"
 
 
+@pytest.mark.parametrize("g_max, size_max, r", [
+    ("30", "12", 82), ("2", "12", 26)])
+def test_table_refuses_too_many_branch_points(capsys, monkeypatch, g_max,
+                                              size_max, r):
+    # the largest row (g_max, 1^size_max) needs r = 2 g_max - 2 + 2 size_max
+    # branch points; refused before any work
+    monkeypatch.setattr(cli, "table_generate", None)
+    code, out, err = run(capsys, "table", "--g-max", g_max, "--size-max",
+                         size_max)
+    assert (code, out) == (1, "")
+    assert err == (f"error: r = 2g-2+ell+|mu| = {r} simple branch points "
+                   f"exceeds the limit {MAX_BRANCH_POINTS}\n")
+
+
+def test_table_answers_at_the_branch_point_limit(capsys):
+    # r = 24 exactly: one row per genus, mu = (1)
+    code, out, _ = run(capsys, "table", "--g-max", "12", "--size-max", "1")
+    assert code == 0
+    assert out.count("\n") == 1 + 12
+
+
 def test_table_reruns_are_byte_identical(capsys):
     _, first, _ = run(capsys, "table", "--g-max", "2", "--size-max", "4",
                       "--format", "json")

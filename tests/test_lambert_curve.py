@@ -216,6 +216,24 @@ def test_v_series_low_orders_are_truncations(curve_solves):
         assert lambert_curve._solve_v(k) == full.truncate(k), k
 
 
+@pytest.mark.parametrize("index", [0, 1, 2, 9, 40, 59])
+def test_v_recurrence_corruption_is_caught(monkeypatch, index):
+    # one wrong coefficient of sqrt(2 w t^2), at t^-index, must fail the
+    # y^2 = A check, from scratch and when grown from a lower solve
+    seed = lambert_curve._solve_v(index) if index else None
+    extend = lambert_curve._v_coefficients
+
+    def corrupted(held, order):
+        y = extend(held, order)
+        y[index] += rat(1, 10 ** 6)
+        return y
+
+    monkeypatch.setattr(lambert_curve, "_v_coefficients", corrupted)
+    for start in (None, seed):
+        with pytest.raises(RuntimeError, match="internal error"):
+            lambert_curve._solve_v(60, start)
+
+
 def test_v_squared_is_twice_w():
     v = v_series(ORDER)
     w = w_series(ORDER)

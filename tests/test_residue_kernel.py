@@ -1,14 +1,21 @@
+from dataclasses import replace
+
 import pytest
 
+from hodgehurwitz import hodge_solver, residue_kernel
+from hodgehurwitz.cli import main
 from hodgehurwitz.exact_algebra import (
+    LaurentSeries,
     MultiPoly,
     TruncationError,
     UniPoly,
     double_factorial,
     rat,
 )
-from hodgehurwitz.lambert_curve import s_powers, xi_hat
+from hodgehurwitz.hodge_solver import HodgeTable
+from hodgehurwitz.lambert_curve import d_dt, s_powers, xi_hat
 from hodgehurwitz.residue_kernel import (
+    GUARD_HIGH,
     ResidueCache,
     p_ab,
     p_ab_eta,
@@ -94,15 +101,72 @@ def test_cache_instances_are_consistent():
     assert cache.p_n(1) == p_n(1)
 
 
-def test_composition_with_s_is_shared_across_orders():
-    # xi_hat_k(s) is composed at the highest order asked so far; a lower
-    # order gets its truncation, equal to a fresh composition there,
+def test_xi_hat_of_s_equals_the_composition_with_s():
+    # D^k (s - 1), read off the tower, is xi_hat_k composed with s,
     # truncation order included
     cache = ResidueCache()
-    for k, order in ((3, 20), (3, 14), (1, 9), (3, 26), (1, 26), (3, 8)):
-        fresh = s_powers(order).substitute(xi_hat(k))
-        assert cache._xi_hat_of_s(k, order) == fresh, (k, order)
-    assert {k: held[0] for k, held in cache._xi_s.items()} == {1: 26, 3: 26}
+    for order in (8, 14, 20, 26, 38):
+        powers = s_powers(order)
+        for k in range(14):
+            fresh = powers.substitute(xi_hat(k))
+            assert cache._xi_hat_of_s(k, order) == fresh, (k, order)
+
+
+# each check on a direct form must fire when what it guards goes wrong
+
+PERTURBED_FORMS = [  # method, a kernel it evaluates, that kernel's
+    # degree, a constant, and a term above that degree
+    ("_pab_at", lambda cache: cache.p_ab(1, 2), 10, UniPoly({0: 1}),
+     UniPoly({11: 1})),
+    ("_pn_at", lambda cache: cache.p_n(2), 6,
+     MultiPoly(("t", "t_i"), {(0, 0): 1}),
+     MultiPoly(("t", "t_i"), {(7, 0): 1})),
+]
+
+
+@pytest.mark.parametrize("name, build, degree, one, top", PERTURBED_FORMS,
+                         ids=["p_ab", "p_n"])
+def test_truncation_guard_fires_on_a_high_order_mismatch(
+        monkeypatch, name, build, degree, one, top):
+    evaluate = getattr(ResidueCache, name)
+
+    def perturbed(self, *args):
+        result = evaluate(self, *args)
+        return result + one if args[-1] == degree + GUARD_HIGH else result
+
+    monkeypatch.setattr(ResidueCache, name, perturbed)
+    with pytest.raises(RuntimeError, match="truncation guard mismatch"):
+        build(ResidueCache())
+
+
+@pytest.mark.parametrize("name, build, degree, one, top", PERTURBED_FORMS,
+                         ids=["p_ab", "p_n"])
+def test_degree_check_fires_on_a_wrong_degree(monkeypatch, name, build,
+                                              degree, one, top):
+    # the same extra top term at both orders passes the guard
+    evaluate = getattr(ResidueCache, name)
+    monkeypatch.setattr(ResidueCache, name,
+                        lambda self, *args: evaluate(self, *args) + top)
+    with pytest.raises(RuntimeError, match=r"degrees .* \(internal error\)"):
+        build(ResidueCache())
+
+
+def test_a_wrong_tower_operator_is_caught(monkeypatch, capsys):
+    # with D replaced by (t^3 - t^2 + 1) d/dt, p_ab leaves its eta form
+    # and the BM fill leaves the Hodge identity
+    wrong = LaurentSeries.exact({-3: 1, -2: -1, 0: 1}, "1/t")
+    monkeypatch.setattr(residue_kernel, "_tower_step",
+                        lambda f: wrong * d_dt(f))
+    monkeypatch.setattr(residue_kernel, "DEFAULT_CACHE", ResidueCache())
+    assert main(["verify", "--suite", "residues"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: verification failed: residues: p_ab")
+    monkeypatch.setattr(residue_kernel, "DEFAULT_CACHE", ResidueCache())
+    # the solver memoizes p_ab and p_n per kernel object
+    monkeypatch.setitem(hodge_solver._KERNELS, "bm",
+                        replace(hodge_solver._KERNELS["bm"]))
+    with pytest.raises(ValueError, match="identity violated"):
+        HodgeTable().fill_to_complexity(5, method="bm")
 
 
 def test_invalid_indices():
