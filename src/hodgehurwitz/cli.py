@@ -17,24 +17,14 @@ method's table persists there as one JSON file (see ``_Tables``).
 """
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
 from functools import cache
 from typing import Optional
 
-from .exact_algebra import LaurentSeries, SeriesPowers, UniPoly, \
-    format_rational, laurent_reciprocal, rat
-from .hodge_solver import HodgeTable, dvv_verify, hodge_lambda, \
-    load_table_cache, save_table_cache
-from .hurwitz import h_brute, h_direct, hurwitz_elsv, table_generate
-from .lambert_curve import eta_xi_identity_check, h02_series_identity_check, \
-    s_involution, stirling_coefficients, v_series, w_series, xi_form
-from .residue_kernel import p_ab, p_ab_eta, p_n, p_n_eta
-from .reference_data import HODGE_REFERENCE, HURWITZ_GENUS_FIVE, \
-    HURWITZ_REFERENCE
+# Every command formats rationals; each runner and suite below imports
+# the other layers it calls, so a process loads only those.
+from .exact_algebra import format_rational, rat
 
 DEFAULT_BUDGET = 9
 # the series suite compares eta_n with xi_hat_n for these n; the
@@ -173,10 +163,11 @@ class _Tables:
 
     def __init__(self):
         self._cache_dir = os.environ.get("HURWITZ_REC_CACHE")
-        self._tables: dict[str, tuple[HodgeTable, int]] = {}
+        self._tables: dict[str, tuple] = {}
 
-    def get(self, method: str) -> HodgeTable:
+    def get(self, method: str):
         if method not in self._tables:
+            from .hodge_solver import HodgeTable, load_table_cache
             table = None
             if self._cache_dir:
                 table = load_table_cache(self._cache_dir, method)
@@ -188,6 +179,7 @@ class _Tables:
     def save(self) -> None:
         for method, (table, levels) in self._tables.items():
             if self._cache_dir and len(table.filled) > levels:
+                from .hodge_solver import save_table_cache
                 save_table_cache(table, self._cache_dir, method)
 
 
@@ -202,6 +194,7 @@ def _run_hodge(args, tables: _Tables) -> int:
     if any(n < 0 for n in indices):
         raise ValueError(f"indices must be ≥ 0, got {indices}")
     chi = 2 * args.g - 2 + len(indices)
+    from .hodge_solver import HodgeTable, hodge_lambda
     if chi < 1:
         # unstable; raise the canonical error without building a table
         hodge_lambda(args.g, indices, method=args.method,
@@ -210,6 +203,7 @@ def _run_hodge(args, tables: _Tables) -> int:
     j, value = hodge_lambda(args.g, indices, method=args.method,
                             table=tables.get(args.method))
     if args.format == "json":
+        import json
         print(json.dumps({
             "g": args.g,
             "indices": sorted(indices, reverse=True),
@@ -229,6 +223,7 @@ def _run_hurwitz(args, tables: _Tables) -> int:
     chi = 2 * args.g - 2 + ell
     r = chi + sum(mu)
     _refuse_over_branch_points(r)
+    from .hurwitz import h_brute, h_direct, hurwitz_elsv
     if args.method == "cutjoin":
         print(format_rational(h_direct(args.g, mu)))
         return 0
@@ -260,6 +255,7 @@ def _run_hurwitz(args, tables: _Tables) -> int:
 
 def _table_payload(rows: list[dict], fmt: str) -> str:
     if fmt == "json":
+        import json
         payload = [{
             "g": row["g"],
             "mu": row["mu"],
@@ -268,6 +264,8 @@ def _table_payload(rows: list[dict], fmt: str) -> str:
             "checked": row["checked"],
         } for row in rows]
         return json.dumps(payload, indent=2) + "\n"
+    import csv
+    import io
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["g", "mu", "h", "method", "checked"])
@@ -284,6 +282,7 @@ def _table_payload(rows: list[dict], fmt: str) -> str:
 
 def _run_table(args, tables: _Tables) -> int:
     _refuse_over_branch_points(2 * args.g_max - 2 + 2 * args.size_max)
+    from .hurwitz import table_generate
     rows = table_generate(
         args.g_max, args.size_max,
         include_genus_zero=args.include_genus_zero,
@@ -307,6 +306,12 @@ def _run_table(args, tables: _Tables) -> int:
 
 
 def _series_checks(order: int) -> list:
+    from .exact_algebra import LaurentSeries, SeriesPowers, \
+        laurent_reciprocal
+    from .lambert_curve import eta_xi_identity_check, \
+        h02_series_identity_check, s_involution, stirling_coefficients, \
+        v_series, w_series
+
     @cache
     def inv_s() -> SeriesPowers:
         """Powers of 1/s, formed once for every composition into 1/s."""
@@ -364,6 +369,8 @@ def _series_checks(order: int) -> list:
 
 
 def _residue_checks() -> list:
+    from .residue_kernel import p_ab, p_ab_eta, p_n, p_n_eta
+
     def pair_kernels():
         for a in range(0, 9):
             for b in range(0, 9 - a):
@@ -392,6 +399,10 @@ def _residue_checks() -> list:
 
 
 def _dvv_checks(budget: int, tables: _Tables) -> list:
+    from .exact_algebra import UniPoly
+    from .hodge_solver import dvv_verify
+    from .lambert_curve import xi_form
+
     def base_values():
         table = tables.get("cutjoin")
         return (table.value(0, (0, 0, 0)) == rat(1)
@@ -424,6 +435,11 @@ def _dvv_checks(budget: int, tables: _Tables) -> list:
 
 
 def _appendix_checks(budget: int, tables: _Tables) -> list:
+    from .hodge_solver import hodge_lambda
+    from .hurwitz import h_direct, hurwitz_elsv
+    from .reference_data import HODGE_REFERENCE, HURWITZ_GENUS_FIVE, \
+        HURWITZ_REFERENCE
+
     need = max(2 * g - 2 + len(idx) for g, idx, _, _ in HODGE_REFERENCE)
     need = max(need, max(2 * g - 2 + len(mu)
                          for g, mu, _ in HURWITZ_REFERENCE))

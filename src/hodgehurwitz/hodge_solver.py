@@ -44,23 +44,11 @@ assumed.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
 from math import factorial
-from typing import Callable, Optional
-
-# CPython's own SHA-256 module: importing hashlib would also load OpenSSL,
-# about 3.5 MB more resident memory in every CLI process
-try:
-    from _sha256 import sha256              # CPython <= 3.11
-except ImportError:
-    try:
-        from _sha2 import sha256            # CPython >= 3.12
-    except ImportError:
-        from hashlib import sha256
+from typing import Callable, NamedTuple, Optional
 
 from hodgehurwitz.exact_algebra import (
     HALF,
@@ -78,11 +66,9 @@ from hodgehurwitz.exact_algebra import (
     subsets,
 )
 from hodgehurwitz.lambert_curve import xi_form, xi_hat, xi_hat_over_t
-from hodgehurwitz.residue_kernel import p_ab, p_n
 
 
-@dataclass(frozen=True, order=True)
-class TauKey:
+class TauKey(NamedTuple):
     """A table key: genus plus a non-increasing tuple of tau-indices."""
 
     g: int
@@ -107,8 +93,7 @@ class TauKey:
         return 3 * self.g - 3 + len(self.indices)
 
 
-@dataclass(frozen=True)
-class XiIdentity:
+class XiIdentity(NamedTuple):
     """One recursion instance: an exact polynomial right-hand side plus
     the shape of the linear operator acting on the unknowns."""
 
@@ -268,13 +253,15 @@ def _cut_pair_poly(a: int, b: int) -> dict:
 # the recursion skeleton
 
 
-@dataclass(frozen=True, eq=False)
 class _Kernel:
     """What one recursion puts into the shared join/cut/split sum: join
     terms keyed (distinguished, spectator exponent), the cut terms of
     the distinguished slot, the label basis, the parity p of the label
     2w + p of a spectator w, and the left side as a sparse image
-    (unknown, chi) -> {key: weight} and its decoder key -> unknown."""
+    (unknown, chi) -> {key: weight} and its decoder key -> unknown.
+
+    Kernels compare and hash by identity: ``_labels`` keeps one memo per
+    kernel object, and a copy made by ``replace`` gets its own."""
 
     weight: Rational
     join: Callable[[int], dict]
@@ -285,14 +272,34 @@ class _Kernel:
     image: Callable[[tuple[int, ...], int], dict]
     decode: Callable[[tuple[int, ...]], Optional[tuple[int, ...]]]
 
+    def __init__(self, weight, join, cut, basis, parity, head, image,
+                 decode):
+        self.weight, self.join, self.cut, self.basis = weight, join, cut, basis
+        self.parity, self.head, self.image, self.decode = \
+            parity, head, image, decode
 
-# p_ab and p_n look up the process-wide ResidueCache at call time, so
-# that a wrapper installed on ResidueCache sees every build
+    def replace(self, **changes) -> _Kernel:
+        """A new kernel with ``changes`` to these fields."""
+        return _Kernel(**{**vars(self), **changes})
+
+
+# the residue kernels load with the first bm fill; p_ab and p_n look up
+# the process-wide ResidueCache at call time, so that a wrapper
+# installed on ResidueCache sees every build
+def _bm_join(m: int) -> dict:
+    from hodgehurwitz.residue_kernel import p_n
+    return p_n(m).terms
+
+
+def _bm_cut(a: int, b: int) -> dict:
+    from hodgehurwitz.residue_kernel import p_ab
+    return _terms(p_ab(a, b))
+
+
 _KERNELS = {
     "cutjoin": _Kernel(HALF, _join_pair_poly, _cut_pair_poly, _cutjoin_basis,
                        1, 0, _image_cutjoin, _decode_cutjoin),
-    "bm": _Kernel(ONE, lambda m: p_n(m).terms,
-                  lambda a, b: _terms(p_ab(a, b)), _bm_basis,
+    "bm": _Kernel(ONE, _bm_join, _bm_cut, _bm_basis,
                   0, 1, _image_bm, _decode_bm),
 }
 
@@ -799,6 +806,16 @@ def _cache_path(directory: str, method: str) -> str:
 
 def _levels_digest(levels) -> str:
     """SHA-256 of the canonical JSON of the cached ``levels`` rows."""
+    import json
+    # CPython's own SHA-256 module: importing hashlib would also load
+    # OpenSSL, about 3.5 MB more resident memory in every CLI process
+    try:
+        from _sha256 import sha256              # CPython <= 3.11
+    except ImportError:
+        try:
+            from _sha2 import sha256            # CPython >= 3.12
+        except ImportError:
+            from hashlib import sha256
     canonical = json.dumps(levels, sort_keys=True, separators=(",", ":"))
     return sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -806,6 +823,7 @@ def _levels_digest(levels) -> str:
 def save_table_cache(table: HodgeTable, directory: str, method: str) -> str:
     """Write every filled level of ``table`` to the method's cache file,
     with the schema version and the digest of the rows, atomically."""
+    import json
     levels = [
         {
             "g": g,
@@ -837,6 +855,7 @@ def load_table_cache(directory: str, method: str) -> Optional[HodgeTable]:
     path = _cache_path(directory, method)
     if not os.path.exists(path):
         return None
+    import json
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)

@@ -22,14 +22,15 @@ check between the recursions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import factorial
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from hodgehurwitz.exact_algebra import ONE, ZERO, HALF, Rational, aut, \
-    distinct_permutations, rat, subsets
-from hodgehurwitz.hodge_solver import HodgeTable, default_table
+from hodgehurwitz.exact_algebra import ONE, ZERO, HALF, Rational, aut, rat, \
+    subsets
+
+if TYPE_CHECKING:
+    from hodgehurwitz.hodge_solver import HodgeTable
 
 
 def _normalize_mu(mu) -> tuple[int, ...]:
@@ -39,8 +40,7 @@ def _normalize_mu(mu) -> tuple[int, ...]:
     return parts
 
 
-@dataclass(frozen=True, order=True)
-class HurwitzKey:
+class HurwitzKey(NamedTuple):
     """Genus plus a ramification profile (non-increasing, positive)."""
 
     g: int
@@ -125,6 +125,24 @@ def genus_zero_two_part(a: int, b: int) -> Rational:
     return value / (factorial(a) * factorial(b) * aut((a, b)))
 
 
+def _elsv_weight(mu: tuple[int, ...], idx: tuple[int, ...]) -> int:
+    """sum over the distinct orders n of ``idx`` of prod mu_i^n_i: the
+    integer weight of the Hodge integral <tau_idx ...> in h(g, mu).
+
+    The orders are built one part of mu at a time; the partial orders
+    that leave the same indices to place share one partial sum."""
+    partial = {tuple(sorted(idx)): 1}
+    for m in mu:
+        placed: dict[tuple[int, ...], int] = {}
+        for rest, acc in partial.items():
+            for n in set(rest):
+                i = rest.index(n)
+                left = rest[:i] + rest[i + 1:]
+                placed[left] = placed.get(left, 0) + acc * m ** n
+        partial = placed
+    return partial[()]
+
+
 def hurwitz_elsv(g: int, mu, table: Optional[HodgeTable] = None) -> Rational:
     """Simple Hurwitz number as a weighted sum of Hodge integrals:
 
@@ -136,15 +154,12 @@ def hurwitz_elsv(g: int, mu, table: Optional[HodgeTable] = None) -> Rational:
     if 2 * g - 2 + ell < 1:
         raise ValueError(f"unstable (g,ell)=({g},{ell})")
     if table is None:
+        from hodgehurwitz.hodge_solver import default_table
         table = default_table()
     table.ensure_level(g, ell)
     total = ZERO
     for idx, val in table.level_entries(g, ell).items():
-        for perm in distinct_permutations(idx):
-            term = val
-            for m, n in zip(key.mu, perm):
-                term = term * rat(m) ** n
-            total = total + term
+        total = total + val * _elsv_weight(key.mu, idx)
     prefactor = rat(factorial(key.r)) / aut(key.mu)
     for m in key.mu:
         prefactor = prefactor * rat(m) ** m / factorial(m)
@@ -243,15 +258,7 @@ def elsv_invert(g: int, ell: int) -> dict:
     rhs = []
     for n_row in unknowns:
         mu = tuple(m + 1 for m in n_row)
-        coeffs = [ZERO] * size
-        for n_col in unknowns:
-            acc = ZERO
-            for perm in distinct_permutations(n_col):
-                term = ONE
-                for m, n in zip(mu, perm):
-                    term = term * rat(m) ** n
-                acc = acc + term
-            coeffs[index_of[n_col]] = acc
+        coeffs = [_elsv_weight(mu, n_col) for n_col in unknowns]
         h = h_direct(g, mu)
         r = 2 * g - 2 + ell + sum(mu)
         normalized = h * aut(mu) / factorial(r)
@@ -313,6 +320,7 @@ def table_generate(g_max: int, d_max: int, include_genus_zero: bool = False,
     if d_max < 1:
         raise ValueError("d-max must be ≥ 1")
     if hodge_table is None:
+        from hodgehurwitz.hodge_solver import default_table
         hodge_table = default_table()
     rows = []
     genera = range(0 if include_genus_zero else 1, g_max + 1)

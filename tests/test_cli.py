@@ -7,8 +7,9 @@ import sys
 import pytest
 
 import hodgehurwitz
-from hodgehurwitz import cli, lambert_curve
-from hodgehurwitz.cli import MAX_BRANCH_POINTS, MAX_SERIES_ORDER, main
+from hodgehurwitz import hurwitz, lambert_curve
+from hodgehurwitz.cli import MAX_BRANCH_POINTS, MAX_SERIES_ORDER, \
+    MIN_SERIES_ORDER, main
 from hodgehurwitz.hodge_solver import HodgeTable
 
 
@@ -218,7 +219,7 @@ def test_hurwitz_refuses_too_many_branch_points(capsys, monkeypatch, g, mu,
     # refused before any work: the recursion would overflow the stack or
     # run for minutes
     for route in ("h_direct", "h_brute", "hurwitz_elsv"):
-        monkeypatch.setattr(cli, route, None)
+        monkeypatch.setattr(hurwitz, route, None)
     code, out, err = run(capsys, "hurwitz", "--g", g, "--mu", mu,
                          "--method", method)
     assert (code, out) == (1, "")
@@ -257,7 +258,7 @@ def test_table_refuses_too_many_branch_points(capsys, monkeypatch, g_max,
                                               size_max, r):
     # the largest row (g_max, 1^size_max) needs r = 2 g_max - 2 + 2 size_max
     # branch points; refused before any work
-    monkeypatch.setattr(cli, "table_generate", None)
+    monkeypatch.setattr(hurwitz, "table_generate", None)
     code, out, err = run(capsys, "table", "--g-max", g_max, "--size-max",
                          size_max)
     assert (code, out) == (1, "")
@@ -409,6 +410,62 @@ def test_unknown_subcommand_exits_nonzero():
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
     assert proc.stderr.count("\n") == 1
+
+
+# What one request imports: run in a fresh interpreter, print the exit
+# code and every module that cli.main added.  json and dataclasses are
+# dropped first, so that a .pth file that preloads them cannot hide them.
+_IMPORT_PROBE = """\
+import io, sys
+for name in [m for m in sys.modules
+             if m.split(".")[0] in ("json", "dataclasses")]:
+    del sys.modules[name]
+before = set(sys.modules)
+from hodgehurwitz import cli
+sys.stdout, out = io.StringIO(), sys.stdout
+code = cli.main(sys.argv[1:])
+sys.stdout = out
+print(code, *sorted(set(sys.modules) - before))
+"""
+_HODGE_SET = {"lambert_curve", "hodge_solver"}
+
+
+@pytest.mark.parametrize("argv, modules, uses_json, cached", [
+    # a no-op: the seeded base level
+    ("hodge --g 1 --indices 1", _HODGE_SET, False, False),
+    ("hodge --g 1 --indices 1,0", _HODGE_SET, False, False),
+    ("hodge --g 1 --indices 1,0 --format json", _HODGE_SET, True, False),
+    ("hodge --g 1 --indices 1,0", _HODGE_SET, True, True),
+    ("hodge --g 1 --indices 1,0 --method bm",
+     _HODGE_SET | {"residue_kernel"}, False, False),
+    ("hodge --g 1 --indices 1,0 --method both",
+     _HODGE_SET | {"residue_kernel"}, False, False),
+    ("hurwitz --g 1 --mu 3 --method cutjoin", {"hurwitz"}, False, False),
+    ("hurwitz --g 1 --mu 3 --method brute", {"hurwitz"}, False, False),
+    ("hurwitz --g 1 --mu 2,1 --method elsv", _HODGE_SET | {"hurwitz"},
+     False, False),
+    ("hurwitz --g 1 --mu 2,1 --method cross", _HODGE_SET | {"hurwitz"},
+     False, False),
+    ("table --g-max 1 --size-max 2", _HODGE_SET | {"hurwitz"}, False, False),
+    (f"verify --suite series --order {MIN_SERIES_ORDER}", {"lambert_curve"},
+     False, False),
+])
+def test_each_command_loads_only_its_modules(tmp_path, argv, modules,
+                                             uses_json, cached):
+    env = {k: v for k, v in os.environ.items() if k != "HURWITZ_REC_CACHE"}
+    if cached:
+        env["HURWITZ_REC_CACHE"] = str(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv.split()],
+        capture_output=True, text=True, env=env,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    assert proc.returncode == 0, proc.stderr
+    code, *added = proc.stdout.split()
+    assert code == "0"
+    assert {m for m in added if m.startswith("hodgehurwitz.")} == \
+        {f"hodgehurwitz.{m}" for m in modules | {"cli", "exact_algebra"}}
+    assert "dataclasses" not in added
+    assert ("json" in added) == uses_json
 
 
 # --- library surface -----------------------------------------------------

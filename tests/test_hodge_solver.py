@@ -1,7 +1,6 @@
 """Tests for the Hodge-integral table and its two recursion pipelines."""
 
 import json
-from dataclasses import replace
 from math import factorial
 
 import pytest
@@ -247,6 +246,19 @@ def test_label_basis_is_triangular_and_converts_monomials(method):
         assert back == UniPoly({d: 1})
 
 
+def test_kernel_copy_is_a_distinct_key_with_the_same_fields():
+    # _labels memoizes per kernel object: a copy must never hit the
+    # original's entries, even with every field unchanged
+    kernel = _KERNELS["bm"]
+    copy = kernel.replace()
+    assert copy is not kernel and copy != kernel
+    assert len({kernel, copy}) == 2
+    assert vars(copy) == vars(kernel)
+    assert kernel.replace(head=0).head == 0 and kernel.head == 1
+    with pytest.raises(TypeError):
+        kernel.replace(wieght=rat(1))
+
+
 # each mutation of a correct solver must end in "identity violated"
 
 
@@ -254,7 +266,7 @@ def test_label_basis_is_triangular_and_converts_monomials(method):
 def test_mutated_kernel_weight_raises(monkeypatch, method):
     kernel = _KERNELS[method]
     monkeypatch.setitem(_KERNELS, method,
-                        replace(kernel, weight=kernel.weight * rat(2, 3)))
+                        kernel.replace(weight=kernel.weight * rat(2, 3)))
     with pytest.raises(ValueError, match="identity violated"):
         HodgeTable().fill_to_complexity(5, method=method)
 
@@ -274,8 +286,8 @@ def test_mutated_stored_value_raises(method):
 def test_mutated_join_polynomial_raises(monkeypatch, method):
     # doubled, the join keeps every key resolvable: the reads must catch it
     kernel = _KERNELS[method]
-    monkeypatch.setitem(_KERNELS, method, replace(
-        kernel, join=lambda m: {e: 2 * c for e, c in kernel.join(m).items()}))
+    monkeypatch.setitem(_KERNELS, method, kernel.replace(
+        join=lambda m: {e: 2 * c for e, c in kernel.join(m).items()}))
     with pytest.raises(ValueError, match="identity violated"):
         HodgeTable().fill_to_complexity(5, method=method)
 

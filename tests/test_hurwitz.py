@@ -1,5 +1,8 @@
 """Tests for the three Hurwitz-number routes and the ELSV bridge."""
 
+from fractions import Fraction
+from math import prod
+
 import pytest
 
 from hodgehurwitz.exact_algebra import rat
@@ -13,6 +16,7 @@ from hodgehurwitz.hurwitz import (
     h_direct,
     hurwitz_elsv,
     table_generate,
+    _elsv_weight,
     _partitions,
 )
 
@@ -118,6 +122,46 @@ def test_elsv_invert_matches_solver():
 def test_elsv_invert_unstable():
     with pytest.raises(ValueError, match="unstable"):
         elsv_invert(0, 2)
+
+
+def _orders(idx: tuple) -> list:
+    """Every distinct order of the multiset ``idx``."""
+    if not idx:
+        return [()]
+    out = []
+    for v in sorted(set(idx)):
+        rest = list(idx)
+        rest.remove(v)
+        out += [(v,) + tail for tail in _orders(tuple(rest))]
+    return out
+
+
+def _multisets(length: int, total_max: int, cap: int):
+    """Non-increasing tuples of ``length`` entries with sum <= total_max."""
+    if length == 0:
+        yield ()
+        return
+    for first in range(min(cap, total_max), -1, -1):
+        for rest in _multisets(length - 1, total_max - first, first):
+            yield (first,) + rest
+
+
+def test_elsv_weight_is_the_rational_power_sum():
+    # the weight of <tau_idx ...> in h(g, mu), summed over the distinct
+    # orders of idx as Fraction powers, is an exact integer
+    cases = 0
+    for d in range(1, 9):
+        for mu in _partitions(d):
+            for idx in _multisets(len(mu), 6, 6):
+                reference = sum(prod((Fraction(m) ** n
+                                      for m, n in zip(mu, order)),
+                                     start=Fraction(1))
+                                for order in _orders(idx))
+                weight = _elsv_weight(mu, idx)
+                assert type(weight) is int
+                assert weight == reference, (mu, idx)
+                cases += 1
+    assert cases > 1000
 
 
 def test_hurwitz_key_normalization():

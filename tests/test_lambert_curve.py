@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -347,7 +346,7 @@ def test_bm_hodge_solves_s_only_when_the_order_rises(capsys, monkeypatch,
     # the solver memoizes p_ab and p_n in its label basis per kernel
     # object, so a copy of the bm kernel asks the fresh cache again
     monkeypatch.setitem(hodge_solver._KERNELS, "bm",
-                        replace(hodge_solver._KERNELS["bm"]))
+                        hodge_solver._KERNELS["bm"].replace())
     memo, requested = lambert_curve._CURVE, []
     serve = memo.serve
 

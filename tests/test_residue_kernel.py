@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from hodgehurwitz import hodge_solver, residue_kernel
@@ -164,7 +162,7 @@ def test_a_wrong_tower_operator_is_caught(monkeypatch, capsys):
     monkeypatch.setattr(residue_kernel, "DEFAULT_CACHE", ResidueCache())
     # the solver memoizes p_ab and p_n per kernel object
     monkeypatch.setitem(hodge_solver._KERNELS, "bm",
-                        replace(hodge_solver._KERNELS["bm"]))
+                        hodge_solver._KERNELS["bm"].replace())
     with pytest.raises(ValueError, match="identity violated"):
         HodgeTable().fill_to_complexity(5, method="bm")
 
