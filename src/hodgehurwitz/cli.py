@@ -27,6 +27,9 @@ from typing import Optional
 from .exact_algebra import format_rational, rat
 
 DEFAULT_BUDGET = 9
+# a fill to complexity chi, both pipelines, takes about 3 s at chi 9 on
+# one core and doubles with each step (10: 8 s, 11: 16 s, 12: 34 s)
+MAX_BUDGET = 10
 # the series suite compares eta_n with xi_hat_n for these n; the
 # comparison window opens at truncation order 2n + 2
 ETA_INDICES = range(-1, 9)
@@ -54,7 +57,7 @@ def _add_common(sub) -> None:
         "--complexity-budget", type=int, default=DEFAULT_BUDGET,
         metavar="CHI",
         help="largest recursion level 2g-2+ell the Hodge table may fill "
-             f"(default {DEFAULT_BUDGET})")
+             f"(default {DEFAULT_BUDGET}, 1 to {MAX_BUDGET})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,8 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--include-genus-zero", action="store_true",
                        help="also emit g = 0 rows")
     table.add_argument("--check", action="store_true",
-                       help="recompute every row by the branch-point "
-                            "recursion and compare")
+                       help="recompute every row by a second route and "
+                            "compare: the branch-point recursion for elsv "
+                            "rows; for direct rows the closed genus-zero "
+                            "forms (g = 0, at most two parts), else brute "
+                            "force (|mu| <= 5, r <= 8); checked is false "
+                            "where no second route applies")
     _add_common(table)
 
     verify = sub.add_parser(
@@ -139,6 +146,8 @@ def _parse_parts(text: str, what: str) -> tuple:
 def _validate_common(args) -> None:
     if args.complexity_budget < 1:
         raise ValueError("complexity-budget must be ≥ 1")
+    if args.complexity_budget > MAX_BUDGET:
+        raise ValueError(f"complexity-budget must be ≤ {MAX_BUDGET}")
 
 
 def _refuse_over_branch_points(r: int) -> None:
@@ -223,7 +232,7 @@ def _run_hurwitz(args, tables: _Tables) -> int:
     chi = 2 * args.g - 2 + ell
     r = chi + sum(mu)
     _refuse_over_branch_points(r)
-    from .hurwitz import h_brute, h_direct, hurwitz_elsv
+    from .hurwitz import brute_in_range, h_brute, h_direct, hurwitz_elsv
     if args.method == "cutjoin":
         print(format_rational(h_direct(args.g, mu)))
         return 0
@@ -240,7 +249,7 @@ def _run_hurwitz(args, tables: _Tables) -> int:
     if chi >= 1 and chi <= args.complexity_budget:
         results.append(("elsv", hurwitz_elsv(args.g, mu,
                                              table=tables.get("cutjoin"))))
-    if sum(mu) <= 5 and r <= 8:
+    if brute_in_range(args.g, mu):
         results.append(("brute", h_brute(args.g, mu)))
     vals = {format_rational(v) for _, v in results}
     if len(vals) != 1:

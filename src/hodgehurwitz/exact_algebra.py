@@ -687,7 +687,9 @@ def laurent_reciprocal(s: LaurentSeries,
         if order is not None:
             out_t = min(out_t, order)
     lead = s.coeffs[val]
-    inv: dict[int, Rational] = {-val: 1 / lead}
+    # a cap below the leading degree -val leaves no coefficient known
+    inv: dict[int, Rational] = (
+        {-val: 1 / lead} if out_t is None or out_t >= -val else {})
     if out_t is not None:
         for m in range(1, out_t + val + 1):
             acc = ZERO

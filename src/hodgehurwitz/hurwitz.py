@@ -170,6 +170,12 @@ _BRUTE_D_MAX = 5
 _BRUTE_R_MAX = 8
 
 
+def brute_in_range(g: int, mu) -> bool:
+    """True when ``h_brute`` answers h(g, mu)."""
+    key = HurwitzKey.make(g, mu)
+    return sum(key.mu) <= _BRUTE_D_MAX and key.r <= _BRUTE_R_MAX
+
+
 def h_brute(g: int, mu) -> Rational:
     """Count monodromy tuples directly in the symmetric group.
 
@@ -182,7 +188,7 @@ def h_brute(g: int, mu) -> Rational:
     key = HurwitzKey.make(g, mu)
     d = sum(key.mu)
     r = key.r
-    if d > _BRUTE_D_MAX or r > _BRUTE_R_MAX:
+    if not brute_in_range(g, mu):
         raise ValueError(
             f"oracle out of range: need |mu| <= {_BRUTE_D_MAX} and "
             f"r <= {_BRUTE_R_MAX}, got |mu|={d}, r={r}")
@@ -303,6 +309,23 @@ def _partitions(d: int, cap: Optional[int] = None):
             yield (first,) + rest
 
 
+def _second_route(g: int, mu: tuple[int, ...], how: str):
+    """(name, value) of h(g, mu) by a route that shares no code with
+    the row's own route ``how``, or None if there is none: the
+    recursion for a formula row; for a recursion row the closed
+    genus-zero forms (g = 0, at most two parts), else ``h_brute``
+    within its range."""
+    if how == "elsv":
+        return "direct", h_direct(g, mu)
+    if g == 0 and len(mu) == 1:
+        return "closed form", genus_zero_one_part(*mu)
+    if g == 0 and len(mu) == 2:
+        return "closed form", genus_zero_two_part(*mu)
+    if brute_in_range(g, mu):
+        return "brute", h_brute(g, mu)
+    return None
+
+
 def table_generate(g_max: int, d_max: int, include_genus_zero: bool = False,
                    check: bool = False,
                    hodge_table: Optional[HodgeTable] = None,
@@ -313,7 +336,9 @@ def table_generate(g_max: int, d_max: int, include_genus_zero: bool = False,
     levels it cannot see (genus 0 with fewer than three parts), or
     whose complexity 2g-2+ell exceeds ``chi_budget``, fall back to
     the branch-point recursion.  With ``check`` every row is
-    recomputed by the recursion and compared exactly.
+    recomputed by a route that shares no code with its own
+    (``_second_route``) and compared exactly; a row with no such route
+    is marked unchecked.
     """
     if g_max < 1:
         raise ValueError("g-max must be ≥ 1 for the Hurwitz table")
@@ -334,19 +359,16 @@ def table_generate(g_max: int, d_max: int, include_genus_zero: bool = False,
                 else:
                     how = "direct"
                     value = h_direct(g, mu)
-                checked = False
-                if check:
-                    other = h_direct(g, mu)
-                    if other != value:
-                        raise ValueError(
-                            f"pipelines disagree at h({g}, {mu}): "
-                            f"{how} gives {value}, direct gives {other}")
-                    checked = True
+                second = _second_route(g, mu, how) if check else None
+                if second is not None and second[1] != value:
+                    raise ValueError(
+                        f"pipelines disagree at h({g}, {mu}): {how} gives "
+                        f"{value}, {second[0]} gives {second[1]}")
                 rows.append({
                     "g": g,
                     "mu": list(mu),
                     "h": value,
                     "method": how,
-                    "checked": checked,
+                    "checked": second is not None,
                 })
     return rows

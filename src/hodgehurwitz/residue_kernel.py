@@ -18,13 +18,16 @@ xi_hat_k(s(t)) = D^k (s(t) - 1).  In one line: for F(t) = f(s(t)),
 D F = t^2 (t - 1) f'(s) s' = s^2 (s - 1) f'(s) = (D f)(s), by the ODE
 s' t^2 (t - 1) = s^2 (s - 1) that s solves.
 
-All series arithmetic runs at a guarded truncation: the direct forms
-are evaluated at two different orders (target degree + 6 and + 12) and
-the polynomial parts must agree exactly, otherwise an internal error is
-raised.  Each order builds its own series context, tower included, so
-the two evaluations share nothing but the solve of s.  The
-honest-truncation tracking in the series layer underpins this: a
-too-low order fails loudly instead of corrupting coefficients.
+Each kernel is evaluated once, at truncation order N = degree + 3 for
+its exact t-degree: the least order at which the honest truncation
+that the series layer tracks reaches t^0.  With s known through t^-N,
+K/(t^2 (t - 1)) ~ t^-2 is known through t^-(N - 1); p_ab multiplies it
+by a sum ~ t^(degree + 2), so its product is known through
+t^-(N - degree - 3).  Every term of the t_i-primitive of p_n is known
+through t^-(N - degree) or beyond, so N = degree would do there; one
+rule for both families gives p_n(a+b+1) the context of p_ab(a, b).  At
+any lower order ``polynomial_part`` raises ``TruncationError``, and
+the eta forms stay the independent check of the values.
 """
 
 from __future__ import annotations
@@ -48,26 +51,20 @@ from hodgehurwitz.lambert_curve import (
     xi_hat,
 )
 
-GUARD_LOW = 6
-GUARD_HIGH = 12
-
 
 def _tower_step(f: LaurentSeries) -> LaurentSeries:
     """D f = t^2 (t - 1) df/dt; t^2 (t - 1) is xi_hat_1."""
     return poly_as_recip_series(xi_hat(1)) * d_dt(f)
 
 
-def _guarded(memo: dict, key, name: str, at: Callable[[int], object],
-             degree: int, degrees: Callable[[object], tuple]):
-    """``memo[key]``, evaluated on first use as ``at(order)`` at order
-    degree + GUARD_LOW.  That must equal ``at(degree + GUARD_HIGH)``,
-    and every entry of ``degrees`` of it must be ``degree``; otherwise
-    an internal error is raised."""
+def _evaluated(memo: dict, key, name: str, at: Callable[[int], object],
+               degree: int, degrees: Callable[[object], tuple]):
+    """``memo[key]``, evaluated on first use as ``at(degree + 3)``, the
+    least order that knows the polynomial part; every entry of
+    ``degrees`` of it must be ``degree``, otherwise an internal error is
+    raised."""
     if key not in memo:
-        result = at(degree + GUARD_LOW)
-        if result != at(degree + GUARD_HIGH):
-            raise RuntimeError(
-                f"truncation guard mismatch for {name} (internal error)")
+        result = at(degree + 3)
         if set(degrees(result)) != {degree}:
             raise RuntimeError(f"{name} degrees {degrees(result)} != "
                                f"{degree} (internal error)")
@@ -129,9 +126,9 @@ class ResidueCache:
         if a < 0 or b < 0:
             raise ValueError("p_ab indices must be >= 0")
         key = (min(a, b), max(a, b))
-        return _guarded(self.pab, key, f"p_ab{key}",
-                        lambda order: self._pab_at(*key, order),
-                        2 * (a + b + 2), lambda q: (q.degree(),))
+        return _evaluated(self.pab, key, f"p_ab{key}",
+                          lambda order: self._pab_at(*key, order),
+                          2 * (a + b + 2), lambda q: (q.degree(),))
 
     def _pn_at(self, n: int, order: int) -> MultiPoly:
         ctx = self._context(order)
@@ -151,9 +148,9 @@ class ResidueCache:
     def p_n(self, n: int) -> MultiPoly:
         if n < 0:
             raise ValueError("p_n index must be >= 0")
-        return _guarded(self.pn, n, f"p_n({n})",
-                        lambda order: self._pn_at(n, order), 2 * n + 2,
-                        lambda q: (q.degree_in("t"), q.degree_in("t_i")))
+        return _evaluated(self.pn, n, f"p_n({n})",
+                          lambda order: self._pn_at(n, order), 2 * n + 2,
+                          lambda q: (q.degree_in("t"), q.degree_in("t_i")))
 
 
 DEFAULT_CACHE = ResidueCache()
@@ -176,7 +173,7 @@ def p_ab_eta(a: int, b: int, order: Optional[int] = None) -> UniPoly:
         raise ValueError("p_ab_eta indices must be >= 0")
     degree = 2 * (a + b + 2)
     if order is None:
-        order = degree + GUARD_HIGH
+        order = degree + 12
     v = v_powers(order)
     inv_eta = laurent_reciprocal(eta_series(-1, order))
     odd = eta_series(a + 1, order) * eta_series(b + 1, order) * inv_eta
@@ -191,7 +188,7 @@ def p_n_eta(n: int, order: Optional[int] = None,
     if n < 0:
         raise ValueError("p_n_eta index must be >= 0")
     if order is None:
-        order = 2 * n + 4 + GUARD_HIGH
+        order = 2 * n + 16
     if m_max is None:
         m_max = n + 2  # higher m cannot contribute
     v = v_powers(order)

@@ -8,8 +8,8 @@ import pytest
 
 import hodgehurwitz
 from hodgehurwitz import hurwitz, lambert_curve
-from hodgehurwitz.cli import MAX_BRANCH_POINTS, MAX_SERIES_ORDER, \
-    MIN_SERIES_ORDER, main
+from hodgehurwitz.cli import MAX_BRANCH_POINTS, MAX_BUDGET, \
+    MAX_SERIES_ORDER, MIN_SERIES_ORDER, main
 from hodgehurwitz.hodge_solver import HodgeTable
 
 
@@ -298,6 +298,41 @@ def test_table_check_and_genus_zero(capsys):
     assert zero_rows[(1, 1, 1)]["method"] == "elsv"
 
 
+@pytest.mark.parametrize("form, row", [
+    ("genus_zero_one_part", "h(0, (3,))"),
+    ("genus_zero_two_part", "h(0, (2, 1))"),
+], ids=["one_part", "two_part"])
+def test_table_check_compares_direct_rows_with_a_closed_form(
+        capsys, monkeypatch, form, row):
+    # a direct row is checked by a route that shares no code with
+    # h_direct, so a wrong closed form is caught
+    right = getattr(hurwitz, form)
+    monkeypatch.setattr(hurwitz, form, lambda *parts: right(*parts) + 1
+                        if sum(parts) == 3 else right(*parts))
+    code, out, err = run(capsys, "table", "--g-max", "1", "--size-max", "3",
+                         "--include-genus-zero", "--check")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: pipelines disagree at {row}: direct ")
+    assert err.count("\n") == 1
+
+
+def test_table_check_marks_rows_beyond_every_second_route(capsys):
+    # at budget 1 only chi = 1 rows go through the formula; the other
+    # rows are direct, and brute force checks them where |mu| <= 5 and
+    # r <= 8
+    code, out, _ = run(capsys, "table", "--g-max", "2", "--size-max", "4",
+                       "--complexity-budget", "1", "--check")
+    assert code == 0
+    rows = {line.rsplit(",", 3)[0]: line.split(",")[3:]
+            for line in out.splitlines()[1:]}
+    assert rows["1,1"] == ["elsv", "true"]          # chi 1, by recursion
+    assert rows["1,1 1"] == ["direct", "true"]      # r = 4, by brute force
+    assert rows["2,2 2"] == ["direct", "true"]      # r = 8
+    assert rows["2,2 1 1"] == ["direct", "false"]   # r = 9
+    assert rows["2,1 1 1 1"] == ["direct", "false"]  # r = 10
+    assert out.count(",false\n") == 2
+
+
 def test_table_out_file(capsys, tmp_path):
     target = tmp_path / "rows.csv"
     code, out, _ = run(capsys, "table", "--g-max", "1", "--size-max", "2",
@@ -387,6 +422,32 @@ def test_flag_validation_precedes_work(capsys, solved):
     assert code == 1
     assert err == "error: complexity-budget must be ≥ 1\n"
     assert solved == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("hodge", "--g", "600", "--indices", "1500"),
+    ("hodge", "--g", "5", "--indices", "2", "--method", "both"),
+    ("hurwitz", "--g", "3", "--mu", "2", "--method", "elsv"),
+    ("table", "--g-max", "6", "--size-max", "2"),
+    ("verify", "--suite", "appendix"),
+], ids=["hodge", "hodge_both", "hurwitz_elsv", "table", "verify"])
+@pytest.mark.parametrize("budget", [str(MAX_BUDGET + 1), "2000"])
+def test_budget_above_the_ceiling_is_refused_before_work(
+        capsys, monkeypatch, argv, budget):
+    def fail(*args, **kwargs):
+        raise AssertionError("no Hodge level may be solved")
+
+    monkeypatch.setattr(HodgeTable, "ensure_level", fail)
+    monkeypatch.setattr(HodgeTable, "fill_to_complexity", fail)
+    monkeypatch.setattr(HodgeTable, "_solve_level", fail)
+    assert run(capsys, *argv, "--complexity-budget", budget) == \
+        (1, "", f"error: complexity-budget must be ≤ {MAX_BUDGET}\n")
+
+
+def test_budget_at_the_ceiling_answers(capsys):
+    assert run(capsys, "hodge", "--g", "2", "--indices", "3",
+               "--complexity-budget", str(MAX_BUDGET)) == \
+        (0, "j=1 value=1/480\n", "")
 
 
 # --- process-level entry points ------------------------------------------

@@ -212,6 +212,23 @@ def test_laurent_reciprocal_exact_nonmonomial_needs_order():
         assert r.coefficient(d) == 1
 
 
+@pytest.mark.parametrize("s, cap", [
+    (LaurentSeries.exact({-3: 1, -2: -1}, "1/t"), 2),  # t^2 (t - 1)
+    (LaurentSeries({-1: 1, 0: 1}, "1/t", truncation_order=5), 0),
+], ids=["exact", "truncated"])
+def test_laurent_reciprocal_cap_below_the_leading_degree(s, cap):
+    # the inverse starts at degree -val(s) > cap: nothing is known
+    # through the cap, and the series says so instead of raising
+    r = laurent_reciprocal(s, order=cap)
+    assert r.is_zero()
+    assert r.truncation_order == cap
+    assert r.min_degree == -s.valuation()
+    assert (s * r).truncation_order < 0
+    # one degree higher, the cap reaches the leading term
+    r = laurent_reciprocal(s, order=-s.valuation())
+    assert r.coeffs == {-s.valuation(): 1}
+
+
 def test_laurent_substitute_polynomial():
     p = UniPoly({2: 1, 0: -1})  # t^2 - 1
     s = LaurentSeries({1: 1, 2: 1}, "v", 1, 6)  # v + v^2 + O(v^7)

@@ -13,7 +13,6 @@ from hodgehurwitz.exact_algebra import (
 from hodgehurwitz.hodge_solver import HodgeTable
 from hodgehurwitz.lambert_curve import d_dt, s_powers, xi_hat
 from hodgehurwitz.residue_kernel import (
-    GUARD_HIGH,
     ResidueCache,
     p_ab,
     p_ab_eta,
@@ -110,38 +109,70 @@ def test_xi_hat_of_s_equals_the_composition_with_s():
             assert cache._xi_hat_of_s(k, order) == fresh, (k, order)
 
 
+# each kernel is evaluated once, at order degree + 3 (module docstring)
+
+
+def test_kernels_equal_an_evaluation_nine_orders_higher():
+    # every p_ab and p_n a BM fill to chi 9 uses, against a fresh cache
+    # at the old two-order margin
+    high = ResidueCache()
+    for a in range(6):
+        for b in range(a, 12 - a):
+            degree = 2 * (a + b + 2)
+            assert p_ab(a, b) == high._pab_at(a, b, degree + 12), (a, b)
+    for n in range(12):
+        assert p_n(n) == high._pn_at(n, 2 * n + 2 + 12), n
+
+
+@pytest.mark.parametrize("a, b", [(0, 0), (0, 3), (2, 2), (1, 5), (4, 4)])
+def test_p_ab_one_order_below_the_rule_raises(a, b):
+    cache, degree = ResidueCache(), 2 * (a + b + 2)
+    with pytest.raises(TruncationError):
+        cache._pab_at(a, b, degree + 2)
+    assert cache._pab_at(a, b, degree + 3) == p_ab(a, b)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 6, 9])
+def test_p_n_one_order_below_its_least_order_raises(n):
+    # p_n is known from order = degree on (module docstring)
+    cache, degree = ResidueCache(), 2 * n + 2
+    with pytest.raises(TruncationError):
+        cache._pn_at(n, degree - 1)
+    assert cache._pn_at(n, degree) == p_n(n)
+
+
+def test_each_kernel_is_evaluated_once(monkeypatch):
+    calls = []
+    for name in ("_pab_at", "_pn_at"):
+        def recording(self, *args, _evaluate=getattr(ResidueCache, name)):
+            calls.append(args)
+            return _evaluate(self, *args)
+        monkeypatch.setattr(ResidueCache, name, recording)
+    cache = ResidueCache()
+    for _ in range(2):
+        cache.p_ab(2, 1)
+        cache.p_ab(1, 2)
+        cache.p_n(4)
+    assert calls == [(1, 2, 13), (4, 13)]
+    # p_n(a+b+1) shares the series context of p_ab(a, b)
+    assert list(cache._ctx) == [13]
+
+
 # each check on a direct form must fire when what it guards goes wrong
 
-PERTURBED_FORMS = [  # method, a kernel it evaluates, that kernel's
-    # degree, a constant, and a term above that degree
-    ("_pab_at", lambda cache: cache.p_ab(1, 2), 10, UniPoly({0: 1}),
-     UniPoly({11: 1})),
-    ("_pn_at", lambda cache: cache.p_n(2), 6,
-     MultiPoly(("t", "t_i"), {(0, 0): 1}),
+PERTURBED_FORMS = [  # method, a kernel it evaluates, and a term above
+    # that kernel's degree
+    ("_pab_at", lambda cache: cache.p_ab(1, 2), UniPoly({11: 1})),
+    ("_pn_at", lambda cache: cache.p_n(2),
      MultiPoly(("t", "t_i"), {(7, 0): 1})),
 ]
 
 
-@pytest.mark.parametrize("name, build, degree, one, top", PERTURBED_FORMS,
-                         ids=["p_ab", "p_n"])
-def test_truncation_guard_fires_on_a_high_order_mismatch(
-        monkeypatch, name, build, degree, one, top):
-    evaluate = getattr(ResidueCache, name)
-
-    def perturbed(self, *args):
-        result = evaluate(self, *args)
-        return result + one if args[-1] == degree + GUARD_HIGH else result
-
-    monkeypatch.setattr(ResidueCache, name, perturbed)
-    with pytest.raises(RuntimeError, match="truncation guard mismatch"):
-        build(ResidueCache())
-
-
-@pytest.mark.parametrize("name, build, degree, one, top", PERTURBED_FORMS,
+@pytest.mark.parametrize("name, build, top", PERTURBED_FORMS,
                          ids=["p_ab", "p_n"])
 def test_degree_check_fires_on_a_wrong_degree(monkeypatch, name, build,
-                                              degree, one, top):
-    # the same extra top term at both orders passes the guard
+                                              top):
+    # an extra term above the degree, at the one order evaluated
     evaluate = getattr(ResidueCache, name)
     monkeypatch.setattr(ResidueCache, name,
                         lambda self, *args: evaluate(self, *args) + top)
