@@ -27,8 +27,9 @@ from typing import Optional
 from .exact_algebra import format_rational, rat
 
 DEFAULT_BUDGET = 9
-# a fill to complexity chi, both pipelines, takes about 3 s at chi 9 on
-# one core and doubles with each step (10: 8 s, 11: 16 s, 12: 34 s)
+# a fill to complexity chi, both pipelines, takes about 0.65 s at chi 9
+# in process on one core (Python 3.11, fractions) and about doubles with
+# each step (10: 1.2 s, 11: 2.4 s, 12: 4.8 s)
 MAX_BUDGET = 10
 # the series suite compares eta_n with xi_hat_n for these n; the
 # comparison window opens at truncation order 2n + 2

@@ -13,17 +13,31 @@ pipelines fill it level by level in the complexity chi = 2g - 2 + ell:
 
 Both identities are equalities of polynomials that are symmetric in the
 t_i.  The solver writes each in a triangular *label basis*, b_k of
-degree k: for cut-and-join b_0 = 1, b_{2n+1} = xi_hat_n and
-b_{2n+2} = xi_hat_{n+1}/t; for ``bm`` b_{2n} = xi_n and
-b_{2n+1} = t^{2n+1}.  Sides are *folded*: the mass of each orbit of
-label products, keyed by the sorted label tuple, which is faithful on
-symmetric polynomials.  A spectator is then one label, and only the join
-and cut polynomials are converted, each once.
-Each unknown's image is a few keys, and each key names one unknown, so
-extraction reads every unknown off directly.  Every read must agree and
-the image of the solution must equal the right side exactly — any
-leftover raises "identity violated".  The recursions are thus
-self-checking: a wrong weight anywhere cannot silently produce a table.
+degree k with integer coefficients: for cut-and-join b_0 = 1,
+b_{2n+1} = xi_hat_n and b_{2n+2} = xi_hat_{n+1}/t; for ``bm``
+b_{2n} = xi_n and b_{2n+1} = t^{2n+1}.  Sides are *folded*: the mass of
+each orbit of label products, keyed by the sorted label tuple, which is
+faithful on symmetric polynomials.  A spectator is then one label, and
+only the join and cut polynomials are converted, each once.
+
+The level solve is integer up to one division per key.  The
+cut-and-join join and cut polynomials are integer polynomials (xi_hat_n
+has integer coefficients), built as such; the ``bm`` residue
+polynomials are rational and have their denominators cleared first.
+Each is converted by fraction-free triangular elimination and memoized
+as its labels over one denominator, (D, {labels: int}).  The right side
+of a level is a sum of occurrences, one per join, cut and split term,
+each a converted kernel times a rational scalar q (the kernel weight, a
+table value or product of two, over the automorphisms of the spectator
+groups).  With the level denominator L, the lcm of every D den(q), each
+key sums the Python ints c num(q) L/(D den(q)) and is divided by L once.
+
+Extraction works on those rationals.  Each unknown's image is a few
+keys, and each key names one unknown, so extraction reads every unknown
+off directly.  Every read must agree and the image of the solution must
+equal the right side exactly — any leftover raises "identity violated".
+The recursions are thus self-checking: a wrong weight, kernel or
+denominator anywhere cannot silently produce a table.
 
 Both right-hand sides are one join/cut/split sum in different kernels:
 n = ell - 1 spectator slots sit beside one distinguished slot, the join
@@ -31,10 +45,9 @@ reads level (g, n), the cut reads (g - 1, n + 2), and the splits pair
 levels with k1 + k2 = n spectators.  A ``_Kernel`` spec holds what
 differs (weight, join and cut polynomials, label basis, spectator label
 parity, the number ``head`` of fixed key positions, image and decoder),
-and ``_recursion_terms`` writes the sum once for the solver, in labels,
-and for the expanded public builders, in monomials.  Folded keys are
-flat: the first ``head`` positions stay in place and the rest are
-sorted.  Cut-and-join has head 0; ``bm`` has head 1, the label of its
+and ``_recursion_terms`` writes the sum once.  Folded keys are flat:
+the first ``head`` positions stay in place and the rest are sorted.
+Cut-and-join has head 0; ``bm`` has head 1, the label of its
 distinguished variable t.
 The ``bm`` unknowns are solved per choice of which index sits in the
 t-slot, and the solver verifies that all choices give the same value
@@ -47,19 +60,16 @@ from __future__ import annotations
 import os
 from functools import cache
 from itertools import combinations, permutations
-from math import factorial
+from math import gcd, lcm
 from typing import Callable, NamedTuple, Optional
 
 from hodgehurwitz.exact_algebra import (
     HALF,
     ONE,
     ZERO,
-    MultiPoly,
     Rational,
     UniPoly,
     aut,
-    distinct_permutations,
-    divided_difference,
     double_factorial,
     format_rational,
     rat,
@@ -93,16 +103,6 @@ class TauKey(NamedTuple):
         return 3 * self.g - 3 + len(self.indices)
 
 
-class XiIdentity(NamedTuple):
-    """One recursion instance: an exact polynomial right-hand side plus
-    the shape of the linear operator acting on the unknowns."""
-
-    unknown_shape: str  # "bm" | "cutjoin"
-    g: int
-    variables: tuple[str, ...]
-    rhs: MultiPoly
-
-
 # ---------------------------------------------------------------------------
 # folded vectors in the label bases
 
@@ -134,18 +134,14 @@ def _slot_choices(indices: tuple[int, ...], head: int) -> list[tuple]:
     return choices
 
 
-def _add_to(dst: dict, key, value) -> None:
-    s = dst.get(key, ZERO) + value
-    if s:
-        dst[key] = s
-    else:
-        dst.pop(key, None)
-
-
 def _add_scaled(dst: dict, src: dict, factor) -> None:
     if factor:
         for k, c in src.items():
-            _add_to(dst, k, c * factor)
+            s = dst.get(k, ZERO) + c * factor
+            if s:
+                dst[k] = s
+            else:
+                dst.pop(k, None)
 
 
 def _cutjoin_basis(k: int) -> UniPoly:
@@ -160,30 +156,66 @@ def _bm_basis(k: int) -> UniPoly:
     return UniPoly({k: 1}) if k % 2 else xi_form(k // 2)
 
 
-def _in_basis(terms: dict, kernel: _Kernel) -> dict:
-    """Multivariate ``terms`` keyed by exponent tuples, rewritten in
-    ``kernel``'s label basis one slot at a time, by triangular
-    elimination from the top degree, then folded: the first ``head``
-    labels stay in place and the others are sorted."""
+def _ints(p: UniPoly) -> dict:
+    """The coefficients of an integer polynomial as Python ints."""
+    return {d: int(c) for d, c in p.coeffs.items()}
+
+
+@cache
+def _basis_ints(basis: Callable[[int], UniPoly], k: int) -> dict:
+    return _ints(basis(k))
+
+
+def _in_basis(terms: dict, kernel: _Kernel) -> tuple[int, dict]:
+    """Multivariate rational ``terms`` keyed by exponent tuples, rewritten
+    in ``kernel``'s label basis and folded, as (D, {labels: int}): each
+    coefficient is int/D, and D shares no factor with all the ints.
+
+    One slot at a time, each row of the other exponents is eliminated
+    from its top degree against the integer basis.  When the leading
+    coefficient of b_d does not divide the top coefficient, the row is
+    scaled until it does, and the row's denominator takes the factor;
+    the rows then share the lcm.  Folding keeps the first ``head``
+    labels in place and sorts the others."""
+    den = lcm(*(int(c.denominator) for c in terms.values()))
+    terms = {e: int(c.numerator) * (den // int(c.denominator))
+             for e, c in terms.items()}
     for slot in range(len(next(iter(terms), ()))):
         rows: dict = {}
         for e, c in terms.items():
             rows.setdefault(e[:slot] + e[slot + 1:], {})[e[slot]] = c
-        terms = {}
+        done = []
         for rest, rem in rows.items():
+            scale, out = 1, {}
             while rem:
                 d = max(rem)
-                b = kernel.basis(d)
-                top = rem.pop(d) / b.leading_coefficient()
-                terms[rest[:slot] + (d,) + rest[slot:]] = top
-                for lower, bc in b.coeffs.items():
+                b = _basis_ints(kernel.basis, d)
+                c, lead = rem.pop(d), b[d]
+                f = lead // gcd(c, lead)
+                if f != 1:
+                    scale, c = scale * f, c * f
+                    rem = {k: v * f for k, v in rem.items()}
+                    out = {k: v * f for k, v in out.items()}
+                out[d] = top = c // lead
+                for lower, bc in b.items():
                     if lower < d:
-                        _add_to(rem, lower, -top * bc)
-    folded: dict = {}
+                        v = rem.get(lower, 0) - top * bc
+                        if v:
+                            rem[lower] = v
+                        else:
+                            rem.pop(lower, None)
+            done.append((rest, scale, out))
+        common = lcm(*(scale for _, scale, _ in done))
+        den *= common
+        terms = {rest[:slot] + (d,) + rest[slot:]: c * (common // scale)
+                 for rest, scale, out in done for d, c in out.items()}
+    head, folded = kernel.head, {}
     for e, c in terms.items():
-        _add_to(folded, e[:kernel.head]
-                + tuple(sorted(e[kernel.head:], reverse=True)), c)
-    return folded
+        key = e[:head] + tuple(sorted(e[head:], reverse=True))
+        folded[key] = folded.get(key, 0) + c
+    folded = {key: c for key, c in folded.items() if c}
+    common = gcd(den, *folded.values())
+    return den // common, {key: c // common for key, c in folded.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +259,19 @@ def _decode_bm(key: tuple[int, ...]) -> Optional[tuple[int, ...]]:
 
 @cache
 def _join_pair_poly(m: int) -> dict:
-    """(xi_hat_{m+1}(x) xi_hat_0(y) x^2 - (x <-> y)) / (x - y), as terms."""
-    variables = ("x", "y")
-    ax = MultiPoly.from_unipoly(xi_hat(m + 1), variables, 0)
-    ay = MultiPoly.from_unipoly(xi_hat(m + 1), variables, 1)
-    zx = MultiPoly.from_unipoly(xi_hat(0), variables, 0)
-    zy = MultiPoly.from_unipoly(xi_hat(0), variables, 1)
-    x2 = MultiPoly(variables, {(2, 0): 1})
-    y2 = MultiPoly(variables, {(0, 2): 1})
-    p = ax * zy * x2 - ay * zx * y2
-    return divided_difference(p, "x", "y").terms
+    """(xi_hat_{m+1}(x) xi_hat_0(y) x^2 - (x <-> y)) / (x - y), as integer
+    terms keyed (x, y).  With A(x) = x^2 xi_hat_{m+1}(x), B = xi_hat_0,
+    the numerator is sum a_i b_j (x^i y^j - x^j y^i), and for i > j
+    (x^i y^j - x^j y^i)/(x - y) = sum_{k < i - j} x^{j+k} y^{i-1-k}.
+    Every degree of A (t^2 divides xi_hat_{m+1}, so at least 4) exceeds
+    every degree of B (at most 1)."""
+    out: dict = {}
+    for i, ai in _ints(xi_hat(m + 1)).items():
+        for j, bj in _ints(xi_hat(0)).items():
+            for k in range(i + 2 - j):
+                e = (j + k, i + 1 - k)
+                out[e] = out.get(e, 0) + ai * bj
+    return {e: c for e, c in out.items() if c}
 
 
 def _terms(p: UniPoly) -> dict:
@@ -245,8 +280,12 @@ def _terms(p: UniPoly) -> dict:
 
 @cache
 def _cut_pair_poly(a: int, b: int) -> dict:
-    """xi_hat_{a+1} xi_hat_{b+1}, as terms."""
-    return _terms(xi_hat(a + 1) * xi_hat(b + 1))
+    """xi_hat_{a+1} xi_hat_{b+1}, as integer terms."""
+    out: dict = {}
+    for i, ci in _ints(xi_hat(a + 1)).items():
+        for j, cj in _ints(xi_hat(b + 1)).items():
+            out[(i + j,)] = out.get((i + j,), 0) + ci * cj
+    return {e: c for e, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +351,10 @@ def _kernel(method: str) -> _Kernel:
 
 
 @cache
-def _labels(kernel: _Kernel, part: str, *indices: int) -> dict:
-    """``kernel``'s join or cut terms in its label basis, converted once
-    per kernel object (a replaced kernel gets its own memo)."""
+def _labels(kernel: _Kernel, part: str, *indices: int) -> tuple[int, dict]:
+    """``kernel``'s join or cut terms in its label basis as (D, ints),
+    converted once per kernel object (a replaced kernel gets its own
+    memo)."""
     return _in_basis(getattr(kernel, part)(*indices), kernel)
 
 
@@ -330,12 +370,13 @@ def _splits(g: int, n: int):
 def _recursion_terms(join: Callable[[int], dict],
                      cut: Callable[[int, int], dict],
                      table: "HodgeTable", g: int, ell: int):
-    """Yield the right side at level (g, ell) as (terms, groups, coeff):
-    ``terms`` is keyed by the exponents (or labels) of the distinguished
-    slot and of the spectator slots it occupies, as ``join`` and ``cut``
-    give them; each of ``groups`` is a multiset of indices for the
-    spectator slots left, placed in every distinct way; ``coeff`` times
-    the kernel weight multiplies the term."""
+    """Yield the right side at level (g, ell) as (terms, groups, coeff),
+    once per join, cut and split occurrence: ``terms`` is what ``join``
+    or ``cut`` gives, keyed by the exponents (or labels) of the
+    distinguished slot and of the spectator slots it occupies; each of
+    ``groups`` is a multiset of indices for the spectator slots left,
+    placed in every distinct way; ``coeff`` times the kernel weight is
+    the occurrence's rational scalar."""
     if 2 * g - 2 + ell < 2:
         raise ValueError(
             f"recursion applies for complexity 2g-2+ell >= 2; "
@@ -348,26 +389,19 @@ def _recursion_terms(join: Callable[[int], dict],
                 yield join(m), (_remove_one(E, m),), val
     # cut: the distinguished slot closes a handle
     if g >= 1:
-        paired: dict[tuple[int, ...], dict] = {}
         for E, val in table.level_entries(g - 1, n + 2).items():
             for a, b in _value_pairs(E):
                 rest = _remove_one(_remove_one(E, a), b)
-                factor = val if a == b else 2 * val
-                _add_scaled(paired.setdefault(rest, {}), cut(a, b), factor)
-        for rest, terms in paired.items():
-            yield terms, (rest,), ONE
+                yield cut(a, b), (rest,), val if a == b else 2 * val
     # split: two stable surfaces share the spectators
     for g1, k1, g2, k2 in _splits(g, n):
         left = table._star_values(g1, k1)
         right = table._star_values(g2, k2)
         for w1, amap in left.items():
             for w2, bmap in right.items():
-                mixed: dict = {}
                 for a, va in amap.items():
                     for b, vb in bmap.items():
-                        _add_scaled(mixed, cut(a, b), va * vb)
-                if mixed:
-                    yield mixed, (w1, w2), ONE
+                        yield cut(a, b), (w1, w2), va * vb
 
 
 def _run_extraction(rhs: dict, kernel: _Kernel, g: int, ell: int,
@@ -535,22 +569,34 @@ class HodgeTable:
 
     def _rhs_in_basis(self, kernel: _Kernel, g: int, ell: int) -> dict:
         """Folded right side of ``kernel``'s identity in its label basis,
-        whose unknowns live at level (g, ell)."""
-        head = kernel.head
-        rhs: dict = {}
-        for terms, groups, coeff in _recursion_terms(
+        whose unknowns live at level (g, ell).
+
+        Each occurrence is a converted kernel (D, ints) times a rational
+        scalar q = num(q)/den(q).  With L the lcm of every D den(q), each
+        key sums the Python ints c num(q) L/(D den(q)) and is divided by
+        L once."""
+        head, parity, weight = kernel.head, kernel.parity, kernel.weight
+        occurrences = []
+        for (den, ints), groups, coeff in _recursion_terms(
                 lambda m: _labels(kernel, "join", m),
                 lambda a, b: _labels(kernel, "cut", a, b), self, g, ell):
-            factor = kernel.weight * coeff
+            # den(q) need not be in lowest terms: L absorbs any factor
+            den *= int(weight.denominator * coeff.denominator)
             labels: tuple[int, ...] = ()
             for group in groups:
-                factor = factor / aut(group)
-                labels += tuple(2 * w + kernel.parity for w in group)
-            for key, c in terms.items():
-                _add_to(rhs, key[:head] + tuple(sorted(key[head:] + labels,
-                                                       reverse=True)),
-                        c * factor)
-        return rhs
+                den *= aut(group)
+                labels += tuple(2 * w + parity for w in group)
+            occurrences.append(
+                (ints, labels, int(weight.numerator * coeff.numerator), den))
+        level = lcm(*(den for *_, den in occurrences))
+        sums: dict = {}
+        for ints, labels, num, den in occurrences:
+            factor = num * (level // den)
+            for key, c in ints.items():
+                key = key[:head] + tuple(sorted(key[head:] + labels,
+                                                reverse=True))
+                sums[key] = sums.get(key, 0) + c * factor
+        return {key: Rational(c, level) for key, c in sums.items() if c}
 
     def _star_values(self, g: int, k: int) -> dict:
         """W -> {a: <tau_a tau_W>}, read off level (g, k+1)."""
@@ -592,108 +638,6 @@ class HodgeTable:
             })
         rows.sort(key=lambda r: (r["g"], len(r["indices"]), r["indices"]))
         return rows
-
-
-# ---------------------------------------------------------------------------
-# public identity builders (genuine multivariate polynomials)
-
-
-def _embed(terms: dict, variables: tuple[str, ...],
-           slots: tuple[int, ...]) -> MultiPoly:
-    """Place the exponent tuples of ``terms`` in variable positions
-    ``slots``."""
-    n = len(variables)
-    out = {}
-    for exps, c in terms.items():
-        vec = [0] * n
-        for slot, e in zip(slots, exps):
-            vec[slot] = e
-        out[tuple(vec)] = c
-    return MultiPoly(variables, out)
-
-
-def _rhs_expanded(kernel: _Kernel, table: HodgeTable, g: int,
-                  variables: tuple[str, ...], slots) -> MultiPoly:
-    """``kernel``'s right side in ``variables``, summed over the choice
-    of the distinguished slot among ``slots``; every other variable is a
-    spectator.  Its unknowns live at level (g, len(variables))."""
-    total = MultiPoly.zero(variables)
-    for terms, groups, coeff in _recursion_terms(
-            kernel.join, kernel.cut, table, g, len(variables)):
-        if not terms:
-            continue
-        width = len(next(iter(terms))) - 1
-        # a distinct order of the group-tagged indices over the free slots
-        # is a subset of them per group, each in a distinct order
-        tagged = tuple((i, w) for i, group in enumerate(groups) for w in group)
-        for slot in slots:
-            others = [s for s in range(len(variables)) if s != slot]
-            for picked in permutations(others, width):
-                base = _embed(terms, variables, (slot,) + picked).scale(
-                    kernel.weight * coeff)
-                free = [s for s in others if s not in picked]
-                for order in distinct_permutations(tagged):
-                    term = base
-                    for s, (_, w) in zip(free, order):
-                        term = term * MultiPoly.from_unipoly(
-                            kernel.basis(2 * w + kernel.parity), variables, s)
-                    total = total + term
-    return total
-
-
-def cutjoin_rhs(g: int, ell: int, table: HodgeTable) -> XiIdentity:
-    """The cut-and-join identity at level (g, ell), expanded.
-
-    Returns the exact right-hand side in (t_1..t_ell) together with the
-    left-hand operator description: the unknowns of the level itself
-    enter through (2g-2+ell) prod xi_hat_{n_i} plus the promoted terms
-    sum_i xi_hat_{n_i + 1}(t_i)/t_i prod_{j != i} xi_hat_{n_j}.  The
-    right side is the recursion sum with its distinguished slot summed
-    over every t_i; the weight 1/2 counts each symmetric join pair once.
-    """
-    variables = tuple(f"t_{i}" for i in range(1, ell + 1))
-    total = _rhs_expanded(_KERNELS["cutjoin"], table, g, variables,
-                          range(ell))
-    return XiIdentity("cutjoin", g, variables, total)
-
-
-def bm_rhs(g: int, ell: int, table: HodgeTable) -> MultiPoly:
-    """The residue-form identity's right-hand side in (t, t_1..t_ell).
-
-    Its unknowns live at level (g, ell + 1); an empty polynomial means
-    the level is not determined by the recursion (a base case).
-    """
-    if 2 * g - 1 + ell < 1:
-        raise ValueError(f"unstable (g,ell)=({g},{ell + 1})")
-    variables = ("t",) + tuple(f"t_{i}" for i in range(1, ell + 1))
-    if 2 * g - 1 + ell < 2:
-        return MultiPoly.zero(variables)
-    return _rhs_expanded(_KERNELS["bm"], table, g, variables, (0,))
-
-
-def extract_in_xi_basis(identity: XiIdentity) -> dict:
-    """Solve an expanded identity for its unknown coefficients.
-
-    Converts the right-hand side into the shape's label basis and folds
-    it (faithful: both recursion forms are symmetric in the t_i), then
-    reads each unknown off its keys directly.  For the "bm" shape the
-    returned keys are (n_0, n_1, ..) with n_0 the t-slot index; for
-    "cutjoin" they are non-increasing index tuples.  Disagreeing reads
-    or a nonzero remainder raise "identity violated".
-    """
-    shape, g = identity.unknown_shape, identity.g
-    n_vars = len(identity.variables)
-    kernel = _KERNELS.get(shape)
-    if kernel is None:
-        raise ValueError(f"unknown identity shape {shape!r}")
-    if kernel.head and identity.variables[0] != "t":
-        raise ValueError(f"{shape} identities carry the distinguished "
-                         "variable t in slot 0")
-    sym_slots = n_vars - kernel.head
-    folded = {key: c / factorial(sym_slots) for key, c in
-              _in_basis(identity.rhs.terms, kernel).items()}
-    return _run_extraction(folded, kernel, g, n_vars,
-                           f"extraction (g={g}, {shape})")
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ Stirling coefficients grow as module lists; ``xi_form``,
 ``xi_hat_over_t`` and ``eta_series`` are memoized per argument.
 s(t) and v(t) are grow-only: the process holds each at the highest
 order requested so far and serves a lower order as its truncation; a
-higher order is reached by resuming from the series held, and is
-verified against the defining equation like a solve from scratch.
+higher order is reached by resuming from the series held, and the
+defining equation is verified at the new orders (see ``_solve_s``).
 
 s(t) comes from the ODE s' t^2 (t - 1) = s^2 (s - 1), which is
 w'(s) s' = w'(t) with w'(t) = -1/(t^2 (t - 1)).  Its coefficients in
@@ -177,12 +177,32 @@ def _solve_s(order: int,
     solve at a lower order, resumes the recurrence from the
     coefficients it holds.
 
-    The result is then verified against the defining equation itself,
-    composing the power series of w with 1/sigma: W' has valuation 3 in
-    1/t, so an error in sigma at t^-k leaves a residual of W(sigma) - w
-    at t^-(k+3), and the residual must vanish through order + 3 for
-    sigma to be right through order.  The powers of 1/sigma are cut at
-    order + 3, the last degree the check reads.
+    The result is then verified against the defining equation itself.
+    With x = 1/sigma, W(sigma) = sum_{m >= 2} x^m/m = -x - log(1 - x),
+    whose u-derivative is x' x/(1 - x), so with Q = 1/(1 - x)
+
+        k [u^k] W(sigma) = sum_{i=1}^{k-1} i x_i Q_{k-i},
+
+    which needs x only through u^(k-1) and costs O(N^2) in all; it must
+    equal k [u^k] w = 1 for every k >= 2.
+
+    The lag.  Write sigma = u^-1 (c_{-1} + c_0 u + ...) and x = u y with
+    y = 1/(c_{-1} + c_0 u + ...), so y_i reads c_{-1}..c_{i-1}.  Then
+    [u^k] x^m = [u^(k-m)] y^m reads c_j only for j <= k - m - 1, and
+    [u^k] W(sigma) reads c_j only for j <= k - 3 (every m >= 2).  The
+    newest of them, c_{k-3}, enters only through x^2/2, as
+    y_0 y_{k-2} = -c_{k-3}/c_{-1}^3 + (lower c): with c_{-1} = -1 an error
+    d in c_{k-3} alone moves the residual W(sigma) - w at u^k by d.  So
+    the residual vanishing through u^(order + 3) pins sigma through
+    u^order, and its coefficients through u^(T + 3) read only the
+    coefficients c_{-1}..c_T of a seed at order T, which the seed's own
+    solve checked and the recurrence passes on unchanged.  A growth from
+    a seed therefore compares only u^(T + 4) .. u^(order + 3); the
+    memo seeds only with series this function returned.  A wrong held
+    coefficient still shows there in general: the new coefficients obey
+    the ODE, whose residual is then nonzero below the seam, and
+    d/dt (W(s) - w) = -(s' t^2 (t - 1) - s^2 (s - 1)) /
+    (s^2 (s - 1) t^2 (t - 1)) carries it past the seam.
     """
     held = [-ONE] if seed is None else [
         seed.coefficient(k) for k in range(-1, seed.truncation_order + 1)]
@@ -192,13 +212,14 @@ def _solve_s(order: int,
     sigma = LaurentSeries(dict(enumerate(c[:order + 2], -1)), "1/t", -1,
                           order)
     x = laurent_reciprocal(sigma)  # 1/sigma, honest through order + 2
-    power, resid = x, -w_series(order + 3)
-    for m in range(2, order + 4):  # W(sigma) = sum_m x^m/m, to order + 3
-        power = (power * x).truncate(order + 3)
-        resid = resid + power.scale(rat(1, m))
-    if not resid.is_zero():
-        raise RuntimeError(
-            "involution recurrence violates w(s) = w(t) (internal error)")
+    x = [x.coefficient(i) for i in range(order + 3)]
+    q = [ONE]
+    for j in range(1, order + 3):
+        q.append(sum(x[i] * q[j - i] for i in range(1, j + 1)))
+    for k in range(2 if seed is None else len(held) + 2, order + 4):
+        if sum(i * x[i] * q[k - i] for i in range(1, k)) != 1:
+            raise RuntimeError(
+                "involution recurrence violates w(s) = w(t) (internal error)")
     return sigma
 
 

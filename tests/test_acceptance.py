@@ -13,8 +13,7 @@ import pytest
 
 from hodgehurwitz.exact_algebra import LaurentSeries, UniPoly, \
     laurent_reciprocal, laurent_substitute, rat
-from hodgehurwitz.hodge_solver import HodgeTable, XiIdentity, bm_rhs, \
-    dvv_verify, extract_in_xi_basis, hodge_lambda
+from hodgehurwitz.hodge_solver import HodgeTable, dvv_verify, hodge_lambda
 from hodgehurwitz.hurwitz import elsv_invert, h_brute, h_direct, \
     hurwitz_elsv, _partitions
 from hodgehurwitz.lambert_curve import eta_xi_identity_check, \
@@ -23,6 +22,7 @@ from hodgehurwitz.lambert_curve import eta_xi_identity_check, \
 from hodgehurwitz.residue_kernel import p_ab, p_ab_eta, p_n, p_n_eta
 from hodgehurwitz.reference_data import HODGE_REFERENCE, \
     HURWITZ_GENUS_FIVE, HURWITZ_REFERENCE
+from hodge_oracle import XiIdentity, bm_rhs, extract_in_xi_basis
 
 CHI_MAX = 9
 ORDER = 30

@@ -5,22 +5,21 @@ from math import factorial
 
 import pytest
 
+from hodgehurwitz import hodge_solver
 from hodgehurwitz.exact_algebra import MultiPoly, UniPoly, rat
 from hodgehurwitz.hodge_solver import (
     _KERNELS,
     _in_basis,
     HodgeTable,
     TauKey,
-    XiIdentity,
-    bm_rhs,
-    cutjoin_rhs,
     dvv_verify,
-    extract_in_xi_basis,
     hodge_lambda,
     load_table_cache,
     save_table_cache,
 )
 from hodgehurwitz.lambert_curve import xi_form, xi_hat
+from hodge_oracle import XiIdentity, bm_rhs, cut_pair_poly, cutjoin_rhs, \
+    extract_in_xi_basis, join_pair_poly, rebuilt
 
 
 @pytest.fixture(scope="module")
@@ -213,8 +212,9 @@ def _expanded_in_basis(poly: MultiPoly, method: str) -> dict:
     its symmetric slots (all but the first ``head``) and divided by the
     factorial of their count."""
     kernel = _KERNELS[method]
-    slots = factorial(len(poly.vars) - kernel.head)
-    return {key: c / slots for key, c in _in_basis(poly.terms, kernel).items()}
+    den, ints = _in_basis(poly.terms, kernel)
+    den *= factorial(len(poly.vars) - kernel.head)
+    return {key: rat(c, den) for key, c in ints.items()}
 
 
 RECURSIVE_LEVELS_TO_CHI_4 = [
@@ -234,16 +234,70 @@ def test_folded_rhs_is_the_fold_of_the_expanded_rhs(table_cj, g, ell):
         _expanded_in_basis(expanded, "bm")
 
 
+def _recorded_labels(method: str, chi_max: int) -> dict:
+    """(part, indices) -> (D, ints) for every label conversion that a
+    fill of a fresh table to ``chi_max`` reads."""
+    read = {}
+    labels = hodge_solver._labels
+
+    def recording(kernel, part, *indices):
+        read[(part, indices)] = labels(kernel, part, *indices)
+        return read[(part, indices)]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hodge_solver, "_labels", recording)
+        HodgeTable().fill_to_complexity(chi_max, method=method)
+    return read
+
+
+# the cut-and-join conversions of a chi <= 10 fill, and the bm ones of a
+# chi <= 7 fill (whose residue kernels the chi <= 9 acceptance fill
+# shares), recorded once for this module
+_READ_CHI = {"cutjoin": 10, "bm": 7}
+
+
+@pytest.fixture(scope="module")
+def labels_read():
+    return {method: _recorded_labels(method, chi)
+            for method, chi in _READ_CHI.items()}
+
+
 @pytest.mark.parametrize("method", ["cutjoin", "bm"])
-def test_label_basis_is_triangular_and_converts_monomials(method):
+def test_label_basis_is_triangular_and_converts_monomials(method,
+                                                          labels_read):
     kernel = _KERNELS[method]
     for d in range(14):
         assert kernel.basis(d).degree() == d
         back = UniPoly.zero()
-        for (k,), c in _in_basis({(d,): 1}, kernel).items():
+        den, ints = _in_basis({(d,): 1}, kernel)
+        for (k,), c in ints.items():
             assert k <= d
-            back = back + kernel.basis(k).scale(c)
+            back = back + kernel.basis(k).scale(rat(c, den))
         assert back == UniPoly({d: 1})
+    # every kernel a fill reads: the integer cut-and-join polynomials
+    # equal the MultiPoly route, and each conversion (D, ints) rebuilds
+    # its polynomial exactly as sum (c/D) b_k
+    read = labels_read[method]
+    assert {part for part, _ in read} == {"join", "cut"}
+    for (part, indices), converted in read.items():
+        terms = getattr(kernel, part)(*indices)
+        if method == "cutjoin":
+            oracle = (join_pair_poly if part == "join" else cut_pair_poly)(
+                *indices)
+            assert terms == oracle, (part, indices)
+        variables = ("x", "y")[:len(next(iter(terms)))]
+        assert rebuilt(converted, kernel, variables) == \
+            MultiPoly(variables, terms), (method, part, indices)
+
+
+@pytest.mark.parametrize("method", ["cutjoin", "bm"])
+def test_label_conversions_are_integers_over_one_denominator(method,
+                                                             labels_read):
+    # the memoized conversions hold Python ints, so a slide back to
+    # per-term rational arithmetic fails here
+    for den, ints in labels_read[method].values():
+        assert type(den) is int and den >= 1
+        assert ints and all(type(c) is int for c in ints.values())
 
 
 def test_kernel_copy_is_a_distinct_key_with_the_same_fields():
@@ -288,6 +342,22 @@ def test_mutated_join_polynomial_raises(monkeypatch, method):
     kernel = _KERNELS[method]
     monkeypatch.setitem(_KERNELS, method, kernel.replace(
         join=lambda m: {e: 2 * c for e, c in kernel.join(m).items()}))
+    with pytest.raises(ValueError, match="identity violated"):
+        HodgeTable().fill_to_complexity(5, method=method)
+
+
+@pytest.mark.parametrize("method", ["cutjoin", "bm"])
+def test_label_denominator_off_by_three_raises(monkeypatch, method):
+    # one memoized conversion, the join of index 1, claims a denominator
+    # three times too large
+    labels = hodge_solver._labels
+
+    def wrong(kernel, part, *indices):
+        den, ints = labels(kernel, part, *indices)
+        return (3 * den, ints) if (part, indices) == ("join", (1,)) else \
+            (den, ints)
+
+    monkeypatch.setattr(hodge_solver, "_labels", wrong)
     with pytest.raises(ValueError, match="identity violated"):
         HodgeTable().fill_to_complexity(5, method=method)
 

@@ -150,6 +150,28 @@ def test_s_recurrence_resumes_from_the_held_coefficients(monkeypatch):
         lambert_curve._solve_s(20, bad)
 
 
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_s_growth_checks_across_the_seam(monkeypatch, side):
+    # a growth from a seed at order 12 compares W(sigma) = w only at
+    # t^-16 .. t^-23; a wrong c_12 (the last held coefficient) and a
+    # wrong c_13 (the first new one) must each still be refused
+    seed = lambert_curve._solve_s(12)
+    if side == "below":
+        seed = LaurentSeries({**seed.coeffs, 12: seed.coefficient(12)
+                              + rat(1, 10 ** 6)}, "1/t", -1, 12)
+    else:
+        extend = lambert_curve._s_coefficients
+
+        def corrupted(held, order):
+            c = extend(held, order)
+            c[13 + 1] += rat(1, 10 ** 6)
+            return c
+
+        monkeypatch.setattr(lambert_curve, "_s_coefficients", corrupted)
+    with pytest.raises(RuntimeError, match="internal error"):
+        lambert_curve._solve_s(20, seed)
+
+
 @pytest.mark.parametrize("index", [0, 1, 2, 9, 40, 60])
 def test_s_recurrence_corruption_is_caught(monkeypatch, index):
     # one wrong coefficient out of the recurrence, at t^-index, must
