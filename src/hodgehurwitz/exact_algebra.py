@@ -9,11 +9,23 @@ serialization format shared with the CLI.
 The series type tracks an explicit truncation order and propagates it
 pessimistically through arithmetic: any read past the honest truncation
 raises ``TruncationError`` instead of returning a silent zero.
+
+A series product is formed over one denominator per factor: each factor
+is written once as integers over the lcm of its coefficient denominators
+(kept with the series, which is never changed after construction), each
+output degree sums Python ints, and one rational is made per degree.
+The linear combination of powers in ``SeriesPowers.substitute`` is summed
+the same way.  Only ``.numerator``, ``.denominator`` and
+``Rational(n, d)`` touch the backend, which both backends provide.
+``mul_through`` forms a product only through the last degree a caller
+reads, and ``SeriesPowers`` forms each power only through the degree its
+composition reads (the cap rule in its docstring).
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 try:
@@ -269,19 +281,6 @@ class MultiPoly:
     def zero(cls, variables: Iterable[str]) -> "MultiPoly":
         return cls(variables, {})
 
-    @classmethod
-    def from_unipoly(cls, p: UniPoly, variables: Iterable[str],
-                     slot: int) -> "MultiPoly":
-        """Embed a univariate polynomial into variable position ``slot``."""
-        variables = tuple(variables)
-        n = len(variables)
-        terms = {}
-        for d, v in p.coeffs.items():
-            e = [0] * n
-            e[slot] = d
-            terms[tuple(e)] = v
-        return cls(variables, terms)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -367,17 +366,6 @@ class MultiPoly:
         out.terms = d
         return out
 
-    def permute_vars(self, perm: Mapping[str, str]) -> "MultiPoly":
-        """Relabel variables by a bijection on names (for symmetry checks)."""
-        new_positions = [self.vars.index(perm.get(v, v)) for v in self.vars]
-        d = {}
-        for e, v in self.terms.items():
-            e2 = tuple(e[j] for j in new_positions)
-            d[e2] = v
-        out = MultiPoly.zero(self.vars)
-        out.terms = d
-        return out
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -398,49 +386,6 @@ class MultiPoly:
         return f"MultiPoly(vars={self.vars}, {n} terms)"
 
 
-def divided_difference(p: MultiPoly, x: str, y: str) -> MultiPoly:
-    """Exact quotient p / (x - y) for p divisible by (x - y).
-
-    The input must vanish on the diagonal x = y (equivalently, be
-    divisible by x - y); a nonzero remainder raises ``ValueError("not
-    antisymmetric")`` since it signals a bug upstream.
-
-    EXAMPLES::
-
-        >>> p = MultiPoly(("x", "y"), {(2, 0): 1, (0, 2): -1})
-        >>> sorted(divided_difference(p, "x", "y").terms.items())
-        [((0, 1), mpq(1,1)), ((1, 0), mpq(1,1))]
-    """
-    ix = p.vars.index(x)
-    iy = p.vars.index(y)
-    rem = dict(p.terms)
-    quot: dict[tuple[int, ...], Rational] = {}
-    while rem:
-        e = max(rem, key=lambda e: (e[ix], e))
-        if e[ix] == 0:
-            raise ValueError("not antisymmetric")
-        c = rem.pop(e)
-        q = e[:ix] + (e[ix] - 1,) + e[ix + 1:]
-        s = quot.get(q, ZERO) + c
-        if s:
-            quot[q] = s
-        else:
-            del quot[q]
-        # subtract c * x^(a-1) * (x - y) * rest: the x^a term cancels,
-        # leaving a lower term with the exponent moved onto y.
-        e2 = list(q)
-        e2[iy] += 1
-        e2 = tuple(e2)
-        s = rem.get(e2, ZERO) + c
-        if s:
-            rem[e2] = s
-        else:
-            rem.pop(e2, None)
-    out = MultiPoly.zero(p.vars)
-    out.terms = quot
-    return out
-
-
 # ---------------------------------------------------------------------------
 # truncated Laurent series
 
@@ -458,7 +403,7 @@ class LaurentSeries:
     t^(-d), so a series with min_degree -1 starts at t^(+1).
     """
 
-    __slots__ = ("var", "min_degree", "truncation_order", "coeffs")
+    __slots__ = ("var", "min_degree", "truncation_order", "coeffs", "_ints")
 
     def __init__(self, coeffs: Mapping[int, RationalLike], var: str,
                  min_degree: Optional[int] = None,
@@ -480,6 +425,17 @@ class LaurentSeries:
         self.truncation_order = (None if truncation_order is None
                                  else int(truncation_order))
         self.coeffs = d
+        self._ints = None
+
+    @classmethod
+    def _trusted(cls, coeffs: dict, var: str, min_degree: int,
+                 truncation_order: Optional[int]) -> "LaurentSeries":
+        """A series from nonzero Rationals already inside its window."""
+        out = cls.__new__(cls)
+        out.var, out.min_degree = var, min_degree
+        out.truncation_order, out.coeffs, out._ints = \
+            truncation_order, coeffs, None
+        return out
 
     # -- constructors
 
@@ -553,19 +509,51 @@ class LaurentSeries:
         ta, tb = self._trunc_key(), other._trunc_key()
         t = min(ta + other.min_degree, tb + self.min_degree)
         trunc = None if t >= (1 << 61) else t
-        m = self.min_degree + other.min_degree
-        d: dict[int, Rational] = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = k1 + k2
-                if trunc is not None and k > trunc:
-                    continue
-                s = d.get(k, ZERO) + v1 * v2
-                if s:
-                    d[k] = s
-                else:
-                    del d[k]
-        return LaurentSeries(d, self.var, m, trunc)
+        da, la, a = self._integer_coefficients()
+        db, lb, b = other._integer_coefficients()
+        lo, na, nb = la + lb, len(a), len(b)
+        top = na + nb - 2 if trunc is None else min(na + nb - 2, trunc - lo)
+        den, b, d = da * db, b[::-1], {}
+        for r in range(top + 1):
+            # degree lo + r: a[i] b[r - i] over the i both lists reach
+            i0, i1 = max(0, r - nb + 1), min(na - 1, r)
+            c = sum(map(mul, a[i0:i1 + 1], b[nb - 1 - r + i0:nb - r + i1]))
+            if c:
+                d[lo + r] = Rational(c, den)
+        return LaurentSeries._trusted(d, self.var,
+                                      self.min_degree + other.min_degree,
+                                      trunc)
+
+    def mul_through(self, other: "LaurentSeries",
+                    degree: int) -> "LaurentSeries":
+        """``self * other`` computed only through ``degree``: each factor
+        is first cut at ``degree`` minus the other's ``min_degree``, the
+        last of its degrees that can reach ``degree``.  The result is the
+        product truncated at the lesser of its honest order and
+        ``degree``."""
+        return (self._cut(degree - other.min_degree)
+                * other._cut(degree - self.min_degree))
+
+    def _cut(self, order: int) -> "LaurentSeries":
+        """``truncate(order)``, or ``self`` when already truncated there
+        or lower."""
+        t = self.truncation_order
+        return self if t is not None and t <= order else self.truncate(order)
+
+    def _integer_coefficients(self) -> tuple[int, int, list]:
+        """(D, lo, [n_lo, n_lo+1, ..]): the coefficient of degree lo + i
+        is n_lo+i / D, with D the lcm of the coefficient denominators and
+        lo the valuation (0 for the zero series); formed once per
+        series."""
+        if self._ints is None:
+            den, lo = 1, min(self.coeffs, default=0)
+            for c in self.coeffs.values():
+                den = math.lcm(den, int(c.denominator))
+            ints = [0] * (max(self.coeffs, default=lo - 1) - lo + 1)
+            for k, c in self.coeffs.items():
+                ints[k - lo] = int(c.numerator) * (den // int(c.denominator))
+            self._ints = (den, lo, ints)
+        return self._ints
 
     def __rmul__(self, other) -> "LaurentSeries":
         return self.scale(other)
@@ -716,34 +704,63 @@ def laurent_substitute(p, s: LaurentSeries) -> LaurentSeries:
 
 class SeriesPowers:
     """The powers of one series ``s`` and of its reciprocal, each formed
-    once, on first use.
+    on first use and only as far as it is read.
 
-    ``power(k)`` is s**k for k >= 1 and (1/s)**(-k) for k <= -1, each the
-    product of the power below it and s (or 1/s), so a composition read
-    from one table equals ``laurent_substitute`` computed afresh,
-    truncation order included.  Keep one table per series to share the
-    products across every composition into it.
+    ``power(k, through)`` is s**k for k >= 1 and (1/s)**(-k) for
+    k <= -1, the product of the power below it and s (or 1/s), known
+    through min(honest order, ``through``); ``through=None`` asks for the
+    whole honest window.  A power is kept at the furthest degree asked
+    of it; a later call that asks further forms it again from the power
+    below it.
+
+    The cap rule.  A truncated outer series caps a composition at
+    C = (T_p + 1) val(s) - 1, and ``substitute`` asks each power only
+    through C.  Let b be the factor (s or 1/s) and m its min_degree.
+    When m >= 0, b**k through C needs b**(k-1) only through C - m <= C
+    and b only through C - min_degree(b**(k-1)), so a chain whose every
+    power is cut at C (``LaurentSeries.mul_through``) has the truncation
+    order min(honest, C) at every power, the honest order of the
+    uncapped chain wherever that is below C.  When m < 0, as for the
+    powers of 1/s when s has valuation >= 1, each product would consume
+    -m further orders of the power below it, so those powers are formed
+    over their whole honest window.  A composition read from one table
+    thus equals ``laurent_substitute`` computed afresh, truncation order
+    included.  Keep one table per series to share the products across
+    every composition into it.
     """
 
     __slots__ = ("series", "_pos", "_neg")
 
     def __init__(self, s: LaurentSeries):
         self.series = s
-        self._pos = [s]
-        self._neg: list[LaurentSeries] = []
+        # [(b**k, the degree it was formed through or None for all)]
+        self._pos = [(s, None)]
+        self._neg: list[tuple[LaurentSeries, Optional[int]]] = []
 
-    def power(self, k: int) -> LaurentSeries:
-        if k >= 1:
-            while len(self._pos) < k:
-                self._pos.append(self._pos[-1] * self.series)
-            return self._pos[k - 1]
+    def power(self, k: int, through: Optional[int] = None) -> LaurentSeries:
         if k == 0:
             raise ValueError("power 0 is not tabulated")
-        if not self._neg:
-            self._neg.append(laurent_reciprocal(self.series))
-        while len(self._neg) < -k:
-            self._neg.append(self._neg[-1] * self._neg[0])
-        return self._neg[-k - 1]
+        if k < 0 and not self._neg:
+            self._neg.append((laurent_reciprocal(self.series), None))
+        chain, top = (self._pos, k) if k > 0 else (self._neg, -k)
+        base = chain[0][0]
+        if base.min_degree < 0:
+            through = None
+        # the powers below that reach too short are formed again first
+        k = top
+        while k > 1 and (k > len(chain) or not (
+                chain[k - 1][1] is None
+                or through is not None and chain[k - 1][1] >= through)):
+            k -= 1
+        for k in range(k + 1, top + 1):
+            below = chain[k - 2][0]
+            entry = (below * base if through is None
+                     else below.mul_through(base, through), through)
+            if k > len(chain):
+                chain.append(entry)
+            else:
+                chain[k - 1] = entry
+        return chain[top - 1][0]
 
     def substitute(self, p) -> LaurentSeries:
         """``laurent_substitute(p, self.series)`` from the tabulated powers."""
@@ -763,16 +780,30 @@ class SeriesPowers:
                     "series to have valuation >= 1")
             cap = (p_trunc + 1) * val - 1
 
-        result = LaurentSeries.zero(s.var)
-        for d, c in sorted(p.coeffs.items()):
-            if d:
-                result = result + self.power(d).scale(c)
-        const = p.coeffs.get(0)
-        if const:
-            result = result + LaurentSeries.exact({0: const}, s.var)
-        if cap is not None and cap < result._trunc_key():
-            result = result.truncate(cap)
-        return result
+        # the sum over one denominator: the power's n/D at a degree, scaled
+        # by c, adds n num(c) den/(D den(c)) to the degree's numerator
+        trunc, low, den, parts = 1 << 62 if cap is None else cap, 0, 1, []
+        for d, c in p.coeffs.items():
+            power = (self.power(d, cap) if d
+                     else LaurentSeries.exact({0: 1}, s.var))
+            trunc = min(trunc, power._trunc_key())
+            low = min(low, power.min_degree)
+            ints = power._integer_coefficients()
+            scale = ints[0] * int(c.denominator)
+            den = math.lcm(den, scale)
+            parts.append((ints, c, scale))
+        sums: dict[int, int] = {}
+        for (_, lo, ints), c, scale in parts:
+            f = int(c.numerator) * (den // scale)
+            for k, n in enumerate(ints, lo):
+                if n and k <= trunc:
+                    sums[k] = sums.get(k, 0) + n * f
+        coeffs = {}
+        for k, n in sums.items():
+            if n:
+                coeffs[k] = Rational(n, den)
+        return LaurentSeries._trusted(coeffs, s.var, low,
+                                      None if trunc >= 1 << 62 else trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -785,20 +816,6 @@ def aut(multiset: tuple[int, ...]) -> int:
     for value in set(multiset):
         acc *= math.factorial(multiset.count(value))
     return acc
-
-
-def distinct_permutations(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Each distinct ordering of ``items`` once."""
-    if not items:
-        yield ()
-        return
-    seen = set()
-    for i, v in enumerate(items):
-        if v in seen:
-            continue
-        seen.add(v)
-        for rest in distinct_permutations(items[:i] + items[i + 1:]):
-            yield (v,) + rest
 
 
 def subsets(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...],

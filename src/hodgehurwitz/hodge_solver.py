@@ -222,8 +222,11 @@ def _in_basis(terms: dict, kernel: _Kernel) -> tuple[int, dict]:
 # the two left-hand-side operators, in labels
 
 
+@cache
 def _image_cutjoin(M: tuple[int, ...], chi: int) -> dict:
-    """chi * prod xi_hat_{M} plus the promoted terms xi_hat_{v+1}/t."""
+    """chi * prod xi_hat_{M} plus the promoted terms xi_hat_{v+1}/t.
+
+    The images are memoized and shared, so no caller may change one."""
     image = {tuple(2 * m + 1 for m in M): rat(chi) / aut(M)}
     for v in _distinct_values(M):
         rest = _remove_one(M, v)
@@ -233,9 +236,11 @@ def _image_cutjoin(M: tuple[int, ...], chi: int) -> dict:
     return image
 
 
+@cache
 def _image_bm(unknown: tuple[int, ...], chi: int) -> dict:
     """xi_form of the t-slot index times prod xi_form over the rest; the
-    residue form has no chi factor, so ``chi`` is unused."""
+    residue form has no chi factor, so ``chi`` is unused.  Memoized and
+    shared like ``_image_cutjoin``."""
     return {tuple(2 * m for m in unknown): ONE / aut(unknown[1:])}
 
 

@@ -387,30 +387,6 @@ def eta_xi_identity_check(n: int, order: int) -> bool:
     return diff.is_zero()
 
 
-def xi_in_x_check(n: int, order: int) -> bool:
-    """xi_hat_n on the global coordinate series of the curve.
-
-    t(x) = sum_{k>=0} k^k x^k / k! inverts the covering map in the
-    coordinate x; composing gives xi_hat_n(t(x)) = sum_{k>=1}
-    k^{k+n} x^k / k!, checked through x^order.  Valid for n >= -1.
-    """
-    if n < -1:
-        raise ValueError("check defined for n >= -1")
-    t_of_x = LaurentSeries(
-        {k: rat(k ** k, math.factorial(k)) for k in range(order + 1)},
-        "x", 0, order)
-    if n >= 0:
-        got = laurent_substitute(xi_hat(n), t_of_x)
-    else:
-        got = laurent_substitute(xi_hat(-1), laurent_reciprocal(t_of_x))
-    if got.coefficient(0) != 0:
-        return False
-    for k in range(1, order + 1):
-        if got.coefficient(k) != rat(k ** (k + n), math.factorial(k)):
-            return False
-    return True
-
-
 def _bivariate_mul(a: dict, b: dict, cap: int) -> dict:
     out: dict[tuple[int, int], Rational] = {}
     for (e1, e2), c in a.items():

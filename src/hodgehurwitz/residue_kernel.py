@@ -28,6 +28,14 @@ through t^-(N - degree) or beyond, so N = degree would do there; one
 rule for both families gives p_n(a+b+1) the context of p_ab(a, b).  At
 any lower order ``polynomial_part`` raises ``TruncationError``, and
 the eta forms stay the independent check of the values.
+
+``polynomial_part`` reads a kernel through t^0 only, so the products
+that feed it are formed only through degree 0 in 1/t
+(``LaurentSeries.mul_through``): the last product of p_ab, and the chain
+ker xi(t) s'/s^(k+1) of p_n, which multiplies by 1/s once per k.  1/s
+has min_degree 1, so each link needs the one before it only through
+t^1.  The cut truncation order is min(honest, 0), which is negative
+exactly when the honest one is, so the same orders raise.
 """
 
 from __future__ import annotations
@@ -119,7 +127,7 @@ class ResidueCache:
         xb_s = xa_s if b == a else self._xi_hat_of_s(b + 1, order)
         sym = (poly_as_recip_series(xa) * xb_s
                + xa_s * poly_as_recip_series(xb))
-        full = ctx["kernel_over_t2_tm1"] * sym
+        full = ctx["kernel_over_t2_tm1"].mul_through(sym, 0)
         return polynomial_part(full.scale(HALF))
 
     def p_ab(self, a: int, b: int) -> UniPoly:
@@ -138,7 +146,8 @@ class ResidueCache:
         terms: dict[tuple[int, int], object] = {}
         for k in range(2 * n + 4):
             # coefficient of t_i^k in ker (xi(t) s'/(s - t_i) + xi(s)/(t - t_i))
-            fixed = fixed * inv_s  # ker xi(t) s'/s(t)^{k+1}, a 1/t series
+            # ker xi(t) s'/s(t)^{k+1}, a 1/t series read through t^0
+            fixed = fixed.mul_through(inv_s, 0)
             part = polynomial_part(fixed + swapped.shift(k + 1))
             for d, c in part.coeffs.items():
                 terms[(d, k)] = c

@@ -1,4 +1,4 @@
-"""Test-side oracles for the Hodge solver.
+"""Test-side oracles for the Hodge solver and the series layer.
 
 The solver builds each right side folded, in labels and in integers.
 These build the same recursions expanded, as genuine multivariate
@@ -6,17 +6,173 @@ polynomials in (t_1..t_ell) or (t, t_1..t_ell), and read a level off an
 expanded identity; ``join_pair_poly`` and ``cut_pair_poly`` build the
 cut-and-join kernels by ``MultiPoly`` and ``divided_difference``.  The
 tests compare the solver's integer path against them.
+
+The series layer multiplies over one integer denominator per factor and
+forms powers only through the degree a composition reads.
+``fraction_mul`` is the product as a loop of rational multiplies and
+adds, and ``laurent_substitute_uncapped`` composes from powers formed
+over their whole honest window with it; the tests compare the two.
+``xi_in_x_check``, ``permute_vars``, ``from_unipoly`` and
+``distinct_permutations`` serve only these checks.
 """
 
 from itertools import permutations
 from math import factorial
-from typing import NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from hodgehurwitz.exact_algebra import MultiPoly, distinct_permutations, \
-    divided_difference, rat
+from hodgehurwitz.exact_algebra import ZERO, LaurentSeries, MultiPoly, \
+    Rational, TruncationError, UniPoly, laurent_reciprocal, \
+    laurent_substitute, rat
 from hodgehurwitz.hodge_solver import _KERNELS, HodgeTable, _in_basis, \
     _Kernel, _recursion_terms, _run_extraction
 from hodgehurwitz.lambert_curve import xi_hat
+
+
+def distinct_permutations(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Each distinct ordering of ``items`` once."""
+    if not items:
+        yield ()
+        return
+    seen = set()
+    for i, v in enumerate(items):
+        if v in seen:
+            continue
+        seen.add(v)
+        for rest in distinct_permutations(items[:i] + items[i + 1:]):
+            yield (v,) + rest
+
+
+def from_unipoly(p: UniPoly, variables: Iterable[str],
+                 slot: int) -> MultiPoly:
+    """Embed a univariate polynomial into variable position ``slot``."""
+    variables = tuple(variables)
+    terms = {}
+    for d, v in p.coeffs.items():
+        e = [0] * len(variables)
+        e[slot] = d
+        terms[tuple(e)] = v
+    return MultiPoly(variables, terms)
+
+
+def permute_vars(p: MultiPoly, perm: Mapping[str, str]) -> MultiPoly:
+    """Relabel the variables of ``p`` by a bijection on names (for
+    symmetry checks)."""
+    new_positions = [p.vars.index(perm.get(v, v)) for v in p.vars]
+    out = MultiPoly.zero(p.vars)
+    out.terms = {tuple(e[j] for j in new_positions): v
+                 for e, v in p.terms.items()}
+    return out
+
+
+def divided_difference(p: MultiPoly, x: str, y: str) -> MultiPoly:
+    """Exact quotient p / (x - y) for p divisible by (x - y).
+
+    The input must vanish on the diagonal x = y (equivalently, be
+    divisible by x - y); a nonzero remainder raises ``ValueError("not
+    antisymmetric")`` since it signals a bug upstream.
+    """
+    ix = p.vars.index(x)
+    iy = p.vars.index(y)
+    rem = dict(p.terms)
+    quot: dict[tuple[int, ...], Rational] = {}
+    while rem:
+        e = max(rem, key=lambda e: (e[ix], e))
+        if e[ix] == 0:
+            raise ValueError("not antisymmetric")
+        c = rem.pop(e)
+        q = e[:ix] + (e[ix] - 1,) + e[ix + 1:]
+        s = quot.get(q, ZERO) + c
+        if s:
+            quot[q] = s
+        else:
+            del quot[q]
+        # subtract c * x^(a-1) * (x - y) * rest: the x^a term cancels,
+        # leaving a lower term with the exponent moved onto y.
+        e2 = list(q)
+        e2[iy] += 1
+        e2 = tuple(e2)
+        s = rem.get(e2, ZERO) + c
+        if s:
+            rem[e2] = s
+        else:
+            rem.pop(e2, None)
+    out = MultiPoly.zero(p.vars)
+    out.terms = quot
+    return out
+
+
+def fraction_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
+    """a * b by rational multiplies and adds, one pair of terms at a
+    time, with the honest truncation min(T_a + m_b, T_b + m_a)."""
+    ta, tb = a._trunc_key(), b._trunc_key()
+    t = min(ta + b.min_degree, tb + a.min_degree)
+    trunc = None if t >= (1 << 61) else t
+    d: dict[int, Rational] = {}
+    for k1, v1 in a.coeffs.items():
+        for k2, v2 in b.coeffs.items():
+            k = k1 + k2
+            if trunc is not None and k > trunc:
+                continue
+            s = d.get(k, ZERO) + v1 * v2
+            if s:
+                d[k] = s
+            else:
+                del d[k]
+    return LaurentSeries(d, a.var, a.min_degree + b.min_degree, trunc)
+
+
+def laurent_substitute_uncapped(p, s: LaurentSeries) -> LaurentSeries:
+    """``laurent_substitute(p, s)`` from powers of s and 1/s formed over
+    their whole honest window by ``fraction_mul``; the cap
+    (T_p + 1) val(s) - 1 of a truncated ``p`` is applied to the sum."""
+    cap = None
+    if isinstance(p, LaurentSeries) and p.truncation_order is not None:
+        val = s.valuation()
+        if val is None or val < 1:
+            raise TruncationError("inner series needs valuation >= 1")
+        cap = (p.truncation_order + 1) * val - 1
+    result = LaurentSeries.zero(s.var)
+    pos, neg = [s], []
+    for d, c in sorted(p.coeffs.items()):
+        if d > 0:
+            while len(pos) < d:
+                pos.append(fraction_mul(pos[-1], s))
+            result = result + pos[d - 1].scale(c)
+        elif d < 0:
+            if not neg:
+                neg.append(laurent_reciprocal(s))
+            while len(neg) < -d:
+                neg.append(fraction_mul(neg[-1], neg[0]))
+            result = result + neg[-d - 1].scale(c)
+    if p.coeffs.get(0):
+        result = result + LaurentSeries.exact({0: p.coeffs[0]}, s.var)
+    if cap is not None and cap < result._trunc_key():
+        result = result.truncate(cap)
+    return result
+
+
+def xi_in_x_check(n: int, order: int) -> bool:
+    """xi_hat_n on the global coordinate series of the curve.
+
+    t(x) = sum_{k>=0} k^k x^k / k! inverts the covering map in the
+    coordinate x; composing gives xi_hat_n(t(x)) = sum_{k>=1}
+    k^{k+n} x^k / k!, checked through x^order.  Valid for n >= -1.
+    """
+    if n < -1:
+        raise ValueError("check defined for n >= -1")
+    t_of_x = LaurentSeries(
+        {k: rat(k ** k, factorial(k)) for k in range(order + 1)},
+        "x", 0, order)
+    if n >= 0:
+        got = laurent_substitute(xi_hat(n), t_of_x)
+    else:
+        got = laurent_substitute(xi_hat(-1), laurent_reciprocal(t_of_x))
+    if got.coefficient(0) != 0:
+        return False
+    for k in range(1, order + 1):
+        if got.coefficient(k) != rat(k ** (k + n), factorial(k)):
+            return False
+    return True
 
 
 class XiIdentity(NamedTuple):
@@ -32,10 +188,10 @@ class XiIdentity(NamedTuple):
 def join_pair_poly(m: int) -> dict:
     """(xi_hat_{m+1}(x) xi_hat_0(y) x^2 - (x <-> y)) / (x - y), as terms."""
     variables = ("x", "y")
-    ax = MultiPoly.from_unipoly(xi_hat(m + 1), variables, 0)
-    ay = MultiPoly.from_unipoly(xi_hat(m + 1), variables, 1)
-    zx = MultiPoly.from_unipoly(xi_hat(0), variables, 0)
-    zy = MultiPoly.from_unipoly(xi_hat(0), variables, 1)
+    ax = from_unipoly(xi_hat(m + 1), variables, 0)
+    ay = from_unipoly(xi_hat(m + 1), variables, 1)
+    zx = from_unipoly(xi_hat(0), variables, 0)
+    zy = from_unipoly(xi_hat(0), variables, 1)
     x2 = MultiPoly(variables, {(2, 0): 1})
     y2 = MultiPoly(variables, {(0, 2): 1})
     p = ax * zy * x2 - ay * zx * y2
@@ -62,7 +218,7 @@ def rebuilt(converted: tuple[int, dict], kernel: _Kernel,
             term = MultiPoly(variables, {(0,) * len(variables):
                                          rat(c, den * len(orders))})
             for slot, k in enumerate(key[:head] + order):
-                term = term * MultiPoly.from_unipoly(kernel.basis(k),
+                term = term * from_unipoly(kernel.basis(k),
                                                      variables, slot)
             total = total + term
     return total
@@ -105,7 +261,7 @@ def _rhs_expanded(kernel: _Kernel, table: HodgeTable, g: int,
                 for order in distinct_permutations(tagged):
                     term = base
                     for s, (_, w) in zip(free, order):
-                        term = term * MultiPoly.from_unipoly(
+                        term = term * from_unipoly(
                             kernel.basis(2 * w + kernel.parity), variables, s)
                     total = total + term
     return total

@@ -5,10 +5,10 @@ from hodgehurwitz.exact_algebra import (
     LaurentSeries,
     MultiPoly,
     Rational,
+    SeriesPowers,
     TruncationError,
     UniPoly,
     bernoulli,
-    divided_difference,
     double_factorial,
     format_rational,
     laurent_reciprocal,
@@ -16,6 +16,8 @@ from hodgehurwitz.exact_algebra import (
     polynomial_part,
     rat,
 )
+from hodge_oracle import divided_difference, fraction_mul, from_unipoly, \
+    laurent_substitute_uncapped, permute_vars
 
 
 def test_rational_roundtrip():
@@ -89,8 +91,8 @@ def test_unipoly_str():
 
 
 def test_multipoly_product_and_degrees():
-    x = MultiPoly.from_unipoly(UniPoly({1: 1}), ("x", "y"), 0)
-    y = MultiPoly.from_unipoly(UniPoly({1: 1}), ("x", "y"), 1)
+    x = from_unipoly(UniPoly({1: 1}), ("x", "y"), 0)
+    y = from_unipoly(UniPoly({1: 1}), ("x", "y"), 1)
     p = (x + y) * (x - y)
     assert p == MultiPoly(("x", "y"), {(2, 0): 1, (0, 2): -1})
     assert p.total_degree() == 2
@@ -104,7 +106,7 @@ def test_multipoly_derivative_in():
 
 def test_multipoly_permute_vars():
     p = MultiPoly(("x", "y"), {(2, 1): 3})
-    q = p.permute_vars({"x": "y", "y": "x"})
+    q = permute_vars(p, {"x": "y", "y": "x"})
     assert q == MultiPoly(("x", "y"), {(1, 2): 3})
 
 
@@ -258,6 +260,116 @@ def test_laurent_substitute_truncated_outer_caps_result():
     s_bad = LaurentSeries({0: 1, 1: 1}, "v", 0, 10)
     with pytest.raises(TruncationError):
         laurent_substitute(p, s_bad)
+
+
+# --- the integer product and the capped powers ------------------------------
+
+rational_st = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def series_st(draw, min_degree=st.integers(-4, 3), var="v", exact=True):
+    """A series with negative degrees allowed, truncated, or exact too
+    when ``exact``; the stored min_degree may sit below the valuation."""
+    m = draw(min_degree)
+    trunc = draw(st.integers(m - 1, m + 8) if not exact else
+                 st.one_of(st.none(), st.integers(m - 1, m + 8)))
+    top = m + 8 if trunc is None else trunc
+    coeffs = draw(st.dictionaries(st.integers(m, max(m, top)), rational_st,
+                                  max_size=8))
+    if trunc is not None:
+        coeffs = {k: c for k, c in coeffs.items() if k <= trunc}
+    return LaurentSeries({k: Rational(c) for k, c in coeffs.items()}, var, m,
+                         trunc)
+
+
+def assert_same_series(got, want):
+    assert got == want  # var, coefficients and truncation order
+    assert got.min_degree == want.min_degree
+    assert all(got.coeffs.values())  # no stored zero
+
+
+@given(series_st(), series_st())
+@settings(max_examples=150)
+def test_series_product_matches_the_fraction_loop(a, b):
+    assert_same_series(a * b, fraction_mul(a, b))
+
+
+@pytest.mark.parametrize("a, b", [
+    # (1 + v)(1 - v): the v term cancels to zero
+    ({0: 1, 1: 1}, {0: 1, 1: -1}),
+    # (v^-2 - v^-1/2)(2 v^-1 + 4): every degree below v^0 cancels
+    ({-2: 1, -1: rat(-1, 2)}, {-1: 2, 0: 4}),
+    # (v^-1 + 1)(v - v^2 + v^3 - ...): all but the constant cancel
+    ({-1: 1, 0: 1}, {1: 1, 2: -1, 3: 1, 4: -1, 5: 1}),
+])
+@pytest.mark.parametrize("truncated", [False, True])
+def test_series_product_cancels_to_zero(a, b, truncated):
+    a = LaurentSeries(a, "v", truncation_order=6 if truncated else None)
+    b = LaurentSeries(b, "v",
+                      truncation_order=5 if truncated or len(b) > 2 else None)
+    assert_same_series(a * b, fraction_mul(a, b))
+    assert 1 not in (a * b).coeffs
+
+
+@given(series_st(), series_st(), st.integers(-8, 12))
+@settings(max_examples=100)
+def test_mul_through_is_the_truncated_product(a, b, degree):
+    want = fraction_mul(a, b)
+    if want.truncation_order is None or degree < want.truncation_order:
+        want = want.truncate(degree)
+    assert_same_series(a.mul_through(b, degree), want)
+
+
+@st.composite
+def inner_st(draw):
+    """A truncated inner series of valuation 1 or 2 whose stored
+    min_degree may be up to two below it, negative included."""
+    val = draw(st.integers(1, 2))
+    lead = draw(rational_st.filter(bool))
+    rest = draw(st.dictionaries(st.integers(val + 1, val + 10), rational_st,
+                                max_size=5))
+    trunc = draw(st.integers(val + 1, val + 10))
+    coeffs = {k: c for k, c in rest.items() if k <= trunc}
+    coeffs[val] = lead
+    return LaurentSeries(coeffs, "v", val - draw(st.integers(0, 2)), trunc)
+
+
+outer_st = st.one_of(
+    st.dictionaries(st.integers(0, 7), rational_st, max_size=5).map(
+        lambda c: UniPoly({k: Rational(v) for k, v in c.items()}, "u")),
+    series_st(min_degree=st.integers(-3, 2), var="u", exact=False))
+
+
+@given(inner_st(), st.lists(outer_st, min_size=1, max_size=4))
+@settings(max_examples=80)
+def test_capped_substitute_equals_the_uncapped_composition(s, outers):
+    # one table serves every composition, so powers formed through one
+    # cap are asked again through other caps and through none
+    table = SeriesPowers(s)
+    for p in outers:
+        want = laurent_substitute_uncapped(p, s)
+        assert_same_series(table.substitute(p), want)
+        assert_same_series(laurent_substitute(p, s), want)
+
+
+def test_capped_powers_stop_at_the_cap():
+    s = LaurentSeries({1: 1, 2: rat(1, 3), 3: rat(7, 36)}, "v", 1, 12)
+    table = SeriesPowers(s)
+    # s^4 through degree 4 forms s^2 and s^3 through degree 4 first, not
+    # through their honest 13 and 14
+    assert table.power(4, 4) == laurent_substitute_uncapped(
+        UniPoly({4: 1}, "u"), s).truncate(4)
+    for k in range(2, 5):
+        assert table.power(k, 4).truncation_order == 4
+    p = LaurentSeries({1: 1, 2: 1, 3: 1, 4: 1, 5: 1}, "u", 1, 5)  # cap 5
+    assert_same_series(table.substitute(p),
+                       laurent_substitute_uncapped(p, s))
+    # asking the whole window forms each power again, in full
+    for k in range(1, 6):
+        assert table.power(k) == laurent_substitute_uncapped(
+            UniPoly({k: 1}, "u"), s)
+        assert table.power(k).min_degree == k
 
 
 # --- polynomial_part -------------------------------------------------------

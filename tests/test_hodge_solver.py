@@ -19,7 +19,7 @@ from hodgehurwitz.hodge_solver import (
 )
 from hodgehurwitz.lambert_curve import xi_form, xi_hat
 from hodge_oracle import XiIdentity, bm_rhs, cut_pair_poly, cutjoin_rhs, \
-    extract_in_xi_basis, join_pair_poly, rebuilt
+    extract_in_xi_basis, from_unipoly, join_pair_poly, permute_vars, rebuilt
 
 
 @pytest.fixture(scope="module")
@@ -145,8 +145,8 @@ def test_dvv_detects_corruption():
 
 def test_trivial_bm_extraction():
     variables = ("t", "t_1")
-    rhs = (MultiPoly.from_unipoly(xi_form(1), variables, 0)
-           * MultiPoly.from_unipoly(xi_form(0), variables, 1))
+    rhs = (from_unipoly(xi_form(1), variables, 0)
+           * from_unipoly(xi_form(0), variables, 1))
     assert extract_in_xi_basis(XiIdentity("bm", 1, variables, rhs)) == {
         (1, 0): 1}
 
@@ -168,9 +168,9 @@ def test_extraction_rejects_a_partial_image():
     # one unknown's all-odd key alone reads consistently, but the
     # promoted keys of its image are missing from the right side
     variables = ("t_1", "t_2", "t_3", "t_4")
-    rhs = MultiPoly.from_unipoly(xi_hat(1), variables, 0)
+    rhs = from_unipoly(xi_hat(1), variables, 0)
     for slot in (1, 2, 3):
-        rhs = rhs * MultiPoly.from_unipoly(xi_hat(0), variables, slot)
+        rhs = rhs * from_unipoly(xi_hat(0), variables, slot)
     with pytest.raises(ValueError, match="identity violated.*leftover"):
         extract_in_xi_basis(XiIdentity("cutjoin", 0, variables, rhs))
 
@@ -185,7 +185,7 @@ def test_cutjoin_public_level_04(table_cj):
 def test_cutjoin_public_rhs_is_symmetric(table_cj):
     ident = cutjoin_rhs(1, 2, table_cj)
     swap = {"t_1": "t_2", "t_2": "t_1"}
-    assert ident.rhs.permute_vars(swap) == ident.rhs
+    assert permute_vars(ident.rhs, swap) == ident.rhs
 
 
 def test_cutjoin_public_matches_table(table_cj):
@@ -376,7 +376,7 @@ def test_bm_public_level_12_pairs(table_cj):
 def test_bm_public_two_point_symmetry(table_cj):
     rhs = bm_rhs(1, 2, table_cj)
     swap = {"t": "t", "t_1": "t_2", "t_2": "t_1"}
-    assert rhs.permute_vars(swap) == rhs
+    assert permute_vars(rhs, swap) == rhs
 
 
 def test_identity_remainders_are_zero():
@@ -384,6 +384,27 @@ def test_identity_remainders_are_zero():
     for g, ell in [(0, 4), (0, 5), (1, 2), (1, 3), (2, 1), (2, 2)]:
         assert tab.identity_remainder(g, ell, "cutjoin") == {}
         assert tab.identity_remainder(g, ell, "bm") == {}
+
+
+@pytest.mark.parametrize("method", ["cutjoin", "bm"])
+def test_shared_images_are_never_mutated(monkeypatch, method):
+    # the images are memoized: a caller that changed one would corrupt
+    # every later read of it
+    kernel, handed = _KERNELS[method], []
+
+    def image(unknown, chi):
+        got = kernel.image(unknown, chi)
+        handed.append((unknown, chi, got))
+        return got
+
+    monkeypatch.setitem(_KERNELS, method, kernel.replace(image=image))
+    tab = HodgeTable().fill_to_complexity(6, method=method)
+    for g, ell in [(0, 5), (1, 3), (2, 2)]:
+        assert tab.identity_remainder(g, ell, method) == {}
+    assert handed
+    for unknown, chi, got in handed:
+        assert kernel.image(unknown, chi) is got
+        assert got == kernel.image.__wrapped__(unknown, chi)
 
 
 def test_one_point_genus_one_amplitude(table_cj):

@@ -25,9 +25,9 @@ from hodgehurwitz.lambert_curve import (
     xi_form,
     xi_hat,
     xi_hat_over_t,
-    xi_in_x_check,
 )
 from hodgehurwitz.residue_kernel import ResidueCache
+from hodge_oracle import xi_in_x_check
 
 ORDER = 30
 
