@@ -35,8 +35,9 @@ MAX_BUDGET = 10
 # comparison window opens at truncation order 2n + 2
 ETA_INDICES = range(-1, 9)
 MIN_SERIES_ORDER = 2 * ETA_INDICES[-1] + 2
-# the series suite at order 60 takes about 2.5 s on one core; its cost
-# grows about as the cube of the order (80: 6 s, 100: 13 s)
+# a fresh series suite process at order 60 takes about 0.5 s (2 vCPUs,
+# Python 3.11, fractions); its work above start-up grows about as the
+# square of the order (README)
 MAX_SERIES_ORDER = 60
 # h(g, mu) needs r = 2g - 2 + ell + |mu| simple branch points, and the
 # branch-point recursion descends once per branch point.  The dearest
@@ -396,7 +397,7 @@ def _residue_checks() -> list:
             poly = p_n(n)
             if poly != p_n_eta(n):
                 return False
-            if poly.total_degree() != 2 * n + 2:
+            if max(map(sum, poly)) != 2 * n + 2:
                 return False
         return True
 

@@ -1,4 +1,5 @@
-"""Exact rational arithmetic, sparse polynomials, and truncated Laurent series.
+"""Exact rational arithmetic, sparse univariate polynomials, and truncated
+Laurent series.
 
 Every number in this package is an exact rational; there is no floating
 point anywhere.  Rationals are backed by ``gmpy2.mpq`` when available
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from operator import mul
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 
 try:
     from gmpy2 import mpq as Rational
@@ -73,7 +74,7 @@ class UniPoly:
         >>> str(p)
         '3*t^2 - 2*t'
         >>> p(rat(2))
-        mpq(8,1)
+        Fraction(8, 1)
     """
 
     __slots__ = ("var", "coeffs")
@@ -121,9 +122,6 @@ class UniPoly:
             return ZERO
         return self.coeffs[max(self.coeffs)]
 
-    def items(self) -> Iterator[tuple[int, Rational]]:
-        return iter(sorted(self.coeffs.items()))
-
     # -- ring operations
 
     def _require_same_var(self, other: "UniPoly") -> None:
@@ -169,9 +167,6 @@ class UniPoly:
         out.coeffs = d
         return out
 
-    def __rmul__(self, other) -> "UniPoly":
-        return self.scale(other)
-
     def scale(self, c: RationalLike) -> "UniPoly":
         q = Rational(c)
         out = UniPoly.zero(self.var)
@@ -179,24 +174,9 @@ class UniPoly:
             out.coeffs = {k: v * q for k, v in self.coeffs.items()}
         return out
 
-    def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = UniPoly.one(self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, UniPoly) and self.var == other.var
                 and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.var, frozenset(self.coeffs.items())))
 
     # -- calculus / evaluation
 
@@ -245,145 +225,6 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"
-
-
-# ---------------------------------------------------------------------------
-# multivariate polynomials
-
-
-class MultiPoly:
-    """Sparse exact polynomial in an ordered tuple of variables.
-
-    Terms map exponent vectors (tuples as long as ``vars``) to nonzero
-    rationals.  Exponents may be negative, which makes the type double
-    as a Laurent *polynomial*; the recursion identities only ever
-    produce genuine polynomials and assert so.
-    """
-
-    __slots__ = ("vars", "terms")
-
-    def __init__(self, variables: Iterable[str],
-                 terms: Optional[Mapping[tuple[int, ...], RationalLike]] = None):
-        self.vars = tuple(variables)
-        t: dict[tuple[int, ...], Rational] = {}
-        if terms:
-            n = len(self.vars)
-            for e, v in terms.items():
-                q = Rational(v)
-                if q:
-                    e = tuple(int(x) for x in e)
-                    if len(e) != n:
-                        raise ValueError("exponent vector length mismatch")
-                    t[e] = q
-        self.terms = t
-
-    @classmethod
-    def zero(cls, variables: Iterable[str]) -> "MultiPoly":
-        return cls(variables, {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, exponents: tuple[int, ...]) -> Rational:
-        return self.terms.get(tuple(exponents), ZERO)
-
-    def total_degree(self) -> Optional[int]:
-        return max(sum(e) for e in self.terms) if self.terms else None
-
-    def degree_in(self, var: str) -> Optional[int]:
-        if not self.terms:
-            return None
-        i = self.vars.index(var)
-        return max(e[i] for e in self.terms)
-
-    def _require_same_vars(self, other: "MultiPoly") -> None:
-        if self.vars != other.vars:
-            raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._require_same_vars(other)
-        d = dict(self.terms)
-        for e, v in other.terms.items():
-            s = d.get(e, ZERO) + v
-            if s:
-                d[e] = s
-            else:
-                d.pop(e, None)
-        out = MultiPoly.zero(self.vars)
-        out.terms = d
-        return out
-
-    def __neg__(self) -> "MultiPoly":
-        out = MultiPoly.zero(self.vars)
-        out.terms = {e: -v for e, v in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            return self.scale(other)
-        self._require_same_vars(other)
-        d: dict[tuple[int, ...], Rational] = {}
-        for e1, v1 in self.terms.items():
-            for e2, v2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = d.get(e, ZERO) + v1 * v2
-                if s:
-                    d[e] = s
-                else:
-                    del d[e]
-        out = MultiPoly.zero(self.vars)
-        out.terms = d
-        return out
-
-    def __rmul__(self, other) -> "MultiPoly":
-        return self.scale(other)
-
-    def scale(self, c: RationalLike) -> "MultiPoly":
-        q = Rational(c)
-        out = MultiPoly.zero(self.vars)
-        if q:
-            out.terms = {e: v * q for e, v in self.terms.items()}
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, MultiPoly) and self.vars == other.vars
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
-
-    def derivative_in(self, var: str) -> "MultiPoly":
-        i = self.vars.index(var)
-        d: dict[tuple[int, ...], Rational] = {}
-        for e, v in self.terms.items():
-            if e[i] != 0:
-                e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-                d[e2] = v * e[i]
-        out = MultiPoly.zero(self.vars)
-        out.terms = d
-        return out
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        def mono(e):
-            pieces = []
-            for v, k in zip(self.vars, e):
-                if k == 1:
-                    pieces.append(v)
-                elif k != 0:
-                    pieces.append(f"{v}^{k}")
-            return "*".join(pieces) or "1"
-        keys = sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
-        return " + ".join(
-            f"({format_rational(self.terms[e])})*{mono(e)}" for e in keys)
-
-    def __repr__(self) -> str:
-        n = len(self.terms)
-        return f"MultiPoly(vars={self.vars}, {n} terms)"
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +304,6 @@ class LaurentSeries:
     def valuation(self) -> Optional[int]:
         """Least degree with a nonzero coefficient, or None if zero."""
         return min(self.coeffs) if self.coeffs else None
-
-    def items(self) -> Iterator[tuple[int, Rational]]:
-        return iter(sorted(self.coeffs.items()))
 
     def _trunc_key(self) -> int:
         t = self.truncation_order
@@ -555,9 +393,6 @@ class LaurentSeries:
             self._ints = (den, lo, ints)
         return self._ints
 
-    def __rmul__(self, other) -> "LaurentSeries":
-        return self.scale(other)
-
     def scale(self, c: RationalLike) -> "LaurentSeries":
         q = Rational(c)
         if not q:
@@ -592,10 +427,6 @@ class LaurentSeries:
                 and self.coeffs == other.coeffs
                 and self.truncation_order == other.truncation_order)
 
-    def __hash__(self):
-        return hash((self.var, self.truncation_order,
-                     frozenset(self.coeffs.items())))
-
     def __str__(self) -> str:
         if not self.coeffs:
             body = "0"
@@ -618,35 +449,20 @@ class LaurentSeries:
         return f"LaurentSeries({self})"
 
 
-def polynomial_part(obj, laurent_var: Optional[str] = None):
-    """Keep the terms with non-negative exponent in the Laurent variable.
-
-    For a ``LaurentSeries`` in a variable named ``"1/X"`` this returns a
-    ``UniPoly`` in X (stored degree d <= 0 becomes X^(-d)); the series
-    must be truncated at order >= 0, else ``TruncationError``
+def polynomial_part(obj: LaurentSeries) -> UniPoly:
+    """The terms of non-negative exponent in X of a series in ``"1/X"``,
+    as a ``UniPoly`` in X: stored degree d <= 0 becomes X^(-d).  The
+    series must be truncated at order >= 0, else ``TruncationError``
     ("insufficient truncation") — the non-negative-power window must be
-    fully known.
-
-    For a ``MultiPoly``, ``laurent_var`` names the variable whose
-    negative exponents are dropped; the result is again a ``MultiPoly``.
-    """
-    if isinstance(obj, LaurentSeries):
-        if obj.truncation_order is not None and obj.truncation_order < 0:
-            raise TruncationError("insufficient truncation")
-        if not obj.var.startswith("1/"):
-            raise ValueError(
-                "polynomial part is defined for series in a reciprocal "
-                f"variable, got {obj.var!r}")
-        return UniPoly({-d: v for d, v in obj.coeffs.items() if d <= 0},
-                       var=obj.var[2:])
-    if isinstance(obj, MultiPoly):
-        if laurent_var is None:
-            raise ValueError("laurent_var required for MultiPoly input")
-        i = obj.vars.index(laurent_var)
-        out = MultiPoly.zero(obj.vars)
-        out.terms = {e: v for e, v in obj.terms.items() if e[i] >= 0}
-        return out
-    raise TypeError(f"unsupported input {type(obj).__name__}")
+    fully known."""
+    if obj.truncation_order is not None and obj.truncation_order < 0:
+        raise TruncationError("insufficient truncation")
+    if not obj.var.startswith("1/"):
+        raise ValueError(
+            "polynomial part is defined for series in a reciprocal "
+            f"variable, got {obj.var!r}")
+    return UniPoly({-d: v for d, v in obj.coeffs.items() if d <= 0},
+                   var=obj.var[2:])
 
 
 def laurent_reciprocal(s: LaurentSeries,

@@ -332,7 +332,7 @@ class _Kernel:
 # installed on ResidueCache sees every build
 def _bm_join(m: int) -> dict:
     from hodgehurwitz.residue_kernel import p_n
-    return p_n(m).terms
+    return p_n(m)
 
 
 def _bm_cut(a: int, b: int) -> dict:

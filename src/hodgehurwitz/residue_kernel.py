@@ -8,7 +8,9 @@ Two families are computed, each in two independent ways:
   the branch coordinate v.  Equality of the two forms is a core
   cross-check of the whole curve layer.
 * ``p_n(n)`` — a polynomial in (t, t_i) of degree exactly 2n+2 in each
-  variable, and its eta-form twin ``p_n_eta``.
+  variable, and its eta-form twin ``p_n_eta``; both are dicts from
+  exponent pairs (deg_t, deg_t_i) to nonzero rationals, the form in
+  which the Hodge solver reads every kernel.
 
 The direct forms need xi_hat_k(s(t)), and read it off the tower rather
 than compose: D = t^2 (t - 1) d/dt, the operator that builds the tower
@@ -45,7 +47,6 @@ from typing import Callable, Optional
 from hodgehurwitz.exact_algebra import (
     HALF,
     LaurentSeries,
-    MultiPoly,
     UniPoly,
     laurent_reciprocal,
     polynomial_part,
@@ -80,13 +81,18 @@ def _evaluated(memo: dict, key, name: str, at: Callable[[int], object],
     return memo[key]
 
 
+def _d_dti(primitive: dict) -> dict:
+    """The t_i-derivative of a polynomial in (t, t_i) as exponent pairs."""
+    return {(d, k - 1): k * c for (d, k), c in primitive.items() if k}
+
+
 class ResidueCache:
     """Memoized residue polynomials and the series context of each
     truncation order."""
 
     def __init__(self):
         self.pab: dict[tuple[int, int], UniPoly] = {}
-        self.pn: dict[int, MultiPoly] = {}
+        self.pn: dict[int, dict] = {}
         self._ctx: dict[int, dict] = {}
 
     # -- shared series context
@@ -138,7 +144,7 @@ class ResidueCache:
                           lambda order: self._pab_at(*key, order),
                           2 * (a + b + 2), lambda q: (q.degree(),))
 
-    def _pn_at(self, n: int, order: int) -> MultiPoly:
+    def _pn_at(self, n: int, order: int) -> dict:
         ctx = self._context(order)
         kernel, inv_s = ctx["kernel"], ctx["inv_s"]
         fixed = kernel * ctx["ds_dt"] * poly_as_recip_series(xi_hat(n + 1))
@@ -151,15 +157,14 @@ class ResidueCache:
             part = polynomial_part(fixed + swapped.shift(k + 1))
             for d, c in part.coeffs.items():
                 terms[(d, k)] = c
-        primitive = MultiPoly(("t", "t_i"), terms)
-        return primitive.derivative_in("t_i")
+        return _d_dti(terms)
 
-    def p_n(self, n: int) -> MultiPoly:
+    def p_n(self, n: int) -> dict:
         if n < 0:
             raise ValueError("p_n index must be >= 0")
         return _evaluated(self.pn, n, f"p_n({n})",
                           lambda order: self._pn_at(n, order), 2 * n + 2,
-                          lambda q: (q.degree_in("t"), q.degree_in("t_i")))
+                          lambda q: tuple(map(max, zip(*q))))
 
 
 DEFAULT_CACHE = ResidueCache()
@@ -169,7 +174,7 @@ def p_ab(a: int, b: int) -> UniPoly:
     return DEFAULT_CACHE.p_ab(a, b)
 
 
-def p_n(n: int) -> MultiPoly:
+def p_n(n: int) -> dict:
     return DEFAULT_CACHE.p_n(n)
 
 
@@ -193,7 +198,7 @@ def p_ab_eta(a: int, b: int, order: Optional[int] = None) -> UniPoly:
 
 
 def p_n_eta(n: int, order: Optional[int] = None,
-            m_max: Optional[int] = None) -> MultiPoly:
+            m_max: Optional[int] = None) -> dict:
     if n < 0:
         raise ValueError("p_n_eta index must be >= 0")
     if order is None:
@@ -206,7 +211,8 @@ def p_n_eta(n: int, order: Optional[int] = None,
     inv_eta = laurent_reciprocal(eta_series(-1, order))
     terms: dict[tuple[int, int], object] = {}
     for m in range(m_max + 1):
-        left = polynomial_part(v.substitute(eta_top.shift(2 * m)))
+        # polynomial_part reads degrees <= 0, and v^d starts at degree d
+        left = polynomial_part(v.substitute(eta_top.shift(2 * m)._cut(0)))
         if left.is_zero():
             continue
         right = polynomial_part(
@@ -222,5 +228,4 @@ def p_n_eta(n: int, order: Optional[int] = None,
                     terms[key] = val
                 else:
                     del terms[key]
-    primitive = MultiPoly(("t", "t_i"), terms)
-    return primitive.derivative_in("t_i")
+    return _d_dti(terms)

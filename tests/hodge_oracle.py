@@ -4,8 +4,12 @@ The solver builds each right side folded, in labels and in integers.
 These build the same recursions expanded, as genuine multivariate
 polynomials in (t_1..t_ell) or (t, t_1..t_ell), and read a level off an
 expanded identity; ``join_pair_poly`` and ``cut_pair_poly`` build the
-cut-and-join kernels by ``MultiPoly`` and ``divided_difference``.  The
-tests compare the solver's integer path against them.
+cut-and-join kernels by polynomial products and ``divided_difference``.
+The tests compare the solver's integer path against them.  A
+multivariate polynomial is a dict from exponent tuples, one entry per
+variable position, to nonzero rationals: the form in which the solver
+reads its kernels.  ``poly_add``, ``poly_scale`` and ``poly_mul`` are its
+ring operations.
 
 The series layer multiplies over one integer denominator per factor and
 forms powers only through the degree a composition reads.
@@ -18,11 +22,11 @@ over their whole honest window with it; the tests compare the two.
 
 from itertools import permutations
 from math import factorial
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from operator import add
+from typing import Iterator, NamedTuple
 
-from hodgehurwitz.exact_algebra import ZERO, LaurentSeries, MultiPoly, \
-    Rational, TruncationError, UniPoly, laurent_reciprocal, \
-    laurent_substitute, rat
+from hodgehurwitz.exact_algebra import ZERO, LaurentSeries, Rational, \
+    TruncationError, UniPoly, laurent_reciprocal, laurent_substitute, rat
 from hodgehurwitz.hodge_solver import _KERNELS, HodgeTable, _in_basis, \
     _Kernel, _recursion_terms, _run_extraction
 from hodgehurwitz.lambert_curve import xi_hat
@@ -42,38 +46,59 @@ def distinct_permutations(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield (v,) + rest
 
 
-def from_unipoly(p: UniPoly, variables: Iterable[str],
-                 slot: int) -> MultiPoly:
-    """Embed a univariate polynomial into variable position ``slot``."""
-    variables = tuple(variables)
-    terms = {}
-    for d, v in p.coeffs.items():
-        e = [0] * len(variables)
-        e[slot] = d
-        terms[tuple(e)] = v
-    return MultiPoly(variables, terms)
-
-
-def permute_vars(p: MultiPoly, perm: Mapping[str, str]) -> MultiPoly:
-    """Relabel the variables of ``p`` by a bijection on names (for
-    symmetry checks)."""
-    new_positions = [p.vars.index(perm.get(v, v)) for v in p.vars]
-    out = MultiPoly.zero(p.vars)
-    out.terms = {tuple(e[j] for j in new_positions): v
-                 for e, v in p.terms.items()}
+def poly_add(a: dict, b: dict) -> dict:
+    """a + b."""
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
     return out
 
 
-def divided_difference(p: MultiPoly, x: str, y: str) -> MultiPoly:
-    """Exact quotient p / (x - y) for p divisible by (x - y).
+def poly_scale(p: dict, c) -> dict:
+    """c p."""
+    return {e: v * c for e, v in p.items()} if c else {}
+
+
+def poly_mul(a: dict, b: dict) -> dict:
+    """a b."""
+    out = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            e = tuple(map(add, e1, e2))
+            s = out.get(e, 0) + v1 * v2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def from_unipoly(p: UniPoly, width: int, slot: int) -> dict:
+    """Embed a univariate polynomial into position ``slot`` of ``width``
+    variables."""
+    return {(0,) * slot + (d,) + (0,) * (width - slot - 1): v
+            for d, v in p.coeffs.items()}
+
+
+def permute_vars(p: dict, order: tuple[int, ...]) -> dict:
+    """Relabel the variables of ``p``: position i of the result takes
+    the exponent at position ``order[i]`` (for symmetry checks)."""
+    return {tuple(e[j] for j in order): v for e, v in p.items()}
+
+
+def divided_difference(p: dict, ix: int, iy: int) -> dict:
+    """Exact quotient p / (x - y) for p divisible by (x - y), with x and
+    y the variables at positions ``ix`` and ``iy``.
 
     The input must vanish on the diagonal x = y (equivalently, be
     divisible by x - y); a nonzero remainder raises ``ValueError("not
     antisymmetric")`` since it signals a bug upstream.
     """
-    ix = p.vars.index(x)
-    iy = p.vars.index(y)
-    rem = dict(p.terms)
+    rem = dict(p)
     quot: dict[tuple[int, ...], Rational] = {}
     while rem:
         e = max(rem, key=lambda e: (e[ix], e))
@@ -96,9 +121,7 @@ def divided_difference(p: MultiPoly, x: str, y: str) -> MultiPoly:
             rem[e2] = s
         else:
             rem.pop(e2, None)
-    out = MultiPoly.zero(p.vars)
-    out.terms = quot
-    return out
+    return quot
 
 
 def fraction_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
@@ -182,20 +205,16 @@ class XiIdentity(NamedTuple):
     unknown_shape: str  # "bm" | "cutjoin"
     g: int
     variables: tuple[str, ...]
-    rhs: MultiPoly
+    rhs: dict
 
 
 def join_pair_poly(m: int) -> dict:
     """(xi_hat_{m+1}(x) xi_hat_0(y) x^2 - (x <-> y)) / (x - y), as terms."""
-    variables = ("x", "y")
-    ax = from_unipoly(xi_hat(m + 1), variables, 0)
-    ay = from_unipoly(xi_hat(m + 1), variables, 1)
-    zx = from_unipoly(xi_hat(0), variables, 0)
-    zy = from_unipoly(xi_hat(0), variables, 1)
-    x2 = MultiPoly(variables, {(2, 0): 1})
-    y2 = MultiPoly(variables, {(0, 2): 1})
-    p = ax * zy * x2 - ay * zx * y2
-    return divided_difference(p, "x", "y").terms
+    ax, ay = (from_unipoly(xi_hat(m + 1), 2, slot) for slot in (0, 1))
+    zx, zy = (from_unipoly(xi_hat(0), 2, slot) for slot in (0, 1))
+    p = poly_add(poly_mul(poly_mul(ax, zy), {(2, 0): 1}),
+                 poly_scale(poly_mul(poly_mul(ay, zx), {(0, 2): 1}), -1))
+    return divided_difference(p, 0, 1)
 
 
 def cut_pair_poly(a: int, b: int) -> dict:
@@ -204,66 +223,64 @@ def cut_pair_poly(a: int, b: int) -> dict:
 
 
 def rebuilt(converted: tuple[int, dict], kernel: _Kernel,
-            variables: tuple[str, ...]) -> MultiPoly:
-    """The polynomial that a folded conversion (D, {labels: int}) stands
-    for: each key's mass c/D spread evenly over the distinct orders of
-    its labels past ``kernel.head``, each order the product of one basis
-    polynomial per variable."""
+            width: int) -> dict:
+    """The polynomial in ``width`` variables that a folded conversion
+    (D, {labels: int}) stands for: each key's mass c/D spread evenly over
+    the distinct orders of its labels past ``kernel.head``, each order
+    the product of one basis polynomial per variable."""
     den, ints = converted
     head = kernel.head
-    total = MultiPoly.zero(variables)
+    total = {}
     for key, c in ints.items():
         orders = list(distinct_permutations(key[head:]))
         for order in orders:
-            term = MultiPoly(variables, {(0,) * len(variables):
-                                         rat(c, den * len(orders))})
+            term = {(0,) * width: rat(c, den * len(orders))}
             for slot, k in enumerate(key[:head] + order):
-                term = term * from_unipoly(kernel.basis(k),
-                                                     variables, slot)
-            total = total + term
+                term = poly_mul(term, from_unipoly(kernel.basis(k), width,
+                                                   slot))
+            total = poly_add(total, term)
     return total
 
 
-def _embed(terms: dict, variables: tuple[str, ...],
-           slots: tuple[int, ...]) -> MultiPoly:
-    """Place the exponent tuples of ``terms`` in variable positions
-    ``slots``."""
-    n = len(variables)
+def _embed(terms: dict, width: int, slots: tuple[int, ...]) -> dict:
+    """Place the exponent tuples of ``terms`` in positions ``slots`` of
+    ``width`` variables."""
     out = {}
     for exps, c in terms.items():
-        vec = [0] * n
+        vec = [0] * width
         for slot, e in zip(slots, exps):
             vec[slot] = e
-        out[tuple(vec)] = c
-    return MultiPoly(variables, out)
+        if c:
+            out[tuple(vec)] = c
+    return out
 
 
 def _rhs_expanded(kernel: _Kernel, table: HodgeTable, g: int,
-                  variables: tuple[str, ...], slots) -> MultiPoly:
-    """``kernel``'s right side in ``variables``, summed over the choice
-    of the distinguished slot among ``slots``; every other variable is a
-    spectator.  Its unknowns live at level (g, len(variables))."""
-    total = MultiPoly.zero(variables)
+                  width: int, slots) -> dict:
+    """``kernel``'s right side in ``width`` variables, summed over the
+    choice of the distinguished slot among ``slots``; every other
+    variable is a spectator.  Its unknowns live at level (g, width)."""
+    total = {}
     for terms, groups, coeff in _recursion_terms(
-            kernel.join, kernel.cut, table, g, len(variables)):
+            kernel.join, kernel.cut, table, g, width):
         if not terms:
             continue
-        width = len(next(iter(terms))) - 1
+        spectators = len(next(iter(terms))) - 1
         # a distinct order of the group-tagged indices over the free slots
         # is a subset of them per group, each in a distinct order
         tagged = tuple((i, w) for i, group in enumerate(groups) for w in group)
         for slot in slots:
-            others = [s for s in range(len(variables)) if s != slot]
-            for picked in permutations(others, width):
-                base = _embed(terms, variables, (slot,) + picked).scale(
-                    kernel.weight * coeff)
+            others = [s for s in range(width) if s != slot]
+            for picked in permutations(others, spectators):
+                base = poly_scale(_embed(terms, width, (slot,) + picked),
+                                  kernel.weight * coeff)
                 free = [s for s in others if s not in picked]
                 for order in distinct_permutations(tagged):
                     term = base
                     for s, (_, w) in zip(free, order):
-                        term = term * from_unipoly(
-                            kernel.basis(2 * w + kernel.parity), variables, s)
-                    total = total + term
+                        term = poly_mul(term, from_unipoly(
+                            kernel.basis(2 * w + kernel.parity), width, s))
+                    total = poly_add(total, term)
     return total
 
 
@@ -278,12 +295,11 @@ def cutjoin_rhs(g: int, ell: int, table: HodgeTable) -> XiIdentity:
     over every t_i; the weight 1/2 counts each symmetric join pair once.
     """
     variables = tuple(f"t_{i}" for i in range(1, ell + 1))
-    total = _rhs_expanded(_KERNELS["cutjoin"], table, g, variables,
-                          range(ell))
+    total = _rhs_expanded(_KERNELS["cutjoin"], table, g, ell, range(ell))
     return XiIdentity("cutjoin", g, variables, total)
 
 
-def bm_rhs(g: int, ell: int, table: HodgeTable) -> MultiPoly:
+def bm_rhs(g: int, ell: int, table: HodgeTable) -> dict:
     """The residue-form identity's right-hand side in (t, t_1..t_ell).
 
     Its unknowns live at level (g, ell + 1); an empty polynomial means
@@ -291,10 +307,9 @@ def bm_rhs(g: int, ell: int, table: HodgeTable) -> MultiPoly:
     """
     if 2 * g - 1 + ell < 1:
         raise ValueError(f"unstable (g,ell)=({g},{ell + 1})")
-    variables = ("t",) + tuple(f"t_{i}" for i in range(1, ell + 1))
     if 2 * g - 1 + ell < 2:
-        return MultiPoly.zero(variables)
-    return _rhs_expanded(_KERNELS["bm"], table, g, variables, (0,))
+        return {}
+    return _rhs_expanded(_KERNELS["bm"], table, g, ell + 1, (0,))
 
 
 def extract_in_xi_basis(identity: XiIdentity) -> dict:
@@ -315,7 +330,7 @@ def extract_in_xi_basis(identity: XiIdentity) -> dict:
     if kernel.head and identity.variables[0] != "t":
         raise ValueError(f"{shape} identities carry the distinguished "
                          "variable t in slot 0")
-    den, ints = _in_basis(identity.rhs.terms, kernel)
+    den, ints = _in_basis(identity.rhs, kernel)
     den *= factorial(n_vars - kernel.head)
     folded = {key: rat(c, den) for key, c in ints.items()}
     return _run_extraction(folded, kernel, g, n_vars,

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import hodgehurwitz
-from hodgehurwitz import hurwitz, lambert_curve
+from hodgehurwitz import hurwitz, lambert_curve, reference_data
 from hodgehurwitz.cli import MAX_BRANCH_POINTS, MAX_BUDGET, \
     MAX_SERIES_ORDER, MIN_SERIES_ORDER, main
 from hodgehurwitz.hodge_solver import HodgeTable
@@ -396,6 +396,37 @@ def test_verify_appendix_needs_budget(capsys):
     assert "appendix suite needs --complexity-budget ≥ 9" in err
 
 
+APPENDIX_CHECKS = [
+    "appendix: Hodge integrals, cut-and-join pipeline",
+    "appendix: Hodge integrals, topological-recursion pipeline",
+    "appendix: Hurwitz numbers, branch-point recursion",
+    "appendix: Hurwitz numbers, Hodge-integral formula",
+]
+
+
+def test_verify_appendix_suite_passes(capsys):
+    assert run(capsys, "verify", "--suite", "appendix") == \
+        (0, "".join(f"ok   {name}\n" for name in APPENDIX_CHECKS), "")
+
+
+def test_verify_appendix_names_a_wrong_hodge_row(capsys, monkeypatch):
+    rows = list(reference_data.HODGE_REFERENCE)
+    assert rows[0] == (2, (3,), 1, "1/480")
+    rows[0] = (2, (3,), 1, "1/481")
+    monkeypatch.setattr(reference_data, "HODGE_REFERENCE", tuple(rows))
+    code, out, err = run(capsys, "verify", "--suite", "appendix")
+    assert code == 1
+    wrong = "<tau_(3,) lambda_1>_2 expected 1/481"
+    assert out.split("\n")[:4] == [
+        f"FAIL {APPENDIX_CHECKS[0]}: {wrong}, cutjoin gives j=1 value=1/480",
+        f"FAIL {APPENDIX_CHECKS[1]}: {wrong}, bm gives j=1 value=1/480",
+        f"ok   {APPENDIX_CHECKS[2]}",
+        f"ok   {APPENDIX_CHECKS[3]}",
+    ]
+    assert err == (f"error: verification failed: {APPENDIX_CHECKS[0]}: "
+                   f"{wrong}, cutjoin gives j=1 value=1/480\n")
+
+
 def test_verify_rejects_tiny_order(capsys):
     code, _, err = run(capsys, "verify", "--suite", "series", "--order", "4")
     assert code == 1
@@ -509,6 +540,12 @@ _HODGE_SET = {"lambert_curve", "hodge_solver"}
      False, False),
     ("table --g-max 1 --size-max 2", _HODGE_SET | {"hurwitz"}, False, False),
     (f"verify --suite series --order {MIN_SERIES_ORDER}", {"lambert_curve"},
+     False, False),
+    ("verify --suite residues", {"lambert_curve", "residue_kernel"}, False,
+     False),
+    ("verify --suite dvv --complexity-budget 5", _HODGE_SET, False, False),
+    ("verify --suite appendix", _HODGE_SET | {"residue_kernel", "hurwitz",
+                                              "reference_data"},
      False, False),
 ])
 def test_each_command_loads_only_its_modules(tmp_path, argv, modules,
