@@ -26,7 +26,7 @@ __all__ = [
 
 _HOME = {
     "HodgeTable": "hodge_solver",
-    "dvv_verify": "hodge_solver",
+    "dvv_verify": "verify",
     "hodge_lambda": "hodge_solver",
     "elsv_invert": "hurwitz",
     "h_brute": "hurwitz",

@@ -19,12 +19,12 @@ method's table persists there as one JSON file (see ``_Tables``).
 import argparse
 import os
 import sys
-from functools import cache
 from typing import Optional
 
-# Every command formats rationals; each runner and suite below imports
-# the other layers it calls, so a process loads only those.
-from .exact_algebra import format_rational, rat
+# Every command formats rationals; each runner below imports the other
+# layers it calls (the verify suites are in ``verify``), so a process
+# loads only those.  The module docstring is the --help text.
+from .exact_algebra import format_rational
 
 DEFAULT_BUDGET = 9
 # a fill to complexity chi, both pipelines, takes about 0.65 s at chi 9
@@ -312,200 +312,13 @@ def _run_table(args, tables: _Tables) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verification suites
-
-
-def _series_checks(order: int) -> list:
-    from .exact_algebra import LaurentSeries, SeriesPowers, \
-        laurent_reciprocal
-    from .lambert_curve import eta_xi_identity_check, \
-        h02_series_identity_check, s_involution, stirling_coefficients, \
-        v_series, w_series
-
-    @cache
-    def inv_s() -> SeriesPowers:
-        """Powers of 1/s, formed once for every composition into 1/s."""
-        return SeriesPowers(laurent_reciprocal(s_involution(order)))
-
-    def involution():
-        ss = inv_s().substitute(s_involution(order))
-        diff = ss - LaurentSeries.exact({-1: 1}, "1/t")
-        return diff.is_zero() and diff.truncation_order >= order - 6
-
-    def fixes_w():
-        w = w_series(order)
-        diff = inv_s().substitute(w) - w
-        return diff.is_zero() and diff.truncation_order >= order - 4
-
-    def half_v_squared():
-        v = v_series(order)
-        return ((v * v).scale(rat(1, 2)) - w_series(order)).is_zero()
-
-    def v_odd_under_s():
-        v = v_series(order)
-        diff = inv_s().substitute(v) + v
-        return diff.is_zero() and diff.truncation_order >= order - 6
-
-    def eta_matches_xi():
-        return all(eta_xi_identity_check(n, order) for n in ETA_INDICES)
-
-    def frozen_coefficients():
-        s = s_involution(order)
-        v = v_series(order)
-        s_ok = [s.coefficient(k) for k in (-1, 0, 1, 2, 3)] == \
-            [rat(-1), rat(2, 3), rat(0), rat(4, 135), rat(8, 405)]
-        v_ok = [v.coefficient(k) for k in (1, 2, 3, 4, 5)] == \
-            [rat(1), rat(1, 3), rat(7, 36), rat(73, 540), rat(1331, 12960)]
-        sk_ok = stirling_coefficients(4) == [
-            rat(1), rat(-1, 12), rat(1, 288), rat(139, 51840),
-            rat(-571, 2488320)]
-        return s_ok and v_ok and sk_ok
-
-    def h02_identity():
-        return h02_series_identity_check(8)
-
-    return [
-        ("series: s(s(t)) = t", involution),
-        ("series: w(s(t)) = w(t)", fixes_w),
-        ("series: v^2/2 = w", half_v_squared),
-        ("series: v(s(t)) = -v(t)", v_odd_under_s),
-        ("series: eta_n matches xi_hat_n for n = "
-         f"{ETA_INDICES[0]}..{ETA_INDICES[-1]}", eta_matches_xi),
-        ("series: frozen leading coefficients of s, v, s_k",
-         frozen_coefficients),
-        ("series: two-point genus-zero amplitude identity to degree 8",
-         h02_identity),
-    ]
-
-
-def _residue_checks() -> list:
-    from .residue_kernel import p_ab, p_ab_eta, p_n, p_n_eta
-
-    def pair_kernels():
-        for a in range(0, 9):
-            for b in range(0, 9 - a):
-                poly = p_ab(a, b)
-                if poly != p_ab_eta(a, b):
-                    return False
-                if poly.degree() != 2 * (a + b + 2):
-                    return False
-        return True
-
-    def point_kernels():
-        for n in range(0, 7):
-            poly = p_n(n)
-            if poly != p_n_eta(n):
-                return False
-            if max(map(sum, poly)) != 2 * n + 2:
-                return False
-        return True
-
-    return [
-        ("residues: p_ab agrees with its eta-series form for a+b <= 8",
-         pair_kernels),
-        ("residues: p_n agrees with its eta-series form for n <= 6",
-         point_kernels),
-    ]
-
-
-def _dvv_checks(budget: int, tables: _Tables) -> list:
-    from .exact_algebra import UniPoly
-    from .hodge_solver import dvv_verify
-    from .lambert_curve import xi_form
-
-    def base_values():
-        table = tables.get("cutjoin")
-        return (table.value(0, (0, 0, 0)) == rat(1)
-                and table.value(1, (1,)) == rat(1, 24))
-
-    def one_point_amplitude():
-        table = tables.get("cutjoin")
-        acc = UniPoly.zero()
-        for idx, val in table.level_entries(1, 1).items():
-            acc = acc + xi_form(idx[0]).scale(val)
-        return acc == UniPoly({2: rat(1, 8), 1: rat(-1, 12), 0: rat(-1, 24)})
-
-    def recursion_holds():
-        table = tables.get("cutjoin")
-        for g in range(0, 4):
-            for ell in range(1, budget + 2):
-                if 2 * g - 1 + ell > budget:
-                    break
-                if not dvv_verify(g, ell, table=table):
-                    raise ValueError(f"dvv fails at (g,ell)=({g},{ell})")
-        return True
-
-    return [
-        ("dvv: <tau_0^3> = 1 and <tau_1> = 1/24", base_values),
-        ("dvv: genus-one one-point amplitude is (1/24)(t-1)(3t+1)",
-         one_point_amplitude),
-        ("dvv: psi-sector recursion holds for g <= 3 within budget",
-         recursion_holds),
-    ]
-
-
-def _appendix_checks(budget: int, tables: _Tables) -> list:
-    from .hodge_solver import hodge_lambda
-    from .hurwitz import h_direct, hurwitz_elsv
-    from .reference_data import HODGE_REFERENCE, HURWITZ_GENUS_FIVE, \
-        HURWITZ_REFERENCE
-
-    need = max(2 * g - 2 + len(idx) for g, idx, _, _ in HODGE_REFERENCE)
-    need = max(need, max(2 * g - 2 + len(mu)
-                         for g, mu, _ in HURWITZ_REFERENCE))
-    if budget < need:
-        raise ValueError(
-            f"appendix suite needs --complexity-budget ≥ {need}")
-
-    def hodge_rows(method: str):
-        def check():
-            table = tables.get(method)
-            for g, idx, j, val in HODGE_REFERENCE:
-                jj, got = hodge_lambda(g, idx, method=method, table=table)
-                if jj != j or got != rat(val):
-                    raise ValueError(
-                        f"<tau_{idx} lambda_{j}>_{g} expected {val}, "
-                        f"{method} gives j={jj} value={format_rational(got)}")
-            return True
-        return check
-
-    def hurwitz_direct():
-        for g, mu, val in HURWITZ_REFERENCE + HURWITZ_GENUS_FIVE:
-            got = h_direct(g, mu)
-            if got != rat(val):
-                raise ValueError(
-                    f"h({g}, {mu}) expected {val}, recursion gives "
-                    f"{format_rational(got)}")
-        return True
-
-    def hurwitz_formula():
-        table = tables.get("cutjoin")
-        for g, mu, val in HURWITZ_REFERENCE + HURWITZ_GENUS_FIVE:
-            got = hurwitz_elsv(g, mu, table=table)
-            if got != rat(val):
-                raise ValueError(
-                    f"h({g}, {mu}) expected {val}, Hodge-integral formula "
-                    f"gives {format_rational(got)}")
-        return True
-
-    return [
-        ("appendix: Hodge integrals, cut-and-join pipeline",
-         hodge_rows("cutjoin")),
-        ("appendix: Hodge integrals, topological-recursion pipeline",
-         hodge_rows("bm")),
-        ("appendix: Hurwitz numbers, branch-point recursion",
-         hurwitz_direct),
-        ("appendix: Hurwitz numbers, Hodge-integral formula",
-         hurwitz_formula),
-    ]
-
-
 def _run_verify(args, tables: _Tables) -> int:
     if args.order < MIN_SERIES_ORDER:
         raise ValueError(f"order must be ≥ {MIN_SERIES_ORDER}")
     if args.order > MAX_SERIES_ORDER:
         raise ValueError(f"order must be ≤ {MAX_SERIES_ORDER}")
+    from .verify import _appendix_checks, _dvv_checks, _residue_checks, \
+        _series_checks
     checks = []
     if args.suite in ("series", "all"):
         checks += _series_checks(args.order)

@@ -2,10 +2,9 @@
 
 The curve x = y e^{-y} carries a distinguished coordinate t in which
 the covering map is w(t) = -1/t - log(1 - 1/t) = sum_{m>=2} t^{-m}/m.
-This module builds, in exact arithmetic:
+This module builds, in exact arithmetic, on the series layer
+(``series``) and the xi_hat tower (``xi_tower``):
 
-* the polynomial tower ``xi_hat(n)`` generated from t - 1 by the
-  operator t^2(t-1) d/dt, and its derivative forms ``xi_form(n)``;
 * the deck transformation (involution) ``s_involution``, the second
   solution of w(s) = w(t), the branch coordinate ``v_series`` with
   v^2/2 = w, and the Stirling expansion coefficients
@@ -16,9 +15,8 @@ This module builds, in exact arithmetic:
 Series in t live in the formal variable "1/t": stored degree d is the
 coefficient of t^{-d}, so polynomials in t occupy degrees <= 0.
 
-Each series is computed once per process.  The xi_hat tower and the
-Stirling coefficients grow as module lists; ``xi_form``,
-``xi_hat_over_t`` and ``eta_series`` are memoized per argument.
+Each series is computed once per process.  The Stirling coefficients
+grow as a module list; ``eta_series`` is memoized per argument.
 s(t) and v(t) are grow-only: the process holds each at the highest
 order requested so far and serves a lower order as its truncation; a
 higher order is reached by resuming from the series held, and the
@@ -41,65 +39,11 @@ import math
 from functools import cache
 from typing import Optional
 
-from hodgehurwitz.exact_algebra import (
-    HALF,
-    ONE,
-    ZERO,
-    LaurentSeries,
-    Rational,
-    SeriesPowers,
-    UniPoly,
-    bernoulli,
-    double_factorial,
-    laurent_reciprocal,
-    laurent_substitute,
-    rat,
-)
-
-_T_SQUARED_T_MINUS_1 = UniPoly({3: 1, 2: -1})  # t^2 (t - 1)
-
-
-_XI_HAT: list = [UniPoly({1: 1, 0: -1})]
-_XI_HAT_M1 = LaurentSeries.exact({0: 1, 1: -1}, "1/t")
-_XI_HAT_M2 = LaurentSeries.exact({2: rat(-1, 2)}, "1/t")
-
-
-def xi_hat(n: int):
-    """xi_hat_n: a UniPoly for n >= 0, a Laurent form for n = -1, -2.
-
-    xi_hat_0 = t - 1 and xi_hat_{n+1} = t^2 (t - 1) (d/dt) xi_hat_n, a
-    polynomial of degree 2n+1 with leading coefficient (2n-1)!! for
-    n >= 1.  The two Laurent members below the tower are
-    xi_hat_{-1} = 1 - 1/t and xi_hat_{-2} = -1/(2 t^2) up to an
-    additive constant; the constant is transcendental and never enters
-    any identity computed here, so it is simply left out (only
-    differences and derivatives of xi_hat_{-2} are meaningful).
-    """
-    if n < -2:
-        raise ValueError(f"xi_hat is not defined for n = {n} < -2")
-    if n == -1:
-        return _XI_HAT_M1
-    if n == -2:
-        return _XI_HAT_M2
-    while len(_XI_HAT) <= n:
-        _XI_HAT.append(_T_SQUARED_T_MINUS_1 * _XI_HAT[-1].derivative())
-    return _XI_HAT[n]
-
-
-@cache
-def xi_form(n: int) -> UniPoly:
-    """xi_n = d/dt xi_hat_n: degree 2n, leading coefficient (2n+1)!!."""
-    if n < 0:
-        raise ValueError(f"xi_form requires n >= 0, got {n}")
-    return xi_hat(n).derivative()
-
-
-@cache
-def xi_hat_over_t(n: int) -> UniPoly:
-    """xi_hat_{n+1}(t)/t for n >= 0 — exact, since t^2 | xi_hat_{n+1}."""
-    if n < 0:
-        raise ValueError(f"xi_hat_over_t requires n >= 0, got {n}")
-    return xi_hat(n + 1).divide_by_power(1)
+from hodgehurwitz.exact_algebra import HALF, ONE, ZERO, Rational, UniPoly, \
+    bernoulli, double_factorial, rat
+from hodgehurwitz.series import LaurentSeries, SeriesPowers, \
+    laurent_reciprocal, laurent_substitute
+from hodgehurwitz.xi_tower import xi_hat
 
 
 def poly_as_recip_series(p: UniPoly) -> LaurentSeries:

@@ -44,21 +44,17 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from hodgehurwitz.exact_algebra import (
-    HALF,
-    LaurentSeries,
-    UniPoly,
-    laurent_reciprocal,
-    polynomial_part,
-)
+from hodgehurwitz.exact_algebra import HALF, UniPoly
 from hodgehurwitz.lambert_curve import (
     d_dt,
     eta_series,
     poly_as_recip_series,
     s_involution,
     v_powers,
-    xi_hat,
 )
+from hodgehurwitz.series import LaurentSeries, laurent_reciprocal, \
+    polynomial_part
+from hodgehurwitz.xi_tower import xi_hat
 
 
 def _tower_step(f: LaurentSeries) -> LaurentSeries:
@@ -215,8 +211,10 @@ def p_n_eta(n: int, order: Optional[int] = None,
         left = polynomial_part(v.substitute(eta_top.shift(2 * m)._cut(0)))
         if left.is_zero():
             continue
-        right = polynomial_part(
-            v.substitute(inv_eta.shift(-(2 * m + 1))) * dv)
+        # dv starts at degree 2, so only degrees <= -2 of the right
+        # factor reach degree 0
+        right = polynomial_part(v.substitute(
+            inv_eta.shift(-(2 * m + 1))._cut(-2)).mul_through(dv, 0))
         if right.is_zero():
             continue
         for di, ci in left.coeffs.items():      # t_i factor

@@ -25,11 +25,14 @@ from math import factorial
 from operator import add
 from typing import Iterator, NamedTuple
 
-from hodgehurwitz.exact_algebra import ZERO, LaurentSeries, Rational, \
-    TruncationError, UniPoly, laurent_reciprocal, laurent_substitute, rat
-from hodgehurwitz.hodge_solver import _KERNELS, HodgeTable, _in_basis, \
-    _Kernel, _recursion_terms, _run_extraction
-from hodgehurwitz.lambert_curve import xi_hat
+from hodgehurwitz.exact_algebra import ZERO, Rational, TruncationError, \
+    UniPoly, rat
+from hodgehurwitz.hodge_solver import HodgeTable
+from hodgehurwitz.level_solve import _KERNELS, _in_basis, _Kernel, \
+    _recursion_terms, _run_extraction
+from hodgehurwitz.series import LaurentSeries, laurent_reciprocal, \
+    laurent_substitute
+from hodgehurwitz.xi_tower import xi_hat
 
 
 def distinct_permutations(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

@@ -11,17 +11,20 @@ import time
 
 import pytest
 
-from hodgehurwitz.exact_algebra import LaurentSeries, UniPoly, \
-    laurent_reciprocal, laurent_substitute, rat
-from hodgehurwitz.hodge_solver import HodgeTable, dvv_verify, hodge_lambda
+from hodgehurwitz.exact_algebra import UniPoly, rat
+from hodgehurwitz.hodge_solver import HodgeTable, hodge_lambda
 from hodgehurwitz.hurwitz import elsv_invert, h_brute, h_direct, \
     hurwitz_elsv, _partitions
 from hodgehurwitz.lambert_curve import eta_xi_identity_check, \
     h02_series_identity_check, s_involution, stirling_coefficients, \
-    v_series, w_series, xi_form
+    v_series, w_series
 from hodgehurwitz.residue_kernel import p_ab, p_ab_eta, p_n, p_n_eta
 from hodgehurwitz.reference_data import HODGE_REFERENCE, \
     HURWITZ_GENUS_FIVE, HURWITZ_REFERENCE
+from hodgehurwitz.series import LaurentSeries, laurent_reciprocal, \
+    laurent_substitute
+from hodgehurwitz.verify import dvv_verify
+from hodgehurwitz.xi_tower import xi_form
 from hodge_oracle import XiIdentity, bm_rhs, extract_in_xi_basis
 
 CHI_MAX = 9

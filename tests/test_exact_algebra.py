@@ -1,19 +1,25 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodgehurwitz.exact_algebra import (
-    LaurentSeries,
     Rational,
-    SeriesPowers,
     TruncationError,
     UniPoly,
     bernoulli,
     double_factorial,
     format_rational,
+    rat,
+)
+from hodgehurwitz.series import (
+    LaurentSeries,
+    SeriesPowers,
     laurent_reciprocal,
     laurent_substitute,
     polynomial_part,
-    rat,
 )
 from hodge_oracle import divided_difference, fraction_mul, from_unipoly, \
     laurent_substitute_uncapped, permute_vars, poly_add, poly_mul, poly_scale
@@ -391,6 +397,34 @@ def test_polynomial_part_idempotent_and_linear():
     back = LaurentSeries({-d: v for d, v in pa.coeffs.items()}, "1/t",
                          truncation_order=5)
     assert polynomial_part(back) == pa
+
+
+# --- the series names resolve here on first access ---------------------------
+
+_LAZY_PROBE = """\
+import sys
+from hodgehurwitz.exact_algebra import rat
+from hodgehurwitz import exact_algebra
+assert not hasattr(exact_algebra, "__path__")
+try:
+    exact_algebra.no_such_name
+except AttributeError:
+    pass
+else:
+    raise SystemExit("an unknown name resolved")
+assert "hodgehurwitz.series" not in sys.modules
+from hodgehurwitz import series
+for name in ("LaurentSeries", "SeriesPowers", "polynomial_part",
+             "laurent_reciprocal", "laurent_substitute"):
+    assert getattr(exact_algebra, name) is getattr(series, name), name
+"""
+
+
+def test_series_names_load_the_series_layer_only_on_access():
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_PROBE], capture_output=True, text=True,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    assert proc.returncode == 0, proc.stderr
 
 
 # --- special numbers -------------------------------------------------------

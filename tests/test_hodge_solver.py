@@ -5,19 +5,18 @@ from math import factorial
 
 import pytest
 
-from hodgehurwitz import hodge_solver
+from hodgehurwitz import level_solve
 from hodgehurwitz.exact_algebra import UniPoly, rat
 from hodgehurwitz.hodge_solver import (
-    _KERNELS,
-    _in_basis,
     HodgeTable,
     TauKey,
-    dvv_verify,
     hodge_lambda,
     load_table_cache,
     save_table_cache,
 )
-from hodgehurwitz.lambert_curve import xi_form, xi_hat
+from hodgehurwitz.level_solve import _KERNELS, _in_basis, _rhs_in_basis
+from hodgehurwitz.verify import dvv_verify
+from hodgehurwitz.xi_tower import xi_form, xi_hat
 from hodge_oracle import XiIdentity, bm_rhs, cut_pair_poly, cutjoin_rhs, \
     extract_in_xi_basis, from_unipoly, join_pair_poly, permute_vars, \
     poly_mul, rebuilt
@@ -227,10 +226,10 @@ def test_folded_rhs_is_the_fold_of_the_expanded_rhs(table_cj, g, ell):
     # the solver's right side, built in labels, is the expanded oracle
     # converted into the label basis and folded
     expanded = cutjoin_rhs(g, ell, table_cj).rhs
-    assert table_cj._rhs_in_basis(_KERNELS["cutjoin"], g, ell) == \
+    assert _rhs_in_basis(table_cj, _KERNELS["cutjoin"], g, ell) == \
         _expanded_in_basis(expanded, ell, "cutjoin")
     expanded = bm_rhs(g, ell - 1, table_cj)
-    assert table_cj._rhs_in_basis(_KERNELS["bm"], g, ell) == \
+    assert _rhs_in_basis(table_cj, _KERNELS["bm"], g, ell) == \
         _expanded_in_basis(expanded, ell, "bm")
 
 
@@ -238,14 +237,14 @@ def _recorded_labels(method: str, chi_max: int) -> dict:
     """(part, indices) -> (D, ints) for every label conversion that a
     fill of a fresh table to ``chi_max`` reads."""
     read = {}
-    labels = hodge_solver._labels
+    labels = level_solve._labels
 
     def recording(kernel, part, *indices):
         read[(part, indices)] = labels(kernel, part, *indices)
         return read[(part, indices)]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hodge_solver, "_labels", recording)
+        mp.setattr(level_solve, "_labels", recording)
         HodgeTable().fill_to_complexity(chi_max, method=method)
     return read
 
@@ -349,14 +348,14 @@ def test_mutated_join_polynomial_raises(monkeypatch, method):
 def test_label_denominator_off_by_three_raises(monkeypatch, method):
     # one memoized conversion, the join of index 1, claims a denominator
     # three times too large
-    labels = hodge_solver._labels
+    labels = level_solve._labels
 
     def wrong(kernel, part, *indices):
         den, ints = labels(kernel, part, *indices)
         return (3 * den, ints) if (part, indices) == ("join", (1,)) else \
             (den, ints)
 
-    monkeypatch.setattr(hodge_solver, "_labels", wrong)
+    monkeypatch.setattr(level_solve, "_labels", wrong)
     with pytest.raises(ValueError, match="identity violated"):
         HodgeTable().fill_to_complexity(5, method=method)
 

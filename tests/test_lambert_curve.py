@@ -2,16 +2,9 @@ import math
 
 import pytest
 
-from hodgehurwitz import hodge_solver, lambert_curve, residue_kernel
+from hodgehurwitz import lambert_curve, level_solve, residue_kernel
 from hodgehurwitz.cli import main
-from hodgehurwitz.exact_algebra import (
-    LaurentSeries,
-    UniPoly,
-    double_factorial,
-    laurent_reciprocal,
-    laurent_substitute,
-    rat,
-)
+from hodgehurwitz.exact_algebra import UniPoly, double_factorial, rat
 from hodgehurwitz.lambert_curve import (
     d_dt,
     eta_series,
@@ -22,11 +15,14 @@ from hodgehurwitz.lambert_curve import (
     stirling_coefficients,
     v_series,
     w_series,
-    xi_form,
-    xi_hat,
-    xi_hat_over_t,
 )
 from hodgehurwitz.residue_kernel import ResidueCache
+from hodgehurwitz.series import (
+    LaurentSeries,
+    laurent_reciprocal,
+    laurent_substitute,
+)
+from hodgehurwitz.xi_tower import xi_form, xi_hat, xi_hat_over_t
 from hodge_oracle import xi_in_x_check
 
 ORDER = 30
@@ -367,8 +363,8 @@ def test_bm_hodge_solves_s_only_when_the_order_rises(capsys, monkeypatch,
     monkeypatch.setattr(residue_kernel, "DEFAULT_CACHE", ResidueCache())
     # the solver memoizes p_ab and p_n in its label basis per kernel
     # object, so a copy of the bm kernel asks the fresh cache again
-    monkeypatch.setitem(hodge_solver._KERNELS, "bm",
-                        hodge_solver._KERNELS["bm"].replace())
+    monkeypatch.setitem(level_solve._KERNELS, "bm",
+                        level_solve._KERNELS["bm"].replace())
     memo, requested = lambert_curve._CURVE, []
     serve = memo.serve
 

@@ -1,16 +1,19 @@
+import hashlib
+import json
+
 import pytest
 
-from hodgehurwitz import hodge_solver, residue_kernel
+from hodgehurwitz import level_solve, residue_kernel
 from hodgehurwitz.cli import main
 from hodgehurwitz.exact_algebra import (
-    LaurentSeries,
     TruncationError,
     UniPoly,
     double_factorial,
+    format_rational,
     rat,
 )
 from hodgehurwitz.hodge_solver import HodgeTable
-from hodgehurwitz.lambert_curve import d_dt, s_powers, xi_hat
+from hodgehurwitz.lambert_curve import d_dt, s_powers
 from hodgehurwitz.residue_kernel import (
     ResidueCache,
     p_ab,
@@ -18,6 +21,8 @@ from hodgehurwitz.residue_kernel import (
     p_n,
     p_n_eta,
 )
+from hodgehurwitz.series import LaurentSeries
+from hodgehurwitz.xi_tower import xi_hat
 
 
 def test_p_ab_00_frozen():
@@ -55,6 +60,26 @@ def test_p_ab_eta_insufficient_order_raises():
 
 def test_p_n_0_frozen():
     assert p_n(0) == {(2, 0): 1, (0, 2): 3, (1, 0): rat(-2, 3), (0, 1): -2}
+
+
+# md5 of each p_n_eta(n), n = 0..11, as JSON [[deg_t, deg_t_i, "num/den"]]
+# in sorted order: the eta form is cut to the degrees its polynomial
+# part reads, and must give the same polynomials as the uncut form
+_P_N_ETA_MD5 = [
+    "6faf6b7a12bd7ed6d1b353985f4c9cad", "af1a0a9b83036f2bc290608d3c54fca1",
+    "a4794133735f2f6b385b04e34a8d7b3b", "40675da7ce6d8abe8fd66aaf9bbfb7a5",
+    "f2aa1bcfe59091bc54ef76b233994e64", "44a46ec6b11530c012de7d3e6b992b8e",
+    "b7dbc440c7d0c0f7b4c0c257412992a3", "eca8b314e6e0ef7414aac3b8ea7ec7a3",
+    "83a0686d790b3519c13f92259cb7f83e", "82dccffaed1e57731698987011ce6337",
+    "d4da8a58994b4ba39f3128842ea33840", "1256e798f6c5bcc5cbebc427963029d3",
+]
+
+
+@pytest.mark.parametrize("n", range(12))
+def test_p_n_eta_is_pinned(n):
+    rows = [[*key, format_rational(c)] for key, c in sorted(p_n_eta(n).items())]
+    assert hashlib.md5(json.dumps(rows).encode()).hexdigest() == \
+        _P_N_ETA_MD5[n]
 
 
 def test_p_n_degrees():
@@ -189,8 +214,8 @@ def test_a_wrong_tower_operator_is_caught(monkeypatch, capsys):
         "error: verification failed: residues: p_ab")
     monkeypatch.setattr(residue_kernel, "DEFAULT_CACHE", ResidueCache())
     # the solver memoizes p_ab and p_n per kernel object
-    monkeypatch.setitem(hodge_solver._KERNELS, "bm",
-                        hodge_solver._KERNELS["bm"].replace())
+    monkeypatch.setitem(level_solve._KERNELS, "bm",
+                        level_solve._KERNELS["bm"].replace())
     with pytest.raises(ValueError, match="identity violated"):
         HodgeTable().fill_to_complexity(5, method="bm")
 
