@@ -22,8 +22,9 @@ import sys
 from typing import Optional
 
 # Every command formats rationals; each runner below imports the other
-# layers it calls (the verify suites are in ``verify``), so a process
-# loads only those.  The module docstring is the --help text.
+# layers it calls (the verify suites are in ``verify`` and
+# ``verify_series``), so a process loads only those.  The module
+# docstring is the --help text.
 from .exact_algebra import format_rational
 
 DEFAULT_BUDGET = 9
@@ -35,7 +36,7 @@ MAX_BUDGET = 10
 # comparison window opens at truncation order 2n + 2
 ETA_INDICES = range(-1, 9)
 MIN_SERIES_ORDER = 2 * ETA_INDICES[-1] + 2
-# a fresh series suite process at order 60 takes about 0.5 s (2 vCPUs,
+# a fresh series suite process at order 60 takes about 0.25 s (2 vCPUs,
 # Python 3.11, fractions); its work above start-up grows about as the
 # square of the order (README)
 MAX_SERIES_ORDER = 60
@@ -317,16 +318,18 @@ def _run_verify(args, tables: _Tables) -> int:
         raise ValueError(f"order must be ≥ {MIN_SERIES_ORDER}")
     if args.order > MAX_SERIES_ORDER:
         raise ValueError(f"order must be ≤ {MAX_SERIES_ORDER}")
-    from .verify import _appendix_checks, _dvv_checks, _residue_checks, \
-        _series_checks
     checks = []
     if args.suite in ("series", "all"):
+        from .verify_series import _series_checks
         checks += _series_checks(args.order)
     if args.suite in ("residues", "all"):
+        from .verify import _residue_checks
         checks += _residue_checks()
     if args.suite in ("dvv", "all"):
+        from .verify import _dvv_checks
         checks += _dvv_checks(args.complexity_budget, tables)
     if args.suite in ("appendix", "all"):
+        from .verify import _appendix_checks
         checks += _appendix_checks(args.complexity_budget, tables)
     first_failure: Optional[str] = None
     for name, fn in checks:

@@ -269,13 +269,8 @@ def double_factorial(n: int) -> Rational:
         for k in range(n, 1, -2):
             acc *= k
         return Rational(acc)
-    acc = ONE
-    k = -1
-    while k > n:
-        # descend: k!! = (k+2)!!/(k+2) with (k+2)!! already in acc
-        acc = acc / (k - 2 + 2)
-        k -= 2
-    return acc
+    k = (-n - 1) // 2
+    return Rational((-1) ** k, math.prod(range(2 * k - 1, 0, -2)))
 
 
 _BERNOULLI_CACHE: list[Rational] = [ONE, Rational(-1, 2)]

@@ -26,8 +26,10 @@ s(t) comes from the ODE s' t^2 (t - 1) = s^2 (s - 1), which is
 w'(s) s' = w'(t) with w'(t) = -1/(t^2 (t - 1)).  Its coefficients in
 1/t follow one by one from s = -t + ..., each at O(n) cost through a
 running list of the coefficients of s^2, so N of them cost O(N^2)
-rational operations (see ``_solve_s``).  v(t) follows the same way,
-from y^2 = 2 w t^2 for y = t v (see ``_solve_v``).
+rational operations; the check of w(s) = w(t) that follows is a
+product of series, O(N^2) operations on Python ints (see ``_solve_s``).
+v(t) follows the same way, from y^2 = 2 w t^2 for y = t v (see
+``_solve_v``).
 ``s_powers`` and ``v_powers`` share the powers of the series served at
 one order across every composition into it.  Cached values are never
 mutated.
@@ -39,7 +41,7 @@ import math
 from functools import cache
 from typing import Optional
 
-from hodgehurwitz.exact_algebra import HALF, ONE, ZERO, Rational, UniPoly, \
+from hodgehurwitz.exact_algebra import HALF, ONE, ZERO, UniPoly, \
     bernoulli, double_factorial, rat
 from hodgehurwitz.series import LaurentSeries, SeriesPowers, \
     laurent_reciprocal, laurent_substitute
@@ -61,9 +63,10 @@ def d_dt(series: LaurentSeries) -> LaurentSeries:
     if series.var != "1/t":
         raise ValueError(f"expected a series in 1/t, got {series.var!r}")
     t = series.truncation_order
-    return LaurentSeries(
-        {d + 1: -d * c for d, c in series.coeffs.items() if d},
-        "1/t", series.min_degree + 1, None if t is None else t + 1)
+    return LaurentSeries._of(
+        "1/t", series.min_degree + 1, None if t is None else t + 1,
+        series.den, series.lo + 1,
+        [-d * n for d, n in enumerate(series.ints, series.lo)])
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +77,9 @@ def w_series(order: int) -> LaurentSeries:
     """w(t) = sum_{m >= 2} t^{-m}/m, truncated at t^{-order}."""
     if order < 2:
         raise ValueError("w_series needs order >= 2")
-    return LaurentSeries({m: rat(1, m) for m in range(2, order + 1)},
-                         "1/t", 2, order)
+    den = math.lcm(*range(2, order + 1))
+    return LaurentSeries._of("1/t", 2, order, den, 2,
+                             [den // m for m in range(2, order + 1)])
 
 
 def _s_coefficients(held: list, order: int) -> list:
@@ -123,12 +127,10 @@ def _solve_s(order: int,
 
     The result is then verified against the defining equation itself.
     With x = 1/sigma, W(sigma) = sum_{m >= 2} x^m/m = -x - log(1 - x),
-    whose u-derivative is x' x/(1 - x), so with Q = 1/(1 - x)
-
-        k [u^k] W(sigma) = sum_{i=1}^{k-1} i x_i Q_{k-i},
-
-    which needs x only through u^(k-1) and costs O(N^2) in all; it must
-    equal k [u^k] w = 1 for every k >= 2.
+    whose u-derivative is x' x/(1 - x), so k [u^k] W(sigma) is the
+    coefficient of u^k in the series product (u x') x/(1 - x), which
+    needs x only through u^(k-1) and costs O(N^2) in all; it must equal
+    k [u^k] w = 1 for every k >= 2.
 
     The lag.  Write sigma = u^-1 (c_{-1} + c_0 u + ...) and x = u y with
     y = 1/(c_{-1} + c_0 u + ...), so y_i reads c_{-1}..c_{i-1}.  Then
@@ -156,14 +158,14 @@ def _solve_s(order: int,
     sigma = LaurentSeries(dict(enumerate(c[:order + 2], -1)), "1/t", -1,
                           order)
     x = laurent_reciprocal(sigma)  # 1/sigma, honest through order + 2
-    x = [x.coefficient(i) for i in range(order + 3)]
-    q = [ONE]
-    for j in range(1, order + 3):
-        q.append(sum(x[i] * q[j - i] for i in range(1, j + 1)))
-    for k in range(2 if seed is None else len(held) + 2, order + 4):
-        if sum(i * x[i] * q[k - i] for i in range(1, k)) != 1:
-            raise RuntimeError(
-                "involution recurrence violates w(s) = w(t) (internal error)")
+    one = LaurentSeries.exact({0: 1}, "1/t")
+    # u dW(sigma)/du = (u x') x/(1 - x), honest through order + 3
+    dw = x.derivative().shift(1) * (x * laurent_reciprocal(one - x))
+    start = 2 if seed is None else len(held) + 2
+    if dw.lo > start or dw.ints[start - dw.lo:order + 4 - dw.lo] != \
+            [dw.den] * (order + 4 - start):
+        raise RuntimeError(
+            "involution recurrence violates w(s) = w(t) (internal error)")
     return sigma
 
 
@@ -332,17 +334,12 @@ def eta_xi_identity_check(n: int, order: int) -> bool:
 
 
 def _bivariate_mul(a: dict, b: dict, cap: int) -> dict:
-    out: dict[tuple[int, int], Rational] = {}
+    out: dict[tuple[int, int], int] = {}
     for (e1, e2), c in a.items():
         for (f1, f2), d in b.items():
             g1, g2 = e1 + f1, e2 + f2
-            if g1 + g2 > cap:
-                continue
-            s = out.get((g1, g2), ZERO) + c * d
-            if s:
-                out[(g1, g2)] = s
-            else:
-                del out[(g1, g2)]
+            if g1 + g2 <= cap:
+                out[(g1, g2)] = out.get((g1, g2), 0) + c * d
     return out
 
 
@@ -353,39 +350,32 @@ def h02_series_identity_check(order: int) -> bool:
         sum_{(m1,m2) != (0,0)}  m1^m1 m2^m2 / (m1! m2! (m1+m2)) x1^m1 x2^m2
           ==  log( sum_{k>=1} (k^{k-1}/k!) (x1^k - x2^k)/(x1 - x2) )
 
-    with 0^0 = 1.  Both sides are expanded exactly as bivariate series.
+    with 0^0 = 1.  Both sides are expanded exactly as bivariate series,
+    in integers: times L F^order, with F = (order + 1)! and
+    L = lcm(1..order), every coefficient of either side is an integer.
     """
     if order < 2:
         raise ValueError("h02 check needs order >= 2")
-    lhs: dict[tuple[int, int], Rational] = {}
+    fac = math.factorial
+    f, lcm = fac(order + 1), math.lcm(*range(1, order + 1))
+    lhs: dict[tuple[int, int], int] = {}
     for m1 in range(order + 1):
         for m2 in range(order - m1 + 1):
             if m1 == 0 and m2 == 0:
                 continue
-            lhs[(m1, m2)] = (rat(m1 ** m1, math.factorial(m1))
-                             * rat(m2 ** m2, math.factorial(m2))
-                             / (m1 + m2))
-    # inner sum minus 1; (x1^k - x2^k)/(x1 - x2) = sum_{a+b=k-1} x1^a x2^b
-    h: dict[tuple[int, int], Rational] = {}
-    for k in range(1, order + 2):
-        ck = rat(k ** (k - 1), math.factorial(k))
-        for a in range(k):
-            b = k - 1 - a
-            if a + b <= order:
-                h[(a, b)] = h.get((a, b), ZERO) + ck
-    h[(0, 0)] -= 1
-    if not h[(0, 0)]:
-        del h[(0, 0)]
-    rhs: dict[tuple[int, int], Rational] = {}
-    power = dict(h)
+            lhs[(m1, m2)] = (m1 ** m1 * m2 ** m2 * f // (fac(m1) * fac(m2))
+                             * (lcm // (m1 + m2)) * f ** (order - 1))
+    # F (inner sum - 1); (x1^k - x2^k)/(x1 - x2) = sum_{a+b=k-1} x1^a x2^b,
+    # and the k = 1 term cancels the 1
+    h = {(a, k - 1 - a): f // fac(k) * k ** (k - 1)
+         for k in range(2, order + 2) for a in range(k)}
+    # log(1 + h) = sum_j (-1)^(j+1) h^j / j, times L F^order
+    rhs: dict[tuple[int, int], int] = {}
+    power = h
     for j in range(1, order + 1):
-        sign = 1 if j % 2 else -1
-        for e, c in power.items():
-            s = rhs.get(e, ZERO) + c * sign / j
-            if s:
-                rhs[e] = s
-            else:
-                rhs.pop(e, None)
+        c = (1 if j % 2 else -1) * (lcm // j) * f ** (order - j)
+        for e, n in power.items():
+            rhs[e] = rhs.get(e, 0) + n * c
         if j < order:
             power = _bivariate_mul(power, h, order)
-    return lhs == rhs
+    return lhs == {e: n for e, n in rhs.items() if n}

@@ -5,13 +5,16 @@ explicit truncation order, propagated pessimistically through
 arithmetic: any read past the honest truncation raises
 ``TruncationError`` instead of returning a silent zero.
 
-A series product is formed over one denominator per factor: each factor
-is written once as integers over the lcm of its coefficient denominators
-(kept with the series, which is never changed after construction), each
-output degree sums Python ints, and one rational is made per degree.
-The linear combination of powers in ``SeriesPowers.substitute`` is summed
-the same way.  Only ``.numerator``, ``.denominator`` and
-``Rational(n, d)`` touch the backend, which both backends provide.
+A series is stored as Python ints over one denominator: ``ints[i] / den``
+is the coefficient of degree ``lo + i``, with ``den > 0``,
+gcd(den, *ints) = 1 and no zero at either end of ``ints``, so the zero
+series is (1, 0, []) and two series with equal coefficients store
+equal triples; no list is changed after construction, so series may
+share one.  Sums, scalings, shifts, derivatives, products and the
+reciprocal work on the ints and reduce once per result; a rational is
+made only where a caller reads a coefficient (``coefficient``,
+``coeffs``, ``polynomial_part``).  Only ``.numerator``, ``.denominator``
+and ``Rational(n, d)`` touch the backend, which both backends provide.
 ``mul_through`` forms a product only through the last degree a caller
 reads, and ``SeriesPowers`` forms each power only through the degree its
 composition reads (the cap rule in its docstring).
@@ -32,26 +35,24 @@ from hodgehurwitz.exact_algebra import ZERO, Rational, RationalLike, \
 class LaurentSeries:
     """Laurent series known exactly on a finite degree window.
 
-    ``coeffs`` holds degrees in ``[min_degree, truncation_order]``;
+    The nonzero coefficients lie in ``[min_degree, truncation_order]``;
     degrees below ``min_degree`` are exactly zero, degrees above
     ``truncation_order`` are *unknown*.  ``truncation_order`` may be
-    ``None``, meaning the series is exact (a Laurent polynomial).
+    ``None``, meaning the series is exact (a Laurent polynomial).  The
+    coefficients are ``(den, lo, ints)`` (module docstring); ``coeffs``
+    is a fresh ``{degree: Rational}`` of the nonzero ones.
 
     The variable is a formal name.  By convention the curve series live
     in the variable ``"1/t"``: stored degree d is the coefficient of
     t^(-d), so a series with min_degree -1 starts at t^(+1).
     """
 
-    __slots__ = ("var", "min_degree", "truncation_order", "coeffs", "_ints")
+    __slots__ = ("var", "min_degree", "truncation_order", "den", "lo", "ints")
 
     def __init__(self, coeffs: Mapping[int, RationalLike], var: str,
                  min_degree: Optional[int] = None,
                  truncation_order: Optional[int] = None):
-        d: dict[int, Rational] = {}
-        for k, v in coeffs.items():
-            q = Rational(v)
-            if q:
-                d[int(k)] = q
+        d = {int(k): q for k, v in coeffs.items() if (q := Rational(v))}
         if min_degree is None:
             min_degree = min(d) if d else 0
         if truncation_order is not None and d:
@@ -59,22 +60,45 @@ class LaurentSeries:
                 raise ValueError("coefficient beyond truncation order")
         if any(k < min_degree for k in d):
             raise ValueError("coefficient below min_degree")
-        self.var = var
-        self.min_degree = int(min_degree)
-        self.truncation_order = (None if truncation_order is None
-                                 else int(truncation_order))
-        self.coeffs = d
-        self._ints = None
+        den = math.lcm(*(int(q.denominator) for q in d.values()))
+        lo = min(d, default=0)
+        ints = [0] * (max(d, default=lo - 1) - lo + 1)
+        for k, q in d.items():
+            ints[k - lo] = int(q.numerator) * (den // int(q.denominator))
+        self._set(var, int(min_degree), None if truncation_order is None
+                  else int(truncation_order), den, lo, ints)
 
     @classmethod
-    def _trusted(cls, coeffs: dict, var: str, min_degree: int,
-                 truncation_order: Optional[int]) -> "LaurentSeries":
-        """A series from nonzero Rationals already inside its window."""
+    def _of(cls, var: str, min_degree: int, truncation_order: Optional[int],
+            den: int, lo: int, ints: list) -> "LaurentSeries":
+        """The series of ``ints[i] / den`` at degree ``lo + i``, cut at
+        ``truncation_order``; ``den`` > 0 and no degree below
+        ``min_degree``."""
         out = cls.__new__(cls)
-        out.var, out.min_degree = var, min_degree
-        out.truncation_order, out.coeffs, out._ints = \
-            truncation_order, coeffs, None
+        out._set(var, min_degree, truncation_order, den, lo, ints)
         return out
+
+    def _set(self, var, min_degree, truncation_order, den, lo, ints) -> None:
+        # the canonical form: cut at the truncation, no zero at either
+        # end, gcd(den, *ints) = 1, and (1, 0, []) for zero
+        if truncation_order is not None:
+            ints = ints[:max(0, truncation_order - lo + 1)]
+        i, j = 0, len(ints)
+        while i < j and not ints[i]:
+            i += 1
+        while j > i and not ints[j - 1]:
+            j -= 1
+        if i == j:
+            den, lo, ints = 1, 0, []
+        else:
+            if i or j < len(ints):
+                ints, lo = ints[i:j], lo + i
+            g = math.gcd(den, *ints)
+            if g != 1:
+                den, ints = den // g, [n // g for n in ints]
+        self.var, self.min_degree = var, min_degree
+        self.truncation_order = truncation_order
+        self.den, self.lo, self.ints = den, lo, ints
 
     # -- constructors
 
@@ -88,20 +112,28 @@ class LaurentSeries:
 
     # -- structure
 
+    @property
+    def coeffs(self) -> dict:
+        """The nonzero coefficients, ``{degree: Rational}``."""
+        return {k: Rational(n, self.den)
+                for k, n in enumerate(self.ints, self.lo) if n}
+
     def is_zero(self) -> bool:
         """True when no nonzero coefficient is stored (up to truncation)."""
-        return not self.coeffs
+        return not self.ints
 
     def coefficient(self, degree: int) -> Rational:
         if self.truncation_order is not None and degree > self.truncation_order:
             raise TruncationError(
                 f"coefficient of degree {degree} requested, series truncated "
                 f"at {self.truncation_order}")
-        return self.coeffs.get(degree, ZERO)
+        i = degree - self.lo
+        return (Rational(self.ints[i], self.den)
+                if 0 <= i < len(self.ints) else ZERO)
 
     def valuation(self) -> Optional[int]:
         """Least degree with a nonzero coefficient, or None if zero."""
-        return min(self.coeffs) if self.coeffs else None
+        return self.lo if self.ints else None
 
     def _trunc_key(self) -> int:
         t = self.truncation_order
@@ -117,22 +149,12 @@ class LaurentSeries:
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         self._require_same_var(other)
         t = min(self._trunc_key(), other._trunc_key())
-        d = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = d.get(k, ZERO) + v
-            if s:
-                d[k] = s
-            else:
-                d.pop(k, None)
-        trunc = None if t >= (1 << 62) else t
-        if trunc is not None:
-            d = {k: v for k, v in d.items() if k <= trunc}
-        return LaurentSeries(d, self.var,
-                             min(self.min_degree, other.min_degree), trunc)
+        return _combination([(1, 1, self), (1, 1, other)], self.var,
+                            min(self.min_degree, other.min_degree),
+                            None if t >= (1 << 62) else t)
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries({k: -v for k, v in self.coeffs.items()},
-                             self.var, self.min_degree, self.truncation_order)
+        return self._with([-n for n in self.ints])
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
@@ -145,20 +167,17 @@ class LaurentSeries:
         ta, tb = self._trunc_key(), other._trunc_key()
         t = min(ta + other.min_degree, tb + self.min_degree)
         trunc = None if t >= (1 << 61) else t
-        da, la, a = self._integer_coefficients()
-        db, lb, b = other._integer_coefficients()
-        lo, na, nb = la + lb, len(a), len(b)
+        a, b = self.ints, other.ints
+        lo, na, nb = self.lo + other.lo, len(a), len(b)
         top = na + nb - 2 if trunc is None else min(na + nb - 2, trunc - lo)
-        den, b, d = da * db, b[::-1], {}
+        b, ints = b[::-1], []
         for r in range(top + 1):
             # degree lo + r: a[i] b[r - i] over the i both lists reach
             i0, i1 = max(0, r - nb + 1), min(na - 1, r)
-            c = sum(map(mul, a[i0:i1 + 1], b[nb - 1 - r + i0:nb - r + i1]))
-            if c:
-                d[lo + r] = Rational(c, den)
-        return LaurentSeries._trusted(d, self.var,
-                                      self.min_degree + other.min_degree,
-                                      trunc)
+            ints.append(sum(map(mul, a[i0:i1 + 1],
+                                b[nb - 1 - r + i0:nb - r + i1])))
+        return LaurentSeries._of(self.var, self.min_degree + other.min_degree,
+                                 trunc, self.den * other.den, lo, ints)
 
     def mul_through(self, other: "LaurentSeries",
                     degree: int) -> "LaurentSeries":
@@ -176,62 +195,52 @@ class LaurentSeries:
         t = self.truncation_order
         return self if t is not None and t <= order else self.truncate(order)
 
-    def _integer_coefficients(self) -> tuple[int, int, list]:
-        """(D, lo, [n_lo, n_lo+1, ..]): the coefficient of degree lo + i
-        is n_lo+i / D, with D the lcm of the coefficient denominators and
-        lo the valuation (0 for the zero series); formed once per
-        series."""
-        if self._ints is None:
-            den, lo = 1, min(self.coeffs, default=0)
-            for c in self.coeffs.values():
-                den = math.lcm(den, int(c.denominator))
-            ints = [0] * (max(self.coeffs, default=lo - 1) - lo + 1)
-            for k, c in self.coeffs.items():
-                ints[k - lo] = int(c.numerator) * (den // int(c.denominator))
-            self._ints = (den, lo, ints)
-        return self._ints
+    def _with(self, ints: list, den: Optional[int] = None,
+              step: int = 0) -> "LaurentSeries":
+        """This series with ``ints`` over ``den`` (default its own), every
+        degree and the window moved by ``step``."""
+        t = self.truncation_order
+        return LaurentSeries._of(self.var, self.min_degree + step,
+                                 None if t is None else t + step,
+                                 self.den if den is None else den,
+                                 self.lo + step, ints)
 
     def scale(self, c: RationalLike) -> "LaurentSeries":
         q = Rational(c)
-        if not q:
-            return LaurentSeries({}, self.var, self.min_degree,
-                                 self.truncation_order)
-        return LaurentSeries({k: v * q for k, v in self.coeffs.items()},
-                             self.var, self.min_degree, self.truncation_order)
+        f = int(q.numerator)
+        return self._with([n * f for n in self.ints],
+                          self.den * int(q.denominator))
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by var**k (degree shift)."""
-        t = self.truncation_order
-        return LaurentSeries({d + k: v for d, v in self.coeffs.items()},
-                             self.var, self.min_degree + k,
-                             None if t is None else t + k)
+        return self._with(self.ints, step=k)
 
     def truncate(self, order: int) -> "LaurentSeries":
         if self.truncation_order is not None and order > self.truncation_order:
             raise TruncationError(
                 f"cannot extend truncation {self.truncation_order} to {order}")
-        return LaurentSeries({k: v for k, v in self.coeffs.items() if k <= order},
-                             self.var, self.min_degree, order)
+        return LaurentSeries._of(self.var, self.min_degree, order, self.den,
+                                 self.lo, self.ints)
 
     def derivative(self) -> "LaurentSeries":
         """d/d(var), term by term."""
-        t = self.truncation_order
-        return LaurentSeries({k - 1: k * v for k, v in self.coeffs.items() if k},
-                             self.var, self.min_degree - 1,
-                             None if t is None else t - 1)
+        return self._with([k * n for k, n in enumerate(self.ints, self.lo)],
+                          step=-1)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LaurentSeries) and self.var == other.var
-                and self.coeffs == other.coeffs
+                and self.ints == other.ints and self.lo == other.lo
+                and self.den == other.den
                 and self.truncation_order == other.truncation_order)
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             body = "0"
         else:
             terms = []
-            for k in sorted(self.coeffs):
-                c = format_rational(self.coeffs[k])
+            for k in sorted(coeffs):
+                c = format_rational(coeffs[k])
                 if k == 0:
                     terms.append(c)
                 elif k == 1:
@@ -247,6 +256,25 @@ class LaurentSeries:
         return f"LaurentSeries({self})"
 
 
+def _combination(terms: list, var: str, min_degree: int,
+                 truncation_order: Optional[int]) -> LaurentSeries:
+    """sum of n/d * series over the (n, d, series) of ``terms``, over one
+    denominator: the series' ints at a degree, scaled by n/d, add
+    ints * n * D/(den d) to the degree's numerator over D."""
+    den = math.lcm(*(d * s.den for _, d, s in terms))
+    terms = [term for term in terms if term[2].ints]
+    lo = min((s.lo for _, _, s in terms), default=0)
+    hi = max((s.lo + len(s.ints) - 1 for _, _, s in terms), default=-1)
+    if truncation_order is not None:
+        hi = min(hi, truncation_order)
+    sums = [0] * max(0, hi - lo + 1)
+    for n, d, s in terms:
+        f = n * (den // (d * s.den))
+        for i, x in enumerate(s.ints[:max(0, hi - s.lo + 1)], s.lo - lo):
+            sums[i] += x * f
+    return LaurentSeries._of(var, min_degree, truncation_order, den, lo, sums)
+
+
 def polynomial_part(obj: LaurentSeries) -> UniPoly:
     """The terms of non-negative exponent in X of a series in ``"1/X"``,
     as a ``UniPoly`` in X: stored degree d <= 0 becomes X^(-d).  The
@@ -259,8 +287,10 @@ def polynomial_part(obj: LaurentSeries) -> UniPoly:
         raise ValueError(
             "polynomial part is defined for series in a reciprocal "
             f"variable, got {obj.var!r}")
-    return UniPoly({-d: v for d, v in obj.coeffs.items() if d <= 0},
-                   var=obj.var[2:])
+    out = UniPoly.zero(obj.var[2:])
+    out.coeffs = {-k: Rational(n, obj.den) for k, n in
+                  enumerate(obj.ints[:max(0, 1 - obj.lo)], obj.lo) if n}
+    return out
 
 
 def laurent_reciprocal(s: LaurentSeries,
@@ -277,7 +307,7 @@ def laurent_reciprocal(s: LaurentSeries,
     if val is None:
         raise ValueError("reciprocal of zero series")
     if s.truncation_order is None:
-        if len(s.coeffs) == 1:
+        if len(s.ints) == 1:
             out_t = order  # exact monomial: exact inverse unless capped
         elif order is None:
             raise ValueError("reciprocal of an exact non-monomial series "
@@ -288,20 +318,24 @@ def laurent_reciprocal(s: LaurentSeries,
         out_t = s.truncation_order - 2 * val
         if order is not None:
             out_t = min(out_t, order)
-    lead = s.coeffs[val]
-    # a cap below the leading degree -val leaves no coefficient known
-    inv: dict[int, Rational] = (
-        {-val: 1 / lead} if out_t is None or out_t >= -val else {})
-    if out_t is not None:
-        for m in range(1, out_t + val + 1):
-            acc = ZERO
-            for i, ri in inv.items():
-                c = s.coeffs.get(m - i)
-                if c is not None:
-                    acc += ri * c
-            if acc:
-                inv[m - val] = -acc / lead
-    return LaurentSeries(inv, s.var, -val, out_t)
+    # the coefficient of degree m - val is inv[m]/den: with s = sum a_i/D
+    # at degree val + i, inv[0]/den = D/a_0 and
+    # inv[m]/den = -(sum_{i=1}^{m} a_i inv[m-i]) / (a_0 den); each step
+    # grows den only by the part of a_0 that the sum does not cancel
+    a = s.ints
+    sign, g = (1 if a[0] > 0 else -1), math.gcd(s.den, a[0])
+    den, inv = abs(a[0]) // g, [sign * s.den // g]
+    for m in range(1, 1 if out_t is None else out_t + val + 1):
+        i1 = min(m, len(a) - 1)
+        acc = sum(map(mul, a[1:i1 + 1], inv[m - i1:m][::-1]))
+        g = math.gcd(acc, a[0])
+        k = abs(a[0]) // g
+        if k != 1:
+            den, inv = den * k, [n * k for n in inv]
+        inv.append(-sign * (acc // g))
+    # cut at out_t: a cap below the leading degree -val leaves no
+    # coefficient known
+    return LaurentSeries._of(s.var, -val, out_t, den, -val, inv)
 
 
 def laurent_substitute(p, s: LaurentSeries) -> LaurentSeries:
@@ -378,10 +412,14 @@ class SeriesPowers:
 
     def substitute(self, p) -> LaurentSeries:
         """``laurent_substitute(p, self.series)`` from the tabulated powers."""
+        # (degree, numerator, denominator) of each term of p
         if isinstance(p, UniPoly):
             p_trunc = None
+            terms = [(d, int(c.numerator), int(c.denominator))
+                     for d, c in p.coeffs.items()]
         elif isinstance(p, LaurentSeries):
             p_trunc = p.truncation_order
+            terms = [(d, n, p.den) for d, n in enumerate(p.ints, p.lo) if n]
         else:
             raise TypeError(f"unsupported input {type(p).__name__}")
         s = self.series
@@ -393,28 +431,13 @@ class SeriesPowers:
                     "substituting a truncated series requires the inner "
                     "series to have valuation >= 1")
             cap = (p_trunc + 1) * val - 1
-
-        # the sum over one denominator: the power's n/D at a degree, scaled
-        # by c, adds n num(c) den/(D den(c)) to the degree's numerator
-        trunc, low, den, parts = 1 << 62 if cap is None else cap, 0, 1, []
-        for d, c in p.coeffs.items():
+        trunc, low, parts = 1 << 62 if cap is None else cap, 0, []
+        for d, n, den in terms:
             power = (self.power(d, cap) if d
-                     else LaurentSeries.exact({0: 1}, s.var))
+                     else LaurentSeries._of(s.var, 0, None, 1, 0, [1]))
             trunc = min(trunc, power._trunc_key())
             low = min(low, power.min_degree)
-            ints = power._integer_coefficients()
-            scale = ints[0] * int(c.denominator)
-            den = math.lcm(den, scale)
-            parts.append((ints, c, scale))
-        sums: dict[int, int] = {}
-        for (_, lo, ints), c, scale in parts:
-            f = int(c.numerator) * (den // scale)
-            for k, n in enumerate(ints, lo):
-                if n and k <= trunc:
-                    sums[k] = sums.get(k, 0) + n * f
-        coeffs = {}
-        for k, n in sums.items():
-            if n:
-                coeffs[k] = Rational(n, den)
-        return LaurentSeries._trusted(coeffs, s.var, low,
-                                      None if trunc >= 1 << 62 else trunc)
+            parts.append((n, den, power))
+        return _combination(parts, s.var, low,
+                            None if trunc >= 1 << 62 else trunc)
+

@@ -11,11 +11,14 @@ variable position, to nonzero rationals: the form in which the solver
 reads its kernels.  ``poly_add``, ``poly_scale`` and ``poly_mul`` are its
 ring operations.
 
-The series layer multiplies over one integer denominator per factor and
-forms powers only through the degree a composition reads.
+The series layer stores each series as integers over one denominator
+and forms powers only through the degree a composition reads.
 ``fraction_mul`` is the product as a loop of rational multiplies and
-adds, and ``laurent_substitute_uncapped`` composes from powers formed
-over their whole honest window with it; the tests compare the two.
+adds, the other ``fraction_*`` functions are the sum, scaling, shift,
+truncation, derivative and reciprocal the same way, one rational per
+coefficient, and ``laurent_substitute_uncapped`` composes from powers
+formed over their whole honest window with ``fraction_mul``; the tests
+compare these with the series layer.
 ``xi_in_x_check``, ``permute_vars``, ``from_unipoly`` and
 ``distinct_permutations`` serve only these checks.
 """
@@ -145,6 +148,64 @@ def fraction_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
             else:
                 del d[k]
     return LaurentSeries(d, a.var, a.min_degree + b.min_degree, trunc)
+
+
+def fraction_add(a: LaurentSeries, b: LaurentSeries,
+                 sign: int = 1) -> LaurentSeries:
+    """a + sign * b, one rational add per degree, cut at the lesser
+    truncation order."""
+    ta, tb = a._trunc_key(), b._trunc_key()
+    trunc = None if min(ta, tb) >= (1 << 62) else min(ta, tb)
+    d = dict(a.coeffs)
+    for k, v in b.coeffs.items():
+        d[k] = d.get(k, ZERO) + sign * v
+    d = {k: v for k, v in d.items()
+         if v and (trunc is None or k <= trunc)}
+    return LaurentSeries(d, a.var, min(a.min_degree, b.min_degree), trunc)
+
+
+def fraction_scale(a: LaurentSeries, c) -> LaurentSeries:
+    return LaurentSeries({k: v * c for k, v in a.coeffs.items()}, a.var,
+                         a.min_degree, a.truncation_order)
+
+
+def fraction_shift(a: LaurentSeries, step: int) -> LaurentSeries:
+    t = a.truncation_order
+    return LaurentSeries({k + step: v for k, v in a.coeffs.items()}, a.var,
+                         a.min_degree + step, None if t is None else t + step)
+
+
+def fraction_truncate(a: LaurentSeries, order: int) -> LaurentSeries:
+    return LaurentSeries({k: v for k, v in a.coeffs.items() if k <= order},
+                         a.var, a.min_degree, order)
+
+
+def fraction_derivative(a: LaurentSeries) -> LaurentSeries:
+    t = a.truncation_order
+    return LaurentSeries({k - 1: k * v for k, v in a.coeffs.items()}, a.var,
+                         a.min_degree - 1, None if t is None else t - 1)
+
+
+def fraction_reciprocal(s: LaurentSeries, order=None) -> LaurentSeries:
+    """1/s by the recurrence inv_m = -(sum_{i>=1} s_i inv_{m-i})/s_0 in
+    rationals, with the truncation order of ``laurent_reciprocal``:
+    T - 2 val(s) for s truncated at T, or ``order`` (the lesser of the
+    two when both are given; an exact monomial needs none)."""
+    c = s.coeffs
+    val = min(c)
+    t = s.truncation_order
+    out_t = order if t is None else (
+        t - 2 * val if order is None else min(t - 2 * val, order))
+    if out_t is None and len(c) > 1:
+        raise ValueError("an exact non-monomial needs an order")
+    top = 0 if out_t is None else out_t + val
+    inv = [1 / c[val]]
+    for m in range(1, top + 1):
+        inv.append(-sum(c.get(val + i, ZERO) * inv[m - i]
+                        for i in range(1, m + 1)) / c[val])
+    return LaurentSeries({m - val: v for m, v in enumerate(inv)
+                          if v and (out_t is None or m - val <= out_t)},
+                         s.var, -val, out_t)
 
 
 def laurent_substitute_uncapped(p, s: LaurentSeries) -> LaurentSeries:

@@ -545,7 +545,7 @@ _BM_SET = _HODGE_SET | _CURVE_SET | {"residue_kernel"}
      False, False),
     ("table --g-max 1 --size-max 2", _HODGE_SET | {"hurwitz"}, False, False),
     (f"verify --suite series --order {MIN_SERIES_ORDER}",
-     _CURVE_SET | {"verify"}, False, False),
+     _CURVE_SET | {"verify_series"}, False, False),
     ("verify --suite residues", _CURVE_SET | {"verify", "residue_kernel"},
      False, False),
     ("verify --suite dvv --complexity-budget 5", _HODGE_SET | {"verify"},

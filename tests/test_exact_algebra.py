@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -21,7 +22,9 @@ from hodgehurwitz.series import (
     laurent_substitute,
     polynomial_part,
 )
-from hodge_oracle import divided_difference, fraction_mul, from_unipoly, \
+from hodge_oracle import divided_difference, fraction_add, \
+    fraction_derivative, fraction_mul, fraction_reciprocal, fraction_scale, \
+    fraction_shift, fraction_truncate, from_unipoly, \
     laurent_substitute_uncapped, permute_vars, poly_add, poly_mul, poly_scale
 
 
@@ -275,10 +278,27 @@ def series_st(draw, min_degree=st.integers(-4, 3), var="v", exact=True):
                          trunc)
 
 
+def assert_canonical(s):
+    """(den, lo, ints) is reduced, with no zero at either end, inside
+    the window, and (1, 0, []) for zero; so == means equal
+    coefficients."""
+    assert s.den > 0 and all(type(n) is int for n in (s.den, *s.ints))
+    assert math.gcd(s.den, *s.ints) == 1
+    if s.ints:
+        assert s.ints[0] and s.ints[-1]
+        assert s.lo >= s.min_degree
+        t = s.truncation_order
+        assert t is None or s.lo + len(s.ints) - 1 <= t
+    else:
+        assert (s.den, s.lo) == (1, 0)
+
+
 def assert_same_series(got, want):
     assert got == want  # var, coefficients and truncation order
+    assert got.coeffs == want.coeffs
     assert got.min_degree == want.min_degree
-    assert all(got.coeffs.values())  # no stored zero
+    assert_canonical(got)
+    assert_canonical(want)
 
 
 @given(series_st(), series_st())
@@ -302,6 +322,63 @@ def test_series_product_cancels_to_zero(a, b, truncated):
                       truncation_order=5 if truncated or len(b) > 2 else None)
     assert_same_series(a * b, fraction_mul(a, b))
     assert 1 not in (a * b).coeffs
+
+
+@given(series_st(), series_st(), st.sampled_from([1, -1]))
+@settings(max_examples=150)
+def test_series_sum_matches_the_fraction_loop(a, b, sign):
+    assert_same_series(a + b if sign == 1 else a - b, fraction_add(a, b, sign))
+    # a part of b that a cancels: a + b - b loses what lies past b's
+    # truncation, and a - a is the one zero
+    back = a + b - b
+    assert_same_series(back, fraction_add(fraction_add(a, b), b, -1))
+    assert_same_series(a - a, fraction_add(a, a, -1))
+    assert (a - a).is_zero() and -(-a) == a
+
+
+@given(series_st(), rational_st, st.integers(-6, 6))
+@settings(max_examples=150)
+def test_series_scale_shift_derivative_match_the_fraction_loop(a, c, step):
+    assert_same_series(a.scale(c), fraction_scale(a, c))
+    assert_same_series(a * c, fraction_scale(a, c))
+    assert_same_series(-a, fraction_scale(a, -1))
+    assert_same_series(a.shift(step), fraction_shift(a, step))
+    assert_same_series(a.derivative(), fraction_derivative(a))
+
+
+@given(series_st(), st.integers(-6, 12))
+@settings(max_examples=150)
+def test_series_truncate_matches_the_fraction_loop(a, order):
+    if a.truncation_order is not None and order > a.truncation_order:
+        with pytest.raises(TruncationError):
+            a.truncate(order)
+    else:
+        assert_same_series(a.truncate(order), fraction_truncate(a, order))
+
+
+@given(series_st(), st.one_of(st.none(), st.integers(-6, 12)))
+@settings(max_examples=150)
+def test_laurent_reciprocal_matches_the_fraction_loop(s, order):
+    if s.is_zero():
+        with pytest.raises(ValueError):
+            laurent_reciprocal(s, order)
+    elif s.truncation_order is None and len(s.ints) > 1 and order is None:
+        with pytest.raises(ValueError):
+            laurent_reciprocal(s)
+    else:
+        assert_same_series(laurent_reciprocal(s, order),
+                           fraction_reciprocal(s, order))
+
+
+@pytest.mark.parametrize("s", [
+    # a leading 1 stored as 36/36: the inverse's denominators grow as
+    # 36^m
+    LaurentSeries({0: 1, 1: rat(1, 36)}, "v", 0, 12),
+    # a leading 2/3 against a tail over 5 and 7
+    LaurentSeries({-2: rat(2, 3), 0: rat(1, 5), 1: rat(-3, 7)}, "v", -3, 9),
+])
+def test_laurent_reciprocal_denominators_are_the_fraction_loop(s):
+    assert_same_series(laurent_reciprocal(s), fraction_reciprocal(s))
 
 
 @given(series_st(), series_st(), st.integers(-8, 12))

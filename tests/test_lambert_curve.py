@@ -329,6 +329,27 @@ def test_h02_identity_small_and_degree8():
     assert h02_series_identity_check(8)
 
 
+@pytest.mark.parametrize("call, key", [
+    (0, (1, 1)), (0, (2, 3)), (0, (0, 8)), (0, (4, 4)), (6, (4, 4))])
+def test_h02_check_refuses_one_changed_coefficient(monkeypatch, call, key):
+    # one coefficient of one power of the log's argument, off by one
+    # unit: h^2 (call 0) at a low, a middle and the top total degree,
+    # and h^8 (call 6, the last) at the top
+    mul = lambert_curve._bivariate_mul
+    calls = []
+
+    def corrupted(a, b, cap):
+        out = mul(a, b, cap)
+        if len(calls) == call:
+            out[key] = out.get(key, 0) + 1
+        calls.append(cap)
+        return out
+
+    monkeypatch.setattr(lambert_curve, "_bivariate_mul", corrupted)
+    assert h02_series_identity_check(8) is False
+    assert len(calls) == 7
+
+
 # --- helpers ------------------------------------------------------------------
 
 
