@@ -1,12 +1,14 @@
-"""Exact rational arithmetic, sparse univariate polynomials, multiset
-helpers and special numbers.
+"""Exact rational arithmetic, multiset helpers and special numbers.
 
 Every number in this package is an exact rational; there is no floating
 point anywhere.  Rationals are backed by ``gmpy2.mpq`` when available
 (``fractions.Fraction`` otherwise) — both normalize on construction and
 print as ``"num/den"`` (or ``"n"`` for integers), which is the
 serialization format shared with the CLI.  ``TruncationError`` is
-raised by reads past the honest truncation of a series.
+raised by reads past the honest truncation of a series.  A polynomial
+in one variable is a plain ``{degree: coefficient}`` dict with no zero
+coefficient: the xi_hat tower (integers), ``polynomial_part`` and the
+residue polynomials p_ab (rationals).
 
 Every CLI process loads this module.  The truncated Laurent series live
 in ``series``, which loads only with the curve layer; for callers that
@@ -16,7 +18,7 @@ read their five names here, those resolve on first access (PEP 562).
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Optional, Union
 
 try:
     from gmpy2 import mpq as Rational
@@ -57,176 +59,6 @@ def __getattr__(name):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from hodgehurwitz import series
     return getattr(series, name)
-
-
-# ---------------------------------------------------------------------------
-# univariate polynomials
-
-
-class UniPoly:
-    """Sparse exact-coefficient polynomial in one variable.
-
-    Coefficients are stored as a map ``degree -> Rational`` with no zero
-    entries.  ``degree()`` of the zero polynomial is ``None`` (a
-    distinguished sentinel, never a number).
-
-    EXAMPLES::
-
-        >>> p = UniPoly({2: 3, 1: -2})
-        >>> str(p)
-        '3*t^2 - 2*t'
-        >>> p(rat(2))
-        Fraction(8, 1)
-    """
-
-    __slots__ = ("var", "coeffs")
-
-    def __init__(self, coeffs: Optional[Mapping[int, RationalLike]] = None,
-                 var: str = "t"):
-        self.var = var
-        d: dict[int, Rational] = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                q = Rational(v)
-                if q:
-                    if k < 0:
-                        raise ValueError("polynomial degree must be >= 0")
-                    d[int(k)] = q
-        self.coeffs = d
-
-    # -- constructors
-
-    @classmethod
-    def zero(cls, var: str = "t") -> "UniPoly":
-        return cls({}, var)
-
-    @classmethod
-    def one(cls, var: str = "t") -> "UniPoly":
-        return cls({0: 1}, var)
-
-    # -- structure
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> Optional[int]:
-        """Highest degree with nonzero coefficient; None for the zero poly."""
-        return max(self.coeffs) if self.coeffs else None
-
-    def valuation(self) -> Optional[int]:
-        return min(self.coeffs) if self.coeffs else None
-
-    def coefficient(self, degree: int) -> Rational:
-        return self.coeffs.get(degree, ZERO)
-
-    def leading_coefficient(self) -> Rational:
-        if not self.coeffs:
-            return ZERO
-        return self.coeffs[max(self.coeffs)]
-
-    # -- ring operations
-
-    def _require_same_var(self, other: "UniPoly") -> None:
-        if self.var != other.var:
-            raise ValueError(
-                f"variable mismatch: {self.var!r} vs {other.var!r}")
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        self._require_same_var(other)
-        d = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = d.get(k, ZERO) + v
-            if s:
-                d[k] = s
-            else:
-                d.pop(k, None)
-        out = UniPoly.zero(self.var)
-        out.coeffs = d
-        return out
-
-    def __neg__(self) -> "UniPoly":
-        out = UniPoly.zero(self.var)
-        out.coeffs = {k: -v for k, v in self.coeffs.items()}
-        return out
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            return self.scale(other)
-        self._require_same_var(other)
-        d: dict[int, Rational] = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = k1 + k2
-                s = d.get(k, ZERO) + v1 * v2
-                if s:
-                    d[k] = s
-                else:
-                    del d[k]
-        out = UniPoly.zero(self.var)
-        out.coeffs = d
-        return out
-
-    def scale(self, c: RationalLike) -> "UniPoly":
-        q = Rational(c)
-        out = UniPoly.zero(self.var)
-        if q:
-            out.coeffs = {k: v * q for k, v in self.coeffs.items()}
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, UniPoly) and self.var == other.var
-                and self.coeffs == other.coeffs)
-
-    # -- calculus / evaluation
-
-    def derivative(self) -> "UniPoly":
-        out = UniPoly.zero(self.var)
-        out.coeffs = {k - 1: k * v for k, v in self.coeffs.items() if k >= 1}
-        return out
-
-    def __call__(self, x: RationalLike) -> Rational:
-        """Evaluate by Horner's rule over the dense degree range."""
-        if not self.coeffs:
-            return ZERO
-        x = Rational(x)
-        acc = ZERO
-        for k in range(max(self.coeffs), -1, -1):
-            acc = acc * x + self.coeffs.get(k, ZERO)
-        return acc
-
-    def divide_by_power(self, k: int) -> "UniPoly":
-        """Exact division by var**k; raises if any term has degree < k."""
-        if any(d < k for d in self.coeffs):
-            raise ValueError(f"not divisible by {self.var}^{k}")
-        out = UniPoly.zero(self.var)
-        out.coeffs = {d - k: v for d, v in self.coeffs.items()}
-        return out
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in sorted(self.coeffs, reverse=True):
-            v = self.coeffs[k]
-            sign = "-" if v < 0 else "+"
-            mag = -v if v < 0 else v
-            if k == 0:
-                term = format_rational(mag)
-            else:
-                pw = self.var if k == 1 else f"{self.var}^{k}"
-                term = pw if mag == 1 else f"{format_rational(mag)}*{pw}"
-            parts.append((sign, term))
-        sign0, term0 = parts[0]
-        text = ("-" if sign0 == "-" else "") + term0
-        for sign, term in parts[1:]:
-            text += f" {sign} {term}"
-        return text
-
-    def __repr__(self) -> str:
-        return f"UniPoly({self})"
 
 
 # ---------------------------------------------------------------------------

@@ -41,16 +41,17 @@ import math
 from functools import cache
 from typing import Optional
 
-from hodgehurwitz.exact_algebra import HALF, ONE, ZERO, UniPoly, \
-    bernoulli, double_factorial, rat
+from hodgehurwitz.exact_algebra import HALF, ONE, ZERO, bernoulli, \
+    double_factorial, rat
 from hodgehurwitz.series import LaurentSeries, SeriesPowers, \
     laurent_reciprocal, laurent_substitute
 from hodgehurwitz.xi_tower import xi_hat
 
 
-def poly_as_recip_series(p: UniPoly) -> LaurentSeries:
-    """Embed a polynomial in t exactly into the 1/t series ring."""
-    return LaurentSeries.exact({-d: c for d, c in p.coeffs.items()}, "1/t")
+def poly_as_recip_series(p: dict) -> LaurentSeries:
+    """Embed a polynomial in t, ``{degree: coefficient}``, exactly into
+    the 1/t series ring."""
+    return LaurentSeries.exact({-d: c for d, c in p.items()}, "1/t")
 
 
 def d_dt(series: LaurentSeries) -> LaurentSeries:

@@ -63,8 +63,7 @@ from itertools import combinations, permutations
 from math import gcd, lcm
 from typing import Callable, Optional
 
-from hodgehurwitz.exact_algebra import HALF, ONE, ZERO, Rational, UniPoly, \
-    aut, rat
+from hodgehurwitz.exact_algebra import HALF, ONE, ZERO, Rational, aut, rat
 from hodgehurwitz.hodge_solver import HodgeTable, _remove_one, _splits
 from hodgehurwitz.xi_tower import xi_form, xi_hat, xi_hat_over_t
 
@@ -104,26 +103,16 @@ def _add_scaled(dst: dict, src: dict, factor) -> None:
                 dst.pop(k, None)
 
 
-def _cutjoin_basis(k: int) -> UniPoly:
+def _cutjoin_basis(k: int) -> dict:
     """b_0 = 1, b_{2n+1} = xi_hat_n, b_{2n+2} = xi_hat_{n+1}/t."""
     if k == 0:
-        return UniPoly.one()
+        return {0: 1}
     return xi_hat(k // 2) if k % 2 else xi_hat_over_t(k // 2 - 1)
 
 
-def _bm_basis(k: int) -> UniPoly:
+def _bm_basis(k: int) -> dict:
     """b_{2n} = xi_n, b_{2n+1} = t^{2n+1}."""
-    return UniPoly({k: 1}) if k % 2 else xi_form(k // 2)
-
-
-def _ints(p: UniPoly) -> dict:
-    """The coefficients of an integer polynomial as Python ints."""
-    return {d: int(c) for d, c in p.coeffs.items()}
-
-
-@cache
-def _basis_ints(basis: Callable[[int], UniPoly], k: int) -> dict:
-    return _ints(basis(k))
+    return {k: 1} if k % 2 else xi_form(k // 2)
 
 
 def _in_basis(terms: dict, kernel: _Kernel) -> tuple[int, dict]:
@@ -149,7 +138,7 @@ def _in_basis(terms: dict, kernel: _Kernel) -> tuple[int, dict]:
             scale, out = 1, {}
             while rem:
                 d = max(rem)
-                b = _basis_ints(kernel.basis, d)
+                b = kernel.basis(d)
                 c, lead = rem.pop(d), b[d]
                 f = lead // gcd(c, lead)
                 if f != 1:
@@ -231,24 +220,20 @@ def _join_pair_poly(m: int) -> dict:
     Every degree of A (t^2 divides xi_hat_{m+1}, so at least 4) exceeds
     every degree of B (at most 1)."""
     out: dict = {}
-    for i, ai in _ints(xi_hat(m + 1)).items():
-        for j, bj in _ints(xi_hat(0)).items():
+    for i, ai in xi_hat(m + 1).items():
+        for j, bj in xi_hat(0).items():
             for k in range(i + 2 - j):
                 e = (j + k, i + 1 - k)
                 out[e] = out.get(e, 0) + ai * bj
     return {e: c for e, c in out.items() if c}
 
 
-def _terms(p: UniPoly) -> dict:
-    return {(d,): c for d, c in p.coeffs.items()}
-
-
 @cache
 def _cut_pair_poly(a: int, b: int) -> dict:
     """xi_hat_{a+1} xi_hat_{b+1}, as integer terms."""
     out: dict = {}
-    for i, ci in _ints(xi_hat(a + 1)).items():
-        for j, cj in _ints(xi_hat(b + 1)).items():
+    for i, ci in xi_hat(a + 1).items():
+        for j, cj in xi_hat(b + 1).items():
             out[(i + j,)] = out.get((i + j,), 0) + ci * cj
     return {e: c for e, c in out.items() if c}
 
@@ -270,7 +255,7 @@ class _Kernel:
     weight: Rational
     join: Callable[[int], dict]
     cut: Callable[[int, int], dict]
-    basis: Callable[[int], UniPoly]
+    basis: Callable[[int], dict]
     parity: int
     head: int
     image: Callable[[tuple[int, ...], int], dict]
@@ -297,7 +282,7 @@ def _bm_join(m: int) -> dict:
 
 def _bm_cut(a: int, b: int) -> dict:
     from hodgehurwitz.residue_kernel import p_ab
-    return _terms(p_ab(a, b))
+    return {(d,): c for d, c in p_ab(a, b).items()}
 
 
 _KERNELS = {

@@ -2,11 +2,12 @@
 
 Two families are computed, each in two independent ways:
 
-* ``p_ab(a, b)`` — a polynomial in t of degree exactly 2(a+b+2),
-  obtained from the recursion kernel t s(t)/(t - s(t)) and the
-  involution s(t); ``p_ab_eta`` recomputes it from the eta-series in
-  the branch coordinate v.  Equality of the two forms is a core
-  cross-check of the whole curve layer.
+* ``p_ab(a, b)`` — a polynomial in t of degree exactly 2(a+b+2), a
+  dict from degrees to nonzero rationals, obtained from the recursion
+  kernel t s(t)/(t - s(t)) and the involution s(t); ``p_ab_eta``
+  recomputes it from the eta-series in the branch coordinate v.
+  Equality of the two forms is a core cross-check of the whole curve
+  layer.
 * ``p_n(n)`` — a polynomial in (t, t_i) of degree exactly 2n+2 in each
   variable, and its eta-form twin ``p_n_eta``; both are dicts from
   exponent pairs (deg_t, deg_t_i) to nonzero rationals, the form in
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from hodgehurwitz.exact_algebra import HALF, UniPoly
+from hodgehurwitz.exact_algebra import HALF
 from hodgehurwitz.lambert_curve import (
     d_dt,
     eta_series,
@@ -87,7 +88,7 @@ class ResidueCache:
     truncation order."""
 
     def __init__(self):
-        self.pab: dict[tuple[int, int], UniPoly] = {}
+        self.pab: dict[tuple[int, int], dict] = {}
         self.pn: dict[int, dict] = {}
         self._ctx: dict[int, dict] = {}
 
@@ -122,7 +123,7 @@ class ResidueCache:
 
     # -- direct forms
 
-    def _pab_at(self, a: int, b: int, order: int) -> UniPoly:
+    def _pab_at(self, a: int, b: int, order: int) -> dict:
         ctx = self._context(order)
         xa, xb = xi_hat(a + 1), xi_hat(b + 1)
         xa_s = self._xi_hat_of_s(a + 1, order)
@@ -132,13 +133,14 @@ class ResidueCache:
         full = ctx["kernel_over_t2_tm1"].mul_through(sym, 0)
         return polynomial_part(full.scale(HALF))
 
-    def p_ab(self, a: int, b: int) -> UniPoly:
+    def p_ab(self, a: int, b: int) -> dict:
         if a < 0 or b < 0:
             raise ValueError("p_ab indices must be >= 0")
         key = (min(a, b), max(a, b))
         return _evaluated(self.pab, key, f"p_ab{key}",
                           lambda order: self._pab_at(*key, order),
-                          2 * (a + b + 2), lambda q: (q.degree(),))
+                          2 * (a + b + 2),
+                          lambda q: (max(q, default=None),))
 
     def _pn_at(self, n: int, order: int) -> dict:
         ctx = self._context(order)
@@ -151,7 +153,7 @@ class ResidueCache:
             # ker xi(t) s'/s(t)^{k+1}, a 1/t series read through t^0
             fixed = fixed.mul_through(inv_s, 0)
             part = polynomial_part(fixed + swapped.shift(k + 1))
-            for d, c in part.coeffs.items():
+            for d, c in part.items():
                 terms[(d, k)] = c
         return _d_dti(terms)
 
@@ -166,7 +168,7 @@ class ResidueCache:
 DEFAULT_CACHE = ResidueCache()
 
 
-def p_ab(a: int, b: int) -> UniPoly:
+def p_ab(a: int, b: int) -> dict:
     return DEFAULT_CACHE.p_ab(a, b)
 
 
@@ -178,7 +180,7 @@ def p_n(n: int) -> dict:
 # eta forms (independent oracles)
 
 
-def p_ab_eta(a: int, b: int, order: Optional[int] = None) -> UniPoly:
+def p_ab_eta(a: int, b: int, order: Optional[int] = None) -> dict:
     if a < 0 or b < 0:
         raise ValueError("p_ab_eta indices must be >= 0")
     degree = 2 * (a + b + 2)
@@ -209,16 +211,16 @@ def p_n_eta(n: int, order: Optional[int] = None,
     for m in range(m_max + 1):
         # polynomial_part reads degrees <= 0, and v^d starts at degree d
         left = polynomial_part(v.substitute(eta_top.shift(2 * m)._cut(0)))
-        if left.is_zero():
+        if not left:
             continue
         # dv starts at degree 2, so only degrees <= -2 of the right
         # factor reach degree 0
         right = polynomial_part(v.substitute(
             inv_eta.shift(-(2 * m + 1))._cut(-2)).mul_through(dv, 0))
-        if right.is_zero():
+        if not right:
             continue
-        for di, ci in left.coeffs.items():      # t_i factor
-            for dt, ct in right.coeffs.items():  # t factor
+        for di, ci in left.items():      # t_i factor
+            for dt, ct in right.items():  # t factor
                 key = (dt, di)
                 val = terms.get(key)
                 val = ci * ct if val is None else val + ci * ct

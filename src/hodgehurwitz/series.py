@@ -29,7 +29,7 @@ from operator import mul
 from typing import Mapping, Optional
 
 from hodgehurwitz.exact_algebra import ZERO, Rational, RationalLike, \
-    TruncationError, UniPoly, format_rational
+    TruncationError, format_rational
 
 
 class LaurentSeries:
@@ -275,22 +275,20 @@ def _combination(terms: list, var: str, min_degree: int,
     return LaurentSeries._of(var, min_degree, truncation_order, den, lo, sums)
 
 
-def polynomial_part(obj: LaurentSeries) -> UniPoly:
+def polynomial_part(obj: LaurentSeries) -> dict:
     """The terms of non-negative exponent in X of a series in ``"1/X"``,
-    as a ``UniPoly`` in X: stored degree d <= 0 becomes X^(-d).  The
-    series must be truncated at order >= 0, else ``TruncationError``
-    ("insufficient truncation") — the non-negative-power window must be
-    fully known."""
+    as a polynomial in X, ``{degree: Rational}``: stored degree d <= 0
+    becomes X^(-d).  The series must be truncated at order >= 0, else
+    ``TruncationError`` ("insufficient truncation") — the
+    non-negative-power window must be fully known."""
     if obj.truncation_order is not None and obj.truncation_order < 0:
         raise TruncationError("insufficient truncation")
     if not obj.var.startswith("1/"):
         raise ValueError(
             "polynomial part is defined for series in a reciprocal "
             f"variable, got {obj.var!r}")
-    out = UniPoly.zero(obj.var[2:])
-    out.coeffs = {-k: Rational(n, obj.den) for k, n in
-                  enumerate(obj.ints[:max(0, 1 - obj.lo)], obj.lo) if n}
-    return out
+    return {-k: Rational(n, obj.den) for k, n in
+            enumerate(obj.ints[:max(0, 1 - obj.lo)], obj.lo) if n}
 
 
 def laurent_reciprocal(s: LaurentSeries,
@@ -341,11 +339,12 @@ def laurent_reciprocal(s: LaurentSeries,
 def laurent_substitute(p, s: LaurentSeries) -> LaurentSeries:
     """Compose: substitute the series ``s`` for the variable of ``p``.
 
-    ``p`` may be a ``UniPoly`` or a ``LaurentSeries``.  Negative degrees
-    of ``p`` go through ``laurent_reciprocal(s)``.  Honest truncation is
-    inherited from the series arithmetic; additionally, when ``p`` is
-    itself truncated its unknown tail (degrees > T_p) caps the result at
-    (T_p + 1) * val(s) - 1, which requires val(s) >= 1.
+    ``p`` may be a polynomial, ``{degree: coefficient}``, or a
+    ``LaurentSeries``.  Negative degrees of ``p`` go through
+    ``laurent_reciprocal(s)``.  Honest truncation is inherited from the
+    series arithmetic; additionally, when ``p`` is itself truncated its
+    unknown tail (degrees > T_p) caps the result at (T_p + 1) * val(s) - 1,
+    which requires val(s) >= 1.
     """
     return SeriesPowers(s).substitute(p)
 
@@ -413,10 +412,10 @@ class SeriesPowers:
     def substitute(self, p) -> LaurentSeries:
         """``laurent_substitute(p, self.series)`` from the tabulated powers."""
         # (degree, numerator, denominator) of each term of p
-        if isinstance(p, UniPoly):
+        if isinstance(p, dict):
             p_trunc = None
             terms = [(d, int(c.numerator), int(c.denominator))
-                     for d, c in p.coeffs.items()]
+                     for d, c in p.items()]
         elif isinstance(p, LaurentSeries):
             p_trunc = p.truncation_order
             terms = [(d, n, p.den) for d, n in enumerate(p.ints, p.lo) if n]

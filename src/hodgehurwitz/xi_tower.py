@@ -2,18 +2,24 @@
 t^2 (t - 1) d/dt and grown as a module list, and its memoized forms
 ``xi_form(n)`` (the t-derivative) and ``xi_hat_over_t(n)``.
 
-Cut-and-join needs only this tower, so it never loads the series layer;
-the Laurent members xi_hat_{-1}, xi_hat_{-2} load it on first use.
+For n >= 0 each is a polynomial in t with integer coefficients, held as
+a ``{degree: int}`` dict with no zero coefficient; the recurrence runs
+on Python ints.  Cut-and-join needs only this tower, so it never loads
+the series layer; the Laurent members xi_hat_{-1}, xi_hat_{-2} load it
+on first use.  Returned dicts are shared, so no caller may change one.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from hodgehurwitz.exact_algebra import UniPoly, rat
+from hodgehurwitz.exact_algebra import rat
 
-_T_SQUARED_T_MINUS_1 = UniPoly({3: 1, 2: -1})  # t^2 (t - 1)
-_XI_HAT: list = [UniPoly({1: 1, 0: -1})]
+_XI_HAT: list = [{1: 1, 0: -1}]
+
+
+def _derivative(p: dict) -> dict:
+    return {d - 1: d * c for d, c in p.items() if d >= 1}
 
 
 @cache
@@ -26,7 +32,8 @@ def _xi_hat_laurent(n: int):
 
 
 def xi_hat(n: int):
-    """xi_hat_n: a UniPoly for n >= 0, a Laurent form for n = -1, -2.
+    """xi_hat_n: a ``{degree: int}`` dict for n >= 0, a Laurent form for
+    n = -1, -2.
 
     xi_hat_0 = t - 1 and xi_hat_{n+1} = t^2 (t - 1) (d/dt) xi_hat_n, a
     polynomial of degree 2n+1 with leading coefficient (2n-1)!! for
@@ -41,21 +48,30 @@ def xi_hat(n: int):
     if n < 0:
         return _xi_hat_laurent(n)
     while len(_XI_HAT) <= n:
-        _XI_HAT.append(_T_SQUARED_T_MINUS_1 * _XI_HAT[-1].derivative())
+        # t^3 and -t^2 times each term c t^d of the derivative
+        derivative, nxt = _derivative(_XI_HAT[-1]), {}
+        for step, sign in ((3, 1), (2, -1)):
+            for d, c in derivative.items():
+                s = nxt.get(d + step, 0) + sign * c
+                if s:
+                    nxt[d + step] = s
+                else:
+                    del nxt[d + step]
+        _XI_HAT.append(nxt)
     return _XI_HAT[n]
 
 
 @cache
-def xi_form(n: int) -> UniPoly:
+def xi_form(n: int) -> dict:
     """xi_n = d/dt xi_hat_n: degree 2n, leading coefficient (2n+1)!!."""
     if n < 0:
         raise ValueError(f"xi_form requires n >= 0, got {n}")
-    return xi_hat(n).derivative()
+    return _derivative(xi_hat(n))
 
 
 @cache
-def xi_hat_over_t(n: int) -> UniPoly:
+def xi_hat_over_t(n: int) -> dict:
     """xi_hat_{n+1}(t)/t for n >= 0 — exact, since t^2 | xi_hat_{n+1}."""
     if n < 0:
         raise ValueError(f"xi_hat_over_t requires n >= 0, got {n}")
-    return xi_hat(n + 1).divide_by_power(1)
+    return {d - 1: c for d, c in xi_hat(n + 1).items()}

@@ -19,7 +19,7 @@ truncation, derivative and reciprocal the same way, one rational per
 coefficient, and ``laurent_substitute_uncapped`` composes from powers
 formed over their whole honest window with ``fraction_mul``; the tests
 compare these with the series layer.
-``xi_in_x_check``, ``permute_vars``, ``from_unipoly`` and
+``xi_in_x_check``, ``permute_vars``, ``from_univariate`` and
 ``distinct_permutations`` serve only these checks.
 """
 
@@ -28,8 +28,7 @@ from math import factorial
 from operator import add
 from typing import Iterator, NamedTuple
 
-from hodgehurwitz.exact_algebra import ZERO, Rational, TruncationError, \
-    UniPoly, rat
+from hodgehurwitz.exact_algebra import ZERO, Rational, TruncationError, rat
 from hodgehurwitz.hodge_solver import HodgeTable
 from hodgehurwitz.level_solve import _KERNELS, _in_basis, _Kernel, \
     _recursion_terms, _run_extraction
@@ -83,11 +82,11 @@ def poly_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def from_unipoly(p: UniPoly, width: int, slot: int) -> dict:
-    """Embed a univariate polynomial into position ``slot`` of ``width``
-    variables."""
+def from_univariate(p: dict, width: int, slot: int) -> dict:
+    """Embed a univariate polynomial ``{degree: coefficient}`` into
+    position ``slot`` of ``width`` variables."""
     return {(0,) * slot + (d,) + (0,) * (width - slot - 1): v
-            for d, v in p.coeffs.items()}
+            for d, v in p.items()}
 
 
 def permute_vars(p: dict, order: tuple[int, ...]) -> dict:
@@ -218,9 +217,10 @@ def laurent_substitute_uncapped(p, s: LaurentSeries) -> LaurentSeries:
         if val is None or val < 1:
             raise TruncationError("inner series needs valuation >= 1")
         cap = (p.truncation_order + 1) * val - 1
+    coeffs = p.coeffs if isinstance(p, LaurentSeries) else p
     result = LaurentSeries.zero(s.var)
     pos, neg = [s], []
-    for d, c in sorted(p.coeffs.items()):
+    for d, c in sorted(coeffs.items()):
         if d > 0:
             while len(pos) < d:
                 pos.append(fraction_mul(pos[-1], s))
@@ -231,8 +231,8 @@ def laurent_substitute_uncapped(p, s: LaurentSeries) -> LaurentSeries:
             while len(neg) < -d:
                 neg.append(fraction_mul(neg[-1], neg[0]))
             result = result + neg[-d - 1].scale(c)
-    if p.coeffs.get(0):
-        result = result + LaurentSeries.exact({0: p.coeffs[0]}, s.var)
+    if coeffs.get(0):
+        result = result + LaurentSeries.exact({0: coeffs[0]}, s.var)
     if cap is not None and cap < result._trunc_key():
         result = result.truncate(cap)
     return result
@@ -274,8 +274,8 @@ class XiIdentity(NamedTuple):
 
 def join_pair_poly(m: int) -> dict:
     """(xi_hat_{m+1}(x) xi_hat_0(y) x^2 - (x <-> y)) / (x - y), as terms."""
-    ax, ay = (from_unipoly(xi_hat(m + 1), 2, slot) for slot in (0, 1))
-    zx, zy = (from_unipoly(xi_hat(0), 2, slot) for slot in (0, 1))
+    ax, ay = (from_univariate(xi_hat(m + 1), 2, slot) for slot in (0, 1))
+    zx, zy = (from_univariate(xi_hat(0), 2, slot) for slot in (0, 1))
     p = poly_add(poly_mul(poly_mul(ax, zy), {(2, 0): 1}),
                  poly_scale(poly_mul(poly_mul(ay, zx), {(0, 2): 1}), -1))
     return divided_difference(p, 0, 1)
@@ -283,7 +283,8 @@ def join_pair_poly(m: int) -> dict:
 
 def cut_pair_poly(a: int, b: int) -> dict:
     """xi_hat_{a+1} xi_hat_{b+1}, as terms."""
-    return {(d,): c for d, c in (xi_hat(a + 1) * xi_hat(b + 1)).coeffs.items()}
+    return poly_mul(from_univariate(xi_hat(a + 1), 1, 0),
+                    from_univariate(xi_hat(b + 1), 1, 0))
 
 
 def rebuilt(converted: tuple[int, dict], kernel: _Kernel,
@@ -300,7 +301,7 @@ def rebuilt(converted: tuple[int, dict], kernel: _Kernel,
         for order in orders:
             term = {(0,) * width: rat(c, den * len(orders))}
             for slot, k in enumerate(key[:head] + order):
-                term = poly_mul(term, from_unipoly(kernel.basis(k), width,
+                term = poly_mul(term, from_univariate(kernel.basis(k), width,
                                                    slot))
             total = poly_add(total, term)
     return total
@@ -342,7 +343,7 @@ def _rhs_expanded(kernel: _Kernel, table: HodgeTable, g: int,
                 for order in distinct_permutations(tagged):
                     term = base
                     for s, (_, w) in zip(free, order):
-                        term = poly_mul(term, from_unipoly(
+                        term = poly_mul(term, from_univariate(
                             kernel.basis(2 * w + kernel.parity), width, s))
                     total = poly_add(total, term)
     return total

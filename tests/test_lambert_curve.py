@@ -1,10 +1,13 @@
+import hashlib
+import json
 import math
 
 import pytest
 
 from hodgehurwitz import lambert_curve, level_solve, residue_kernel
 from hodgehurwitz.cli import main
-from hodgehurwitz.exact_algebra import UniPoly, double_factorial, rat
+from hodgehurwitz.exact_algebra import double_factorial, format_rational, \
+    rat
 from hodgehurwitz.lambert_curve import (
     d_dt,
     eta_series,
@@ -49,18 +52,18 @@ def curve_solves(monkeypatch):
 
 
 def test_xi_hat_first_members():
-    assert xi_hat(0) == UniPoly({1: 1, 0: -1})
-    assert xi_hat(1) == UniPoly({3: 1, 2: -1})
-    assert xi_hat(2) == UniPoly({5: 3, 4: -5, 3: 2})
+    assert xi_hat(0) == {1: 1, 0: -1}
+    assert xi_hat(1) == {3: 1, 2: -1}
+    assert xi_hat(2) == {5: 3, 4: -5, 3: 2}
 
 
 def test_xi_hat_degree_leading_and_root():
     for n in range(13):
         p = xi_hat(n)
-        assert p.degree() == 2 * n + 1
+        assert max(p) == 2 * n + 1
         expected_leading = 1 if n == 0 else double_factorial(2 * n - 1)
-        assert p.leading_coefficient() == expected_leading
-        assert p(1) == 0
+        assert p[max(p)] == expected_leading
+        assert sum(p.values()) == 0
 
 
 def test_xi_hat_laurent_members():
@@ -74,22 +77,55 @@ def test_xi_hat_laurent_members():
 
 
 def test_xi_form_values_and_structure():
-    assert xi_form(0) == UniPoly({0: 1})
-    assert xi_form(1) == UniPoly({2: 3, 1: -2})
+    assert xi_form(0) == {0: 1}
+    assert xi_form(1) == {2: 3, 1: -2}
     for n in range(11):
         f = xi_form(n)
-        assert f == xi_hat(n).derivative()
-        assert f.degree() == 2 * n
-        assert f.leading_coefficient() == double_factorial(2 * n + 1)
+        assert f == {d - 1: d * c for d, c in xi_hat(n).items() if d}
+        assert max(f) == 2 * n
+        assert f[max(f)] == double_factorial(2 * n + 1)
         # lowest term (-1)^n (n+1)! t^n
-        assert f.valuation() == n
-        assert f.coefficient(n) == (-1) ** n * math.factorial(n + 1)
+        assert min(f) == n
+        assert f[n] == (-1) ** n * math.factorial(n + 1)
 
 
 def test_xi_hat_over_t_is_exact_polynomial():
-    for n in range(8):
+    for n in range(13):
         q = xi_hat_over_t(n)
-        assert q * UniPoly({1: 1}) == xi_hat(n + 1)
+        assert {d + 1: c for d, c in q.items()} == xi_hat(n + 1)
+
+
+# md5 of each xi_hat(n) and xi_form(n), n = 0..12, as JSON
+# [[degree, "num/den"]] in sorted order
+_XI_HAT_MD5 = [
+    "8c96be10a34f7fcb4074cf5343495032", "1663a4833d660ce5502d0c6825830139",
+    "848dc990ab3ddab6c2705fb3d86b72b7", "0798b265641d1c44cee51e72dcef69b0",
+    "0f0d47408654593a838a57aa2ca3e5c3", "2432b2a81b6b44a7058b5bb328111cc0",
+    "ba5d1455cb7d99c2d5fda60dd22425c2", "021222382ca08e1a3c31aef5adcfef1b",
+    "4e788234cf69af67eb39c47f58329d37", "8c3beb6023452e42d62d7cbb9b6f4f65",
+    "a7769b0f2d4154026ef7b9cfa700cf26", "e98b967da77c741572c318524911e047",
+    "36d154845399cd11e030ee2d31161d0e",
+]
+_XI_FORM_MD5 = [
+    "53fe46fbece1126ff4b6e4b3fe6c518d", "b3dee37acfb41c83b599a79110746664",
+    "e51f239a26caeb9f8d0b109e2451e05d", "031ca9d379d4ac6b9ccee23c039e9e8d",
+    "cba8aeabd4572b8ee0e9a759e95a1ec7", "844262d808c9e3c990ab7a63777793fa",
+    "6ad4878bb53cbfbb9acea5714402f3fc", "b6b89f0eac3b49fe96f7d773a4ec1de0",
+    "cb93902e7de401d05667ec5b5891ddc8", "ad8aa9066d4bb974992d0388fbf6a938",
+    "35608d64d8d4460fad3a0c743bcf6a81", "4f9f2aa41b269a6fd2ac9de15bb89a67",
+    "bbc69fde34260b4aceef5cec829d125a",
+]
+
+
+def _poly_md5(p: dict) -> str:
+    rows = [[deg, format_rational(c)] for deg, c in sorted(p.items())]
+    return hashlib.md5(json.dumps(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_xi_tower_is_pinned(n):
+    assert _poly_md5(xi_hat(n)) == _XI_HAT_MD5[n]
+    assert _poly_md5(xi_form(n)) == _XI_FORM_MD5[n]
 
 
 # --- curve series ------------------------------------------------------------
@@ -166,6 +202,25 @@ def test_s_growth_checks_across_the_seam(monkeypatch, side):
         monkeypatch.setattr(lambert_curve, "_s_coefficients", corrupted)
     with pytest.raises(RuntimeError, match="internal error"):
         lambert_curve._solve_s(20, seed)
+
+
+@pytest.mark.parametrize("order", [13, 14])
+def test_s_growth_check_starts_at_the_first_new_order(monkeypatch, order):
+    # a growth from a seed at order 12 compares W(sigma) = w from t^-16,
+    # the first order that a wrong c_13 (the first new coefficient)
+    # moves; grown by one or two orders, a check that started later
+    # would let it through
+    seed = lambert_curve._solve_s(12)
+    extend = lambert_curve._s_coefficients
+
+    def corrupted(held, order):
+        c = extend(held, order)
+        c[13 + 1] += rat(1, 10 ** 6)
+        return c
+
+    monkeypatch.setattr(lambert_curve, "_s_coefficients", corrupted)
+    with pytest.raises(RuntimeError, match="internal error"):
+        lambert_curve._solve_s(order, seed)
 
 
 @pytest.mark.parametrize("index", [0, 1, 2, 9, 40, 60])
@@ -356,14 +411,15 @@ def test_h02_check_refuses_one_changed_coefficient(monkeypatch, call, key):
 def test_d_dt_on_polynomials_matches_poly_derivative():
     p = xi_hat(3)
     series = poly_as_recip_series(p)
-    assert d_dt(series) == poly_as_recip_series(p.derivative())
+    assert d_dt(series) == poly_as_recip_series(
+        {d - 1: d * c for d, c in p.items() if d})
 
 
 def test_d_dt_on_w_gives_kernel_denominator():
     # w'(t) = -1/(t^2 (t-1)): check via (t^3 - t^2) w' = -1
     w = w_series(25)
     dw = d_dt(w)
-    t3_t2 = poly_as_recip_series(UniPoly({3: 1, 2: -1}))
+    t3_t2 = poly_as_recip_series({3: 1, 2: -1})
     prod = t3_t2 * dw
     minus_one = LaurentSeries.exact({0: -1}, "1/t")
     diff = prod - minus_one
