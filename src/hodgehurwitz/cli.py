@@ -13,7 +13,7 @@ exits nonzero with a single-line reason on stderr.
 
 Each call solves only the Hodge-table levels its answers need, once.
 If the environment variable HURWITZ_REC_CACHE names a directory, each
-method's table persists there as one JSON file (see ``_Tables``).
+method's table persists there as one JSON file (see ``Tables``).
 """
 
 import argparse
@@ -167,7 +167,7 @@ def _refuse_over_budget(chi: int, budget: int) -> None:
             f"{budget}")
 
 
-class _Tables:
+class Tables:
     """One call's Hodge tables, one per method, created on first use and
     filled on demand.  With HURWITZ_REC_CACHE set, a table starts from
     the method's cache file (a damaged file is a miss), and ``save``
@@ -199,7 +199,7 @@ class _Tables:
 # subcommands
 
 
-def _run_hodge(args, tables: _Tables) -> int:
+def _run_hodge(args, tables: Tables) -> int:
     if args.g < 0:
         raise ValueError(f"genus must be ≥ 0, got {args.g}")
     indices = _parse_parts(args.indices, "indices")
@@ -227,7 +227,7 @@ def _run_hodge(args, tables: _Tables) -> int:
     return 0
 
 
-def _run_hurwitz(args, tables: _Tables) -> int:
+def _run_hurwitz(args, tables: Tables) -> int:
     if args.g < 0:
         raise ValueError(f"genus must be ≥ 0, got {args.g}")
     mu = _parse_parts(args.mu, "mu")
@@ -292,7 +292,7 @@ def _table_payload(rows: list[dict], fmt: str) -> str:
     return out.getvalue()
 
 
-def _run_table(args, tables: _Tables) -> int:
+def _run_table(args, tables: Tables) -> int:
     _refuse_over_branch_points(2 * args.g_max - 2 + 2 * args.size_max)
     from .hurwitz import table_generate
     rows = table_generate(
@@ -313,24 +313,24 @@ def _run_table(args, tables: _Tables) -> int:
     return 0
 
 
-def _run_verify(args, tables: _Tables) -> int:
+def _run_verify(args, tables: Tables) -> int:
     if args.order < MIN_SERIES_ORDER:
         raise ValueError(f"order must be ≥ {MIN_SERIES_ORDER}")
     if args.order > MAX_SERIES_ORDER:
         raise ValueError(f"order must be ≤ {MAX_SERIES_ORDER}")
     checks = []
     if args.suite in ("series", "all"):
-        from .verify_series import _series_checks
-        checks += _series_checks(args.order)
+        from .verify_series import series_checks
+        checks += series_checks(args.order)
     if args.suite in ("residues", "all"):
-        from .verify import _residue_checks
-        checks += _residue_checks()
+        from .verify import residue_checks
+        checks += residue_checks()
     if args.suite in ("dvv", "all"):
-        from .verify import _dvv_checks
-        checks += _dvv_checks(args.complexity_budget, tables)
+        from .verify import dvv_checks
+        checks += dvv_checks(args.complexity_budget, tables)
     if args.suite in ("appendix", "all"):
-        from .verify import _appendix_checks
-        checks += _appendix_checks(args.complexity_budget, tables)
+        from .verify import appendix_checks
+        checks += appendix_checks(args.complexity_budget, tables)
     first_failure: Optional[str] = None
     for name, fn in checks:
         try:
@@ -360,7 +360,7 @@ _RUNNERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    tables = _Tables()
+    tables = Tables()
     try:
         _validate_common(args)
         code = _RUNNERS[args.command](args, tables)

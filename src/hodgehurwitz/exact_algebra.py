@@ -73,6 +73,12 @@ def aut(multiset: tuple[int, ...]) -> int:
     return acc
 
 
+def remove_one(items: tuple[int, ...], value: int) -> tuple[int, ...]:
+    """``items`` without its first occurrence of ``value``."""
+    i = items.index(value)
+    return items[:i] + items[i + 1:]
+
+
 def subsets(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...],
                                                       tuple[int, ...]]]:
     """Each split of the positions of ``items`` into a chosen part and

@@ -1,7 +1,11 @@
 """The demand-filled table of linear Hodge integrals, ``hodge_lambda``
 and the table's cache file.
 
-The level solve is ``level_solve``, loaded with the first level a
+The table stores complete levels (g, ell) and schedules their fills; it
+does not know the shape of the recursions.  ``level_solve`` solves one
+level and reads each lower level its recursion sum needs through
+``ensure_level``, so a level is filled, by the same method, the first
+time a sum reads it.  ``level_solve`` loads with the first level a
 process solves: a request answered from the seeded base levels or the
 cache file loads neither it nor the xi_hat tower.
 """
@@ -9,48 +13,19 @@ cache file loads neither it nor the xi_hat tower.
 from __future__ import annotations
 
 import os
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from hodgehurwitz.exact_algebra import ONE, ZERO, Rational, format_rational, rat
 
 
-class TauKey(NamedTuple):
-    """A table key: genus plus a non-increasing tuple of tau-indices."""
-
-    g: int
-    indices: tuple[int, ...]
-
-    @classmethod
-    def make(cls, g: int, indices) -> "TauKey":
-        idx = tuple(sorted((int(n) for n in indices), reverse=True))
-        if g < 0 or any(n < 0 for n in idx):
-            raise ValueError(f"invalid TauKey(g={g}, indices={idx})")
-        return cls(g, idx)
-
-    @property
-    def ell(self) -> int:
-        return len(self.indices)
-
-    @property
-    def chi(self) -> int:
-        return 2 * self.g - 2 + len(self.indices)
-
-    def dimension(self) -> int:
-        return 3 * self.g - 3 + len(self.indices)
-
-
-def _remove_one(items: tuple[int, ...], value: int) -> tuple[int, ...]:
-    i = items.index(value)
-    return items[:i] + items[i + 1:]
-
-
-def _splits(g: int, n: int):
-    """(g1, k1, g2, k2): two stable surfaces sharing n spectators."""
-    for g1 in range(g + 1):
-        for k1 in range(n + 1):
-            g2, k2 = g - g1, n - k1
-            if 2 * g1 + k1 >= 2 and 2 * g2 + k2 >= 2:
-                yield g1, k1, g2, k2
+def _key(g: int, indices) -> tuple[int, tuple[int, ...]]:
+    """A stable table key: the genus and the indices, non-increasing."""
+    idx = tuple(sorted((int(n) for n in indices), reverse=True))
+    if g < 0 or any(n < 0 for n in idx):
+        raise ValueError(f"invalid key (g={g}, indices={idx})")
+    if 2 * g - 2 + len(idx) < 1:
+        raise ValueError(f"unstable (g,ell)=({g},{len(idx)})")
+    return g, idx
 
 
 # ---------------------------------------------------------------------------
@@ -67,116 +42,69 @@ _BASE_ENTRIES = {
 class HodgeTable:
     """Memoized linear Hodge integrals, filled level by level.
 
-    Levels (g, ell) are complete sets: once a level is marked filled,
-    absent keys at that level are exact zeros.  The base levels
-    (g, ell) = (0, 3) and (1, 1) are seeded; everything else comes from
-    the recursions, which only apply for complexity 2g - 2 + ell >= 2.
+    Levels (g, ell) are complete sets: once a level is stored, absent
+    keys at that level are exact zeros, and ``filled`` is the view of
+    the stored levels.  The base levels (g, ell) = (0, 3) and (1, 1) are
+    seeded; everything else comes from the recursions, which only apply
+    for complexity 2g - 2 + ell >= 2.
     """
 
     def __init__(self):
         self.entries: dict[tuple[int, tuple[int, ...]], Rational] = {}
         self._by_level: dict[tuple[int, int], dict] = {}
-        self.filled: set[tuple[int, int]] = set()
+        self.filled = self._by_level.keys()
         for (g, idx), val in _BASE_ENTRIES.items():
-            self.entries[(g, idx)] = val
-            self._by_level.setdefault((g, len(idx)), {})[idx] = val
-            self.filled.add((g, len(idx)))
+            self._store_level(g, len(idx), {idx: val})
 
     # -- access
 
     def value(self, g: int, indices) -> Rational:
-        key = TauKey.make(g, indices)
-        if key.chi < 1:
-            raise ValueError(f"unstable (g,ell)=({key.g},{key.ell})")
-        if sum(key.indices) > key.dimension():
+        g, idx = _key(g, indices)
+        if sum(idx) > 3 * g - 3 + len(idx):
             return ZERO
-        if (key.g, key.ell) not in self.filled:
-            raise KeyError(f"{key} not computed: level "
-                           f"(g,ell)=({key.g},{key.ell}) is unfilled")
-        return self.entries.get((key.g, key.indices), ZERO)
+        self.level_entries(g, len(idx))     # an unfilled level raises
+        return self.entries.get((g, idx), ZERO)
 
     def level_entries(self, g: int, ell: int) -> dict:
-        if (g, ell) not in self.filled:
-            raise KeyError(f"TauKey(g={g}, indices=<any of length {ell}>) "
-                           f"not computed: level (g,ell)=({g},{ell}) unfilled")
-        return self._by_level.get((g, ell), {})
+        level = self._by_level.get((g, ell))
+        if level is None:
+            raise KeyError(f"level (g,ell)=({g},{ell}) not computed")
+        return level
 
     # -- level scheduling
 
-    @staticmethod
-    def _prereq_levels(g: int, ell: int) -> list[tuple[int, int]]:
-        pre = []
-        if ell >= 2:
-            pre.append((g, ell - 1))
-        if g >= 1:
-            pre.append((g - 1, ell + 1))
-        for g1, k1, g2, k2 in _splits(g, ell - 1):
-            pre.append((g1, k1 + 1))
-            pre.append((g2, k2 + 1))
-        return list(dict.fromkeys(pre))
-
     def ensure_level(self, g: int, ell: int, method: str = "cutjoin") -> None:
-        """Demand-driven fill of one level and its recursion closure."""
+        """Solve level (g, ell) by ``method`` unless it is filled; the
+        solve fills the lower levels its recursion reads, by ``method``."""
         if g < 0 or ell < 1 or 2 * g - 2 + ell < 1:
             raise ValueError(f"unstable (g,ell)=({g},{ell})")
-        if (g, ell) in self.filled:
-            return
-        for pg, pl in self._prereq_levels(g, ell):
-            self.ensure_level(pg, pl, method)
-        self._solve_level(g, ell, method)
+        if (g, ell) not in self._by_level:
+            self._solve_level(g, ell, method)
 
     def fill_to_complexity(self, chi_max: int,
                            method: str = "cutjoin") -> "HodgeTable":
         """Complete every level with 1 <= 2g - 2 + ell <= chi_max.
 
-        Solves level by level in increasing complexity, so each level
-        finds its prerequisites filled.  Fills more than any single
+        Ensures level by level in increasing complexity, so each solve
+        finds the levels it reads filled.  Fills more than any single
         query needs; ``ensure_level`` fills only one level's closure.
         """
         if chi_max < 1:
             raise ValueError("chi_max must be >= 1")
         for chi in range(2, chi_max + 1):
             for g in range((chi + 1) // 2 + 1):
-                if (g, chi + 2 - 2 * g) not in self.filled:
-                    self._solve_level(g, chi + 2 - 2 * g, method)
+                self.ensure_level(g, chi + 2 - 2 * g, method)
         return self
 
-    # -- solving one level
-
     def _solve_level(self, g: int, ell: int, method: str) -> None:
-        self._store_level(g, ell, self._solve_level_values(g, ell, method))
-
-    def _solve_level_values(self, g: int, ell: int, method: str) -> dict:
-        if method == "both":
-            a = self._solve_level_values(g, ell, "cutjoin")
-            b = self._solve_level_values(g, ell, "bm")
-            if a != b:
-                raise ValueError(
-                    f"pipelines disagree at (g,ell)=({g},{ell}): "
-                    f"cutjoin {a} vs bm {b}")
-            return a
-        from hodgehurwitz.level_solve import _kernel, _merge_slot_choices, \
-            _rhs_in_basis, _run_extraction
-        kernel = _kernel(method)
-        context = f"{method} level (g,ell)=({g},{ell})"
-        solved = _run_extraction(_rhs_in_basis(self, kernel, g, ell), kernel,
-                                 g, ell, context)
-        return _merge_slot_choices(solved, kernel.head, context)
+        from hodgehurwitz.level_solve import solve_level
+        self._store_level(g, ell, solve_level(self, g, ell, method))
 
     def _store_level(self, g: int, ell: int, solved: dict) -> None:
         level = self._by_level.setdefault((g, ell), {})
         for indices, val in solved.items():
             self.entries[(g, indices)] = val
             level[indices] = val
-        self.filled.add((g, ell))
-
-    def _star_values(self, g: int, k: int) -> dict:
-        """W -> {a: <tau_a tau_W>}, read off level (g, k+1)."""
-        out: dict[tuple[int, ...], dict[int, Rational]] = {}
-        for E, val in self.level_entries(g, k + 1).items():
-            for a in set(E):
-                out.setdefault(_remove_one(E, a), {})[a] = val
-        return out
 
     # -- verification surface
 
@@ -187,16 +115,8 @@ class HodgeTable:
         The recursions' machine-checkable content: the result must be
         an empty dict at every solvable level.
         """
-        from hodgehurwitz.level_solve import _add_scaled, _kernel, \
-            _rhs_in_basis, _slot_choices
-        kernel = _kernel(method)
-        self.ensure_level(g, ell, method)
-        rhs = _rhs_in_basis(self, kernel, g, ell)
-        chi = 2 * g - 2 + ell
-        for M, val in self._by_level[(g, ell)].items():
-            for unknown in _slot_choices(M, kernel.head):
-                _add_scaled(rhs, kernel.image(unknown, chi), -val)
-        return rhs
+        from hodgehurwitz.level_solve import identity_remainder
+        return identity_remainder(self, g, ell, method)
 
     # -- serialization
 
@@ -236,16 +156,14 @@ def hodge_lambda(g: int, indices, method: str = "cutjoin",
     (g, ell) raises.  Exactly one Chern class survives the dimension
     constraint, with sign (-1)^j relative to the stored alternating sum.
     """
-    key = TauKey.make(g, indices)
-    if key.chi < 1:
-        raise ValueError(f"unstable (g,ell)=({key.g},{key.ell})")
-    j = key.dimension() - sum(key.indices)
+    g, idx = _key(g, indices)
+    j = 3 * g - 3 + len(idx) - sum(idx)
     if j < 0 or j > g:
         return j, ZERO
     if table is None:
         table = default_table()
-    table.ensure_level(key.g, key.ell, method)
-    value = table.value(key.g, key.indices)
+    table.ensure_level(g, len(idx), method)
+    value = table.entries.get((g, idx), ZERO)
     return j, (value if j % 2 == 0 else -value)
 
 
@@ -306,8 +224,8 @@ def save_table_cache(table: HodgeTable, directory: str, method: str) -> str:
 def load_table_cache(directory: str, method: str) -> Optional[HodgeTable]:
     """Reload a persisted table, adopting it only if its rows match the
     stored digest and the base entries revalidate exactly.  A missing,
-    undecodable or misshapen file, another schema version or a digest
-    mismatch is a miss (None)."""
+    undecodable or misshapen file, another schema version, a file
+    written for another method or a digest mismatch is a miss (None)."""
     path = _cache_path(directory, method)
     if not os.path.exists(path):
         return None
@@ -316,6 +234,7 @@ def load_table_cache(directory: str, method: str) -> Optional[HodgeTable]:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         if (payload["schema"] != CACHE_SCHEMA
+                or payload["method"] != method
                 or payload["sha256"] != _levels_digest(payload["levels"])):
             return None
         staged: dict[tuple[int, int], dict] = {}

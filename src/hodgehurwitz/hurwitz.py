@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import factorial
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, Optional
 
 from hodgehurwitz.exact_algebra import ONE, ZERO, HALF, Rational, aut, rat, \
     subsets
@@ -33,29 +33,15 @@ if TYPE_CHECKING:
     from hodgehurwitz.hodge_solver import HodgeTable
 
 
-def _normalize_mu(mu) -> tuple[int, ...]:
+def _profile(g: int, mu) -> tuple[tuple[int, ...], int]:
+    """(mu non-increasing, r): a validated ramification profile and its
+    number r = 2g - 2 + len(mu) + |mu| of simple branch points."""
+    if g < 0:
+        raise ValueError(f"genus must be >= 0, got {g}")
     parts = tuple(sorted((int(m) for m in mu), reverse=True))
     if not parts or any(m < 1 for m in parts):
         raise ValueError(f"partition parts must be positive: {tuple(mu)}")
-    return parts
-
-
-class HurwitzKey(NamedTuple):
-    """Genus plus a ramification profile (non-increasing, positive)."""
-
-    g: int
-    mu: tuple[int, ...]
-
-    @classmethod
-    def make(cls, g: int, mu) -> "HurwitzKey":
-        if g < 0:
-            raise ValueError(f"genus must be >= 0, got {g}")
-        return cls(g, _normalize_mu(mu))
-
-    @property
-    def r(self) -> int:
-        """Number of simple branch points."""
-        return 2 * self.g - 2 + len(self.mu) + sum(self.mu)
+    return parts, 2 * g - 2 + len(parts) + sum(parts)
 
 
 @cache
@@ -106,8 +92,8 @@ def _rescaled(g: int, mu: tuple[int, ...]) -> Rational:
 
 def h_direct(g: int, mu) -> Rational:
     """Simple Hurwitz number via the branch-point recursion."""
-    key = HurwitzKey.make(g, mu)
-    return _rescaled(key.g, key.mu) * factorial(key.r) / aut(key.mu)
+    mu, r = _profile(g, mu)
+    return _rescaled(g, mu) * factorial(r) / aut(mu)
 
 
 def genus_zero_one_part(k: int) -> Rational:
@@ -143,14 +129,22 @@ def _elsv_weight(mu: tuple[int, ...], idx: tuple[int, ...]) -> int:
     return partial[()]
 
 
+def _elsv_prefactor(mu: tuple[int, ...], r: int) -> Rational:
+    """r!/|Aut(mu)| prod(mu_i^mu_i / mu_i!), the factor of the ELSV sum."""
+    prefactor = rat(factorial(r)) / aut(mu)
+    for m in mu:
+        prefactor = prefactor * rat(m) ** m / factorial(m)
+    return prefactor
+
+
 def hurwitz_elsv(g: int, mu, table: Optional[HodgeTable] = None) -> Rational:
     """Simple Hurwitz number as a weighted sum of Hodge integrals:
 
       h(g, mu) = r!/|Aut(mu)| prod(mu_i^mu_i / mu_i!)
                  * sum_n prod(mu_i^n_i) <tau_n Lambda-alternating>_g
     """
-    key = HurwitzKey.make(g, mu)
-    ell = len(key.mu)
+    mu, r = _profile(g, mu)
+    ell = len(mu)
     if 2 * g - 2 + ell < 1:
         raise ValueError(f"unstable (g,ell)=({g},{ell})")
     if table is None:
@@ -159,11 +153,8 @@ def hurwitz_elsv(g: int, mu, table: Optional[HodgeTable] = None) -> Rational:
     table.ensure_level(g, ell)
     total = ZERO
     for idx, val in table.level_entries(g, ell).items():
-        total = total + val * _elsv_weight(key.mu, idx)
-    prefactor = rat(factorial(key.r)) / aut(key.mu)
-    for m in key.mu:
-        prefactor = prefactor * rat(m) ** m / factorial(m)
-    return prefactor * total
+        total = total + val * _elsv_weight(mu, idx)
+    return _elsv_prefactor(mu, r) * total
 
 
 _BRUTE_D_MAX = 5
@@ -172,8 +163,8 @@ _BRUTE_R_MAX = 8
 
 def brute_in_range(g: int, mu) -> bool:
     """True when ``h_brute`` answers h(g, mu)."""
-    key = HurwitzKey.make(g, mu)
-    return sum(key.mu) <= _BRUTE_D_MAX and key.r <= _BRUTE_R_MAX
+    mu, r = _profile(g, mu)
+    return sum(mu) <= _BRUTE_D_MAX and r <= _BRUTE_R_MAX
 
 
 def h_brute(g: int, mu) -> Rational:
@@ -185,9 +176,8 @@ def h_brute(g: int, mu) -> Rational:
     Exact but exponential: degrees above 5 or more than 8 simple
     branch points are refused.
     """
-    key = HurwitzKey.make(g, mu)
-    d = sum(key.mu)
-    r = key.r
+    mu, r = _profile(g, mu)
+    d = sum(mu)
     if not brute_in_range(g, mu):
         raise ValueError(
             f"oracle out of range: need |mu| <= {_BRUTE_D_MAX} and "
@@ -198,7 +188,7 @@ def h_brute(g: int, mu) -> Rational:
     # canonical permutation of type mu, as an image tuple
     sigma = list(range(d))
     start = 0
-    for part in key.mu:
+    for part in mu:
         for o in range(part):
             sigma[start + o] = start + (o + 1) % part
         start += part
@@ -231,8 +221,8 @@ def h_brute(g: int, mu) -> Rational:
     # transitivity: a single orbit across all d sheets
     hits = sum(count for (perm, partition), count in states.items()
                if perm == target and len(set(partition)) == 1)
-    z = aut(key.mu)
-    for m in key.mu:
+    z = aut(mu)
+    for m in mu:
         z *= m
     return rat(hits, z)
 
@@ -241,7 +231,7 @@ def elsv_invert(g: int, ell: int) -> dict:
     """Recover the Hodge-table level (g, ell) from Hurwitz numbers.
 
     For each admissible index multiset N the profile mu = N + 1 gives
-    one equation sum_n prod(mu_i^n_i) T(n) = normalized h(g, mu); the
+    one equation sum_n prod(mu_i^n_i) T(n) = h(g, mu) / prefactor; the
     resulting square system is solved by exact Gaussian elimination.
     """
     if 2 * g - 2 + ell < 1:
@@ -265,13 +255,9 @@ def elsv_invert(g: int, ell: int) -> dict:
     for n_row in unknowns:
         mu = tuple(m + 1 for m in n_row)
         coeffs = [_elsv_weight(mu, n_col) for n_col in unknowns]
-        h = h_direct(g, mu)
         r = 2 * g - 2 + ell + sum(mu)
-        normalized = h * aut(mu) / factorial(r)
-        for m in mu:
-            normalized = normalized * factorial(m) / rat(m) ** m
         rows.append(coeffs)
-        rhs.append(normalized)
+        rhs.append(h_direct(g, mu) / _elsv_prefactor(mu, r))
 
     for col in range(size):
         pivot = next((row for row in range(col, size) if rows[row][col]),

@@ -3,7 +3,8 @@
 The table maps (g, non-increasing index tuple) to the alternating-sum
 pairing <tau_{n_1}..tau_{n_ell} (1 - lambda_1 + ... +- lambda_g)>.  Two
 pipelines fill it level by level in the complexity chi = 2g - 2 + ell
-(``hodge_solver.HodgeTable`` loads this module with its first level):
+(``hodge_solver.HodgeTable`` loads this module with its first level,
+and stores what ``solve_level`` returns):
 
 * ``cutjoin`` — the Laplace-transformed cut-and-join equation, an
   identity of symmetric polynomials in (t_1..t_ell) built from the
@@ -46,9 +47,13 @@ reads level (g, n), the cut reads (g - 1, n + 2), and the splits pair
 levels with k1 + k2 = n spectators.  A ``_Kernel`` spec holds what
 differs (weight, join and cut polynomials, label basis, spectator label
 parity, the number ``head`` of fixed key positions, image and decoder),
-and ``_recursion_terms`` writes the sum once.  Folded keys are flat:
-the first ``head`` positions stay in place and the rest are sorted.
-Cut-and-join has head 0; ``bm`` has head 1, the label of its
+and ``_recursion_terms`` writes the sum once.  It reads each lower level
+through a reader ``level(g, ell) -> entries``; inside ``solve_level``
+the reader is the table's ``ensure_level`` then ``level_entries``, with
+the solve's own method, so a solve fills exactly the missing levels it
+reads, and every level under a "both" solve is itself solved both
+ways.  Folded keys are flat: the first ``head`` positions stay in place
+and the rest are sorted.  Cut-and-join has head 0; ``bm`` has head 1, the label of its
 distinguished variable t.
 The ``bm`` unknowns are solved per choice of which index sits in the
 t-slot, and the solver verifies that all choices give the same value
@@ -61,11 +66,14 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations, permutations
 from math import gcd, lcm
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from hodgehurwitz.exact_algebra import HALF, ONE, ZERO, Rational, aut, rat
-from hodgehurwitz.hodge_solver import HodgeTable, _remove_one, _splits
+from hodgehurwitz.exact_algebra import HALF, ONE, ZERO, Rational, aut, rat, \
+    remove_one
 from hodgehurwitz.xi_tower import xi_form, xi_hat, xi_hat_over_t
+
+if TYPE_CHECKING:
+    from hodgehurwitz.hodge_solver import HodgeTable
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +96,27 @@ def _slot_choices(indices: tuple[int, ...], head: int) -> list[tuple]:
     for fixed in sorted(set(permutations(indices, head)), reverse=True):
         rest = indices
         for v in fixed:
-            rest = _remove_one(rest, v)
+            rest = remove_one(rest, v)
         choices.append(fixed + rest)
     return choices
+
+
+def _splits(g: int, n: int):
+    """(g1, k1, g2, k2): two stable surfaces sharing n spectators."""
+    for g1 in range(g + 1):
+        for k1 in range(n + 1):
+            g2, k2 = g - g1, n - k1
+            if 2 * g1 + k1 >= 2 and 2 * g2 + k2 >= 2:
+                yield g1, k1, g2, k2
+
+
+def _star_values(entries: dict) -> dict:
+    """W -> {a: <tau_a tau_W>}, read off the entries of one level."""
+    out: dict[tuple[int, ...], dict[int, Rational]] = {}
+    for E, val in entries.items():
+        for a in set(E):
+            out.setdefault(remove_one(E, a), {})[a] = val
+    return out
 
 
 def _add_scaled(dst: dict, src: dict, factor) -> None:
@@ -178,7 +204,7 @@ def _image_cutjoin(M: tuple[int, ...], chi: int) -> dict:
     The images are memoized and shared, so no caller may change one."""
     image = {tuple(2 * m + 1 for m in M): rat(chi) / aut(M)}
     for v in _distinct_values(M):
-        rest = _remove_one(M, v)
+        rest = remove_one(M, v)
         key = tuple(sorted([2 * v + 2] + [2 * m + 1 for m in rest],
                            reverse=True))
         image[key] = ONE / aut(rest)
@@ -310,8 +336,9 @@ def _labels(kernel: _Kernel, part: str, *indices: int) -> tuple[int, dict]:
 
 def _recursion_terms(join: Callable[[int], dict],
                      cut: Callable[[int, int], dict],
-                     table: "HodgeTable", g: int, ell: int):
+                     level: Callable[[int, int], dict], g: int, ell: int):
     """Yield the right side at level (g, ell) as (terms, groups, coeff),
+    reading each lower level's entries through ``level(g, ell)``,
     once per join, cut and split occurrence: ``terms`` is what ``join``
     or ``cut`` gives, keyed by the exponents (or labels) of the
     distinguished slot and of the spectator slots it occupies; each of
@@ -325,24 +352,33 @@ def _recursion_terms(join: Callable[[int], dict],
     n = ell - 1
     # join: a spectator merges with the distinguished slot
     if n >= 1:
-        for E, val in table.level_entries(g, n).items():
+        for E, val in level(g, n).items():
             for m in _distinct_values(E):
-                yield join(m), (_remove_one(E, m),), val
+                yield join(m), (remove_one(E, m),), val
     # cut: the distinguished slot closes a handle
     if g >= 1:
-        for E, val in table.level_entries(g - 1, n + 2).items():
+        for E, val in level(g - 1, n + 2).items():
             for a, b in _value_pairs(E):
-                rest = _remove_one(_remove_one(E, a), b)
+                rest = remove_one(remove_one(E, a), b)
                 yield cut(a, b), (rest,), val if a == b else 2 * val
     # split: two stable surfaces share the spectators
     for g1, k1, g2, k2 in _splits(g, n):
-        left = table._star_values(g1, k1)
-        right = table._star_values(g2, k2)
+        left = _star_values(level(g1, k1 + 1))
+        right = _star_values(level(g2, k2 + 1))
         for w1, amap in left.items():
             for w2, bmap in right.items():
                 for a, va in amap.items():
                     for b, vb in bmap.items():
                         yield cut(a, b), (w1, w2), va * vb
+
+
+def _image_remainder(rhs: dict, kernel: _Kernel, chi: int,
+                     values: dict) -> dict:
+    """``rhs`` minus the image of ``values``, a map unknown -> value."""
+    remainder = dict(rhs)
+    for unknown, value in values.items():
+        _add_scaled(remainder, kernel.image(unknown, chi), -value)
+    return remainder
 
 
 def _run_extraction(rhs: dict, kernel: _Kernel, g: int, ell: int,
@@ -367,9 +403,7 @@ def _run_extraction(rhs: dict, kernel: _Kernel, g: int, ell: int,
         if solved.setdefault(unknown, value) != value:
             raise ValueError(f"identity violated at {context}: reads of "
                              f"{unknown} disagree at key {key}")
-    remainder = dict(rhs)
-    for unknown, value in solved.items():
-        _add_scaled(remainder, kernel.image(unknown, chi), -value)
+    remainder = _image_remainder(rhs, kernel, chi, solved)
     if remainder:
         raise ValueError(f"identity violated at {context}: leftover at "
                          f"{len(remainder)} keys, top {max(remainder)}")
@@ -391,10 +425,11 @@ def _merge_slot_choices(solved: dict, head: int, context: str) -> dict:
     return merged
 
 
-def _rhs_in_basis(table: HodgeTable, kernel: _Kernel, g: int,
+def _rhs_in_basis(level: Callable[[int, int], dict], kernel: _Kernel, g: int,
                   ell: int) -> dict:
     """Folded right side of ``kernel``'s identity in its label basis,
-    whose unknowns live at level (g, ell).
+    whose unknowns live at level (g, ell), reading lower levels through
+    ``level``.
 
     Each occurrence is a converted kernel (D, ints) times a rational
     scalar q = num(q)/den(q).  With L the lcm of every D den(q), each
@@ -404,7 +439,7 @@ def _rhs_in_basis(table: HodgeTable, kernel: _Kernel, g: int,
     occurrences = []
     for (den, ints), groups, coeff in _recursion_terms(
             lambda m: _labels(kernel, "join", m),
-            lambda a, b: _labels(kernel, "cut", a, b), table, g, ell):
+            lambda a, b: _labels(kernel, "cut", a, b), level, g, ell):
         # den(q) need not be in lowest terms: L absorbs any factor
         den *= int(weight.denominator * coeff.denominator)
         labels: tuple[int, ...] = ()
@@ -422,3 +457,50 @@ def _rhs_in_basis(table: HodgeTable, kernel: _Kernel, g: int,
                                             reverse=True))
             sums[key] = sums.get(key, 0) + c * factor
     return {key: Rational(c, level) for key, c in sums.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# one level of a table
+
+
+def _solve(level: Callable[[int, int], dict], method: str, g: int,
+           ell: int) -> dict:
+    kernel = _kernel(method)
+    context = f"{method} level (g,ell)=({g},{ell})"
+    solved = _run_extraction(_rhs_in_basis(level, kernel, g, ell), kernel,
+                             g, ell, context)
+    return _merge_slot_choices(solved, kernel.head, context)
+
+
+def solve_level(table: HodgeTable, g: int, ell: int, method: str) -> dict:
+    """The entries of level (g, ell) by ``method``: "cutjoin", "bm", or
+    "both", which solves by each and requires equal results.  Every
+    lower level the recursion reads is filled in ``table`` first, by
+    ``method``."""
+    def level(g: int, ell: int) -> dict:
+        table.ensure_level(g, ell, method)
+        return table.level_entries(g, ell)
+
+    if method != "both":
+        return _solve(level, method, g, ell)
+    a = _solve(level, "cutjoin", g, ell)
+    b = _solve(level, "bm", g, ell)
+    if a != b:
+        raise ValueError(
+            f"pipelines disagree at (g,ell)=({g},{ell}): "
+            f"cutjoin {a} vs bm {b}")
+    return a
+
+
+def identity_remainder(table: HodgeTable, g: int, ell: int,
+                       method: str) -> dict:
+    """The folded right side at level (g, ell) minus the image of the
+    level's stored values, in ``method``'s label basis; empty when the
+    stored values satisfy the recursion."""
+    kernel = _kernel(method)
+    table.ensure_level(g, ell, method)
+    values = {unknown: val
+              for M, val in table.level_entries(g, ell).items()
+              for unknown in _slot_choices(M, kernel.head)}
+    return _image_remainder(_rhs_in_basis(table.level_entries, kernel, g, ell),
+                            kernel, 2 * g - 2 + ell, values)

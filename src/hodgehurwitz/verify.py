@@ -15,10 +15,10 @@ from math import prod
 from typing import TYPE_CHECKING, Optional
 
 from .exact_algebra import HALF, ZERO, Rational, format_rational, rat, \
-    subsets
+    remove_one, subsets
 
 if TYPE_CHECKING:
-    from .cli import _Tables
+    from .cli import Tables
     from .hodge_solver import HodgeTable
 
 
@@ -36,7 +36,7 @@ def dvv_verify(g: int, ell: int, table: Optional[HodgeTable] = None) -> bool:
     Levels whose instances would involve unstable data (complexity of
     the target below 2) have nothing to check and return True.
     """
-    from .hodge_solver import _remove_one, default_table
+    from .hodge_solver import default_table
     if table is None:
         table = default_table()
     target_ell = ell + 1
@@ -66,7 +66,7 @@ def dvv_verify(g: int, ell: int, table: Optional[HodgeTable] = None) -> bool:
         if sum(key) != dim:
             continue
         for n in sorted(set(key), reverse=True):
-            rest = _remove_one(key, n)
+            rest = remove_one(key, n)
             lhs = sigma(g, key)
             rhs = ZERO
             for i, ni in enumerate(rest):
@@ -90,7 +90,7 @@ def dvv_verify(g: int, ell: int, table: Optional[HodgeTable] = None) -> bool:
     return ok
 
 
-def _residue_checks() -> list:
+def residue_checks() -> list:
     from .residue_kernel import p_ab, p_ab_eta, p_n, p_n_eta
 
     def pair_kernels():
@@ -120,7 +120,7 @@ def _residue_checks() -> list:
     ]
 
 
-def _dvv_checks(budget: int, tables: _Tables) -> list:
+def dvv_checks(budget: int, tables: Tables) -> list:
     from .xi_tower import xi_form
 
     def base_values():
@@ -155,7 +155,7 @@ def _dvv_checks(budget: int, tables: _Tables) -> list:
     ]
 
 
-def _appendix_checks(budget: int, tables: _Tables) -> list:
+def appendix_checks(budget: int, tables: Tables) -> list:
     from .hodge_solver import hodge_lambda
     from .hurwitz import h_direct, hurwitz_elsv
     from .reference_data import HODGE_REFERENCE, HURWITZ_GENUS_FIVE, \

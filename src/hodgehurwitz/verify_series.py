@@ -17,7 +17,7 @@ from .lambert_curve import eta_xi_identity_check, \
 from .series import LaurentSeries, SeriesPowers, laurent_reciprocal
 
 
-def _series_checks(order: int) -> list:
+def series_checks(order: int) -> list:
 
     @cache
     def inv_s() -> SeriesPowers:

@@ -327,7 +327,7 @@ def _rhs_expanded(kernel: _Kernel, table: HodgeTable, g: int,
     variable is a spectator.  Its unknowns live at level (g, width)."""
     total = {}
     for terms, groups, coeff in _recursion_terms(
-            kernel.join, kernel.cut, table, g, width):
+            kernel.join, kernel.cut, table.level_entries, g, width):
         if not terms:
             continue
         spectators = len(next(iter(terms))) - 1

@@ -102,6 +102,15 @@ def test_hodge_solves_only_the_closure(capsys, solved, indices, out):
         assert set(cells) == CLOSURE_3_1
 
 
+def test_both_solves_every_level_of_the_closure_both_ways(capsys, solved):
+    # a "both" answer rests only on levels that both pipelines agreed on
+    assert run(capsys, "hodge", "--g", "3", "--indices", "6",
+               "--method", "both") == (0, "j=1 value=7/138240\n", "")
+    assert len(solved) == len(CLOSURE_3_1)
+    assert {(g, ell) for g, ell, _ in solved} == CLOSURE_3_1
+    assert {method for *_, method in solved} == {"both"}
+
+
 def test_verify_solves_each_level_once(capsys, solved):
     code, out, _ = run(capsys, "verify", "--suite", "dvv",
                        "--complexity-budget", "5")
@@ -140,6 +149,21 @@ def test_hodge_damaged_cache_is_recomputed(capsys, tmp_path, monkeypatch,
     code, out, err = run(capsys, "hodge", "--g", "2", "--indices", "3")
     assert (code, out, err) == (0, "j=1 value=1/480\n", "")
     assert json.loads(cache.read_text())["method"] == "cutjoin"
+
+
+def test_hodge_cache_of_another_method_is_a_miss(capsys, tmp_path,
+                                                monkeypatch, solved):
+    # a cut-and-join file copied to the "both" name holds no BM check
+    monkeypatch.setenv("HURWITZ_REC_CACHE", str(tmp_path))
+    assert run(capsys, "hodge", "--g", "2", "--indices", "3") == \
+        (0, "j=1 value=1/480\n", "")
+    first = len(solved)
+    both = tmp_path / "hodge-both.json"
+    both.write_text((tmp_path / "hodge-cutjoin.json").read_text())
+    assert run(capsys, "hodge", "--g", "2", "--indices", "3",
+               "--method", "both") == (0, "j=1 value=1/480\n", "")
+    assert {m for *_, m in solved[first:]} == {"both"}
+    assert json.loads(both.read_text())["method"] == "both"
 
 
 def test_hodge_edited_cache_value_is_recomputed(capsys, tmp_path,

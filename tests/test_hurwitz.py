@@ -8,7 +8,6 @@ import pytest
 from hodgehurwitz.exact_algebra import rat
 from hodgehurwitz.hodge_solver import HodgeTable
 from hodgehurwitz.hurwitz import (
-    HurwitzKey,
     elsv_invert,
     genus_zero_one_part,
     genus_zero_two_part,
@@ -18,6 +17,7 @@ from hodgehurwitz.hurwitz import (
     table_generate,
     _elsv_weight,
     _partitions,
+    _profile,
 )
 
 
@@ -165,12 +165,12 @@ def test_elsv_weight_is_the_rational_power_sum():
 
 
 def test_hurwitz_key_normalization():
-    key = HurwitzKey.make(1, [1, 3, 2])
-    assert key.mu == (3, 2, 1) and key.r == 9
+    mu, r = _profile(1, [1, 3, 2])
+    assert mu == (3, 2, 1) and r == 9
     with pytest.raises(ValueError, match="positive"):
-        HurwitzKey.make(0, (2, 0))
+        _profile(0, (2, 0))
     with pytest.raises(ValueError, match="positive"):
-        HurwitzKey.make(0, ())
+        _profile(0, ())
 
 
 def test_partitions_descending_lex():

@@ -71,3 +71,34 @@ def test_an_unused_import_is_reported():
     read = _names_read(tree)
     assert [n for n, _ in _module_imports(tree) if n not in read] == \
         ["os", "lcm"]
+
+
+def _private_package_imports(tree: ast.Module):
+    """(module, name, line) of each import, anywhere in the module, of
+    an underscore name from a module of the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("hodgehurwitz")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield node.module, alias.name, node.lineno
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if os.path.dirname(p) == PACKAGE],
+    ids=os.path.basename)
+def test_no_module_imports_a_private_name_of_another(path):
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    private = [f"{name} from {module} (line {line})"
+               for module, name, line in _private_package_imports(tree)]
+    assert not private, f"{os.path.basename(path)} imports {private}"
+
+
+def test_a_private_import_is_reported():
+    tree = ast.parse("from .cli import Tables, _Parser\n"
+                     "def f():\n"
+                     "    from hodgehurwitz.hurwitz import _rescaled\n"
+                     "    from fractions import _gcd\n")
+    assert list(_private_package_imports(tree)) == \
+        [("cli", "_Parser", 1), ("hodgehurwitz.hurwitz", "_rescaled", 3)]
