@@ -206,11 +206,10 @@ def _run_hodge(args, tables: Tables) -> int:
     if any(n < 0 for n in indices):
         raise ValueError(f"indices must be ≥ 0, got {indices}")
     chi = 2 * args.g - 2 + len(indices)
-    from .hodge_solver import HodgeTable, hodge_lambda
+    from .hodge_solver import hodge_lambda
     if chi < 1:
         # unstable; raise the canonical error without building a table
-        hodge_lambda(args.g, indices, method=args.method,
-                     table=HodgeTable())
+        hodge_lambda(args.g, indices, method=args.method)
     _refuse_over_budget(chi, args.complexity_budget)
     j, value = hodge_lambda(args.g, indices, method=args.method,
                             table=tables.get(args.method))

@@ -1,9 +1,10 @@
 """The demand-filled table of linear Hodge integrals, ``hodge_lambda``
 and the table's cache file.
 
-The table stores complete levels (g, ell) and schedules their fills; it
-does not know the shape of the recursions.  ``level_solve`` solves one
-level and reads each lower level its recursion sum needs through
+The table holds each value once, in one dict of complete levels
+(g, ell) that every reader reads, and schedules the fills; it does not
+know the shape of the recursions.  ``level_solve`` solves one level and
+reads each lower level its recursion sum needs through
 ``ensure_level``, so a level is filled, by the same method, the first
 time a sum reads it.  ``level_solve`` loads with the first level a
 process solves: a request answered from the seeded base levels or the
@@ -13,6 +14,7 @@ cache file loads neither it nor the xi_hat tower.
 from __future__ import annotations
 
 import os
+from types import MappingProxyType
 from typing import Optional
 
 from hodgehurwitz.exact_algebra import ONE, ZERO, Rational, format_rational, rat
@@ -32,41 +34,44 @@ def _key(g: int, indices) -> tuple[int, tuple[int, ...]]:
 # the table
 
 
-_BASE_ENTRIES = {
-    (0, (0, 0, 0)): ONE,
-    (1, (1,)): rat(1, 24),
-    (1, (0,)): rat(-1, 24),
+_BASE_LEVELS = {
+    (0, 3): {(0, 0, 0): ONE},
+    (1, 1): {(1,): rat(1, 24), (0,): rat(-1, 24)},
 }
 
 
 class HodgeTable:
     """Memoized linear Hodge integrals, filled level by level.
 
-    Levels (g, ell) are complete sets: once a level is stored, absent
-    keys at that level are exact zeros, and ``filled`` is the view of
-    the stored levels.  The base levels (g, ell) = (0, 3) and (1, 1) are
-    seeded; everything else comes from the recursions, which only apply
-    for complexity 2g - 2 + ell >= 2.
+    One dict maps each level (g, ell) to {indices: value}.  Levels are
+    complete sets: absent keys at a stored level are exact zeros.
+    ``filled`` views the stored levels, and ``entries`` is a read-only
+    view of every value, keyed (g, indices).  The base levels
+    (g, ell) = (0, 3) and (1, 1) are seeded; everything else comes from
+    the recursions, which only apply for complexity 2g - 2 + ell >= 2.
     """
 
     def __init__(self):
-        self.entries: dict[tuple[int, tuple[int, ...]], Rational] = {}
-        self._by_level: dict[tuple[int, int], dict] = {}
-        self.filled = self._by_level.keys()
-        for (g, idx), val in _BASE_ENTRIES.items():
-            self._store_level(g, len(idx), {idx: val})
+        self._levels: dict[tuple[int, int], dict] = {
+            key: dict(level) for key, level in _BASE_LEVELS.items()}
+        self.filled = self._levels.keys()
 
     # -- access
+
+    @property
+    def entries(self) -> MappingProxyType:
+        return MappingProxyType({(g, idx): val
+                                 for (g, _), level in self._levels.items()
+                                 for idx, val in level.items()})
 
     def value(self, g: int, indices) -> Rational:
         g, idx = _key(g, indices)
         if sum(idx) > 3 * g - 3 + len(idx):
             return ZERO
-        self.level_entries(g, len(idx))     # an unfilled level raises
-        return self.entries.get((g, idx), ZERO)
+        return self.level_entries(g, len(idx)).get(idx, ZERO)
 
     def level_entries(self, g: int, ell: int) -> dict:
-        level = self._by_level.get((g, ell))
+        level = self._levels.get((g, ell))
         if level is None:
             raise KeyError(f"level (g,ell)=({g},{ell}) not computed")
         return level
@@ -78,7 +83,7 @@ class HodgeTable:
         solve fills the lower levels its recursion reads, by ``method``."""
         if g < 0 or ell < 1 or 2 * g - 2 + ell < 1:
             raise ValueError(f"unstable (g,ell)=({g},{ell})")
-        if (g, ell) not in self._by_level:
+        if (g, ell) not in self._levels:
             self._solve_level(g, ell, method)
 
     def fill_to_complexity(self, chi_max: int,
@@ -98,19 +103,13 @@ class HodgeTable:
 
     def _solve_level(self, g: int, ell: int, method: str) -> None:
         from hodgehurwitz.level_solve import solve_level
-        self._store_level(g, ell, solve_level(self, g, ell, method))
-
-    def _store_level(self, g: int, ell: int, solved: dict) -> None:
-        level = self._by_level.setdefault((g, ell), {})
-        for indices, val in solved.items():
-            self.entries[(g, indices)] = val
-            level[indices] = val
+        self._levels[(g, ell)] = solve_level(self, g, ell, method)
 
     # -- verification surface
 
     def identity_remainder(self, g: int, ell: int, method: str) -> dict:
         """Recompute the folded RHS minus the image of the solved values,
-        both in the method's label basis.
+        both in the method's label basis ("both": cut-and-join, then BM).
 
         The recursions' machine-checkable content: the result must be
         an empty dict at every solvable level.
@@ -163,7 +162,7 @@ def hodge_lambda(g: int, indices, method: str = "cutjoin",
     if table is None:
         table = default_table()
     table.ensure_level(g, len(idx), method)
-    value = table.entries.get((g, idx), ZERO)
+    value = table.level_entries(g, len(idx)).get(idx, ZERO)
     return j, (value if j % 2 == 0 else -value)
 
 
@@ -205,7 +204,7 @@ def save_table_cache(table: HodgeTable, directory: str, method: str) -> str:
             "entries": [[list(idx), format_rational(val)]
                         for idx, val in sorted(level.items())],
         }
-        for (g, ell), level in sorted(table._by_level.items())
+        for (g, ell), level in sorted(table._levels.items())
     ]
     payload = {"schema": CACHE_SCHEMA, "method": method, "levels": levels,
                "sha256": _levels_digest(levels)}
@@ -223,7 +222,8 @@ def save_table_cache(table: HodgeTable, directory: str, method: str) -> str:
 
 def load_table_cache(directory: str, method: str) -> Optional[HodgeTable]:
     """Reload a persisted table, adopting it only if its rows match the
-    stored digest and the base entries revalidate exactly.  A missing,
+    stored digest and its base levels equal the seeded ones exactly; the
+    file's levels then go straight into the table's store.  A missing,
     undecodable or misshapen file, another schema version, a file
     written for another method or a digest mismatch is a miss (None)."""
     path = _cache_path(directory, method)
@@ -247,12 +247,8 @@ def load_table_cache(directory: str, method: str) -> Optional[HodgeTable]:
             staged[(g, ell)] = entries
     except (ValueError, TypeError, KeyError, ArithmeticError):
         return None
-    for (g, idx), val in _BASE_ENTRIES.items():
-        level = staged.get((g, len(idx)))
-        if level is None or level.get(idx) != val:
-            return None
+    if any(staged.get(key) != base for key, base in _BASE_LEVELS.items()):
+        return None
     table = HodgeTable()
-    for (g, ell), level in staged.items():
-        if (g, ell) not in table.filled:
-            table._store_level(g, ell, level)
+    table._levels.update(staged)
     return table

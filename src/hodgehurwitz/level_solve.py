@@ -496,9 +496,13 @@ def identity_remainder(table: HodgeTable, g: int, ell: int,
                        method: str) -> dict:
     """The folded right side at level (g, ell) minus the image of the
     level's stored values, in ``method``'s label basis; empty when the
-    stored values satisfy the recursion."""
-    kernel = _kernel(method)
+    stored values satisfy the recursion; "both" gives the first remainder
+    that is not empty, cut-and-join first, as ``solve_level`` solves."""
     table.ensure_level(g, ell, method)
+    if method == "both":
+        return (identity_remainder(table, g, ell, "cutjoin")
+                or identity_remainder(table, g, ell, "bm"))
+    kernel = _kernel(method)
     values = {unknown: val
               for M, val in table.level_entries(g, ell).items()
               for unknown in _slot_choices(M, kernel.head)}

@@ -71,6 +71,16 @@ def test_hodge_unstable_is_an_error(capsys):
     assert err == "error: unstable (g,ell)=(0,1)\n"
 
 
+@pytest.mark.parametrize("indices, ell", [("0,0", 2), ("5", 1)])
+def test_hodge_unstable_builds_no_table(capsys, monkeypatch, indices, ell):
+    def fail(self):
+        raise AssertionError("no table may be built")
+
+    monkeypatch.setattr(HodgeTable, "__init__", fail)
+    assert run(capsys, "hodge", "--g", "0", "--indices", indices) == \
+        (1, "", f"error: unstable (g,ell)=(0,{ell})\n")
+
+
 def test_hodge_rejects_malformed_indices(capsys):
     code, _, err = run(capsys, "hodge", "--g", "1", "--indices", "1,x")
     assert code == 1

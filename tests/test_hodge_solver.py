@@ -14,6 +14,7 @@ from hodgehurwitz.hodge_solver import (
     load_table_cache,
     save_table_cache,
 )
+from hodgehurwitz.hurwitz import hurwitz_elsv
 from hodgehurwitz.level_solve import _KERNELS, _in_basis, _rhs_in_basis
 from hodgehurwitz.verify import dvv_verify
 from hodgehurwitz.xi_tower import xi_form, xi_hat
@@ -139,7 +140,8 @@ def test_dvv_vacuous_below_complexity_two(table_cj):
 
 def test_dvv_detects_corruption():
     tab = HodgeTable().fill_to_complexity(3, method="cutjoin")
-    tab.entries[(2, (4,))] = tab.entries[(2, (4,))] + 1
+    level = tab.level_entries(2, 1)
+    level[(4,)] = level[(4,)] + 1
     assert dvv_verify(2, 0, table=tab) is False
 
 
@@ -329,8 +331,8 @@ def test_mutated_stored_value_raises(method):
     tab = HodgeTable()
     tab.ensure_level(1, 2, method)
     assert (1, 3) not in tab.filled and (2, 1) not in tab.filled
-    level = tab._by_level[(1, 2)]
-    level[(1, 0)] = tab.entries[(1, (1, 0))] = level[(1, 0)] + 1
+    level = tab.level_entries(1, 2)
+    level[(1, 0)] = level[(1, 0)] + 1
     with pytest.raises(ValueError, match="identity violated"):
         tab.fill_to_complexity(5, method=method)
 
@@ -381,6 +383,53 @@ def test_identity_remainders_are_zero():
     for g, ell in [(0, 4), (0, 5), (1, 2), (1, 3), (2, 1), (2, 2)]:
         assert tab.identity_remainder(g, ell, "cutjoin") == {}
         assert tab.identity_remainder(g, ell, "bm") == {}
+
+
+def _solvable_levels(table):
+    return [(g, ell) for g, ell in table.filled if 2 * g - 2 + ell >= 2]
+
+
+def test_both_identity_remainder_checks_both_kernels(monkeypatch):
+    tab = HodgeTable().fill_to_complexity(6, method="both")
+    assert len(_solvable_levels(tab)) == 16
+    for g, ell in _solvable_levels(tab):
+        assert tab.identity_remainder(g, ell, "both") == {}, (g, ell)
+    # a BM-only fault falls through an empty cut-and-join remainder
+    kernel = _KERNELS["bm"]
+    monkeypatch.setitem(_KERNELS, "bm",
+                        kernel.replace(weight=kernel.weight * rat(2, 3)))
+    assert tab.identity_remainder(1, 2, "cutjoin") == {}
+    bm = tab.identity_remainder(1, 2, "bm")
+    assert bm and tab.identity_remainder(1, 2, "both") == bm
+    monkeypatch.undo()
+    # a stored fault is reported by cut-and-join first
+    level = tab.level_entries(1, 2)
+    level[(1, 0)] = level[(1, 0)] + 1
+    cutjoin = tab.identity_remainder(1, 2, "cutjoin")
+    assert cutjoin and tab.identity_remainder(1, 2, "bm")
+    assert tab.identity_remainder(1, 2, "both") == cutjoin
+
+
+def test_every_reader_reads_the_one_store():
+    tab = HodgeTable().fill_to_complexity(3, method="both")
+    h = hurwitz_elsv(1, (2, 1, 1), table=tab)
+    level = tab.level_entries(1, 3)
+    assert level[(1, 1, 1)] == rat(1, 12)
+    level[(1, 1, 1)] = rat(13, 12)
+    assert tab.value(1, (1, 1, 1)) == rat(13, 12)
+    assert hodge_lambda(1, (1, 1, 1), method="both", table=tab) == \
+        (0, rat(13, 12))
+    assert {"g": 1, "indices": [1, 1, 1], "lambda_j": 0,
+            "value": "13/12"} in tab.to_rows()
+    assert tab.entries[(1, (1, 1, 1))] == rat(13, 12)
+    # <tau_1^3> has weight prod mu_i = 2 in h(1, (2,1,1)), whose ELSV
+    # prefactor is r!/|Aut mu| prod mu_i^mu_i/mu_i! = 7!/2 * 2 = 5040
+    assert hurwitz_elsv(1, (2, 1, 1), table=tab) == h + 2 * 5040
+    with pytest.raises(TypeError):
+        tab.entries[(1, (1, 1, 1))] = rat(1, 12)
+    # the seeded base levels are each table's own
+    tab.level_entries(1, 1)[(1,)] = rat(1, 25)
+    assert HodgeTable().value(1, (1,)) == rat(1, 24)
 
 
 @pytest.mark.parametrize("method", ["cutjoin", "bm"])
@@ -443,8 +492,15 @@ def test_cache_roundtrip(tmp_path):
 
 def test_cache_rejects_corrupted_base(tmp_path):
     tab = HodgeTable().fill_to_complexity(2)
-    tab.entries[(1, (1,))] = rat(1, 25)
-    tab._by_level[(1, 1)][(1,)] = rat(1, 25)
+    tab.level_entries(1, 1)[(1,)] = rat(1, 25)
+    save_table_cache(tab, str(tmp_path), "cutjoin")
+    assert load_table_cache(str(tmp_path), "cutjoin") is None
+
+
+def test_cache_base_level_with_an_extra_value_is_a_miss(tmp_path):
+    # the file's base levels must equal the seeded ones, key for key
+    tab = HodgeTable().fill_to_complexity(2)
+    tab.level_entries(1, 1)[(2,)] = rat(1, 7)
     save_table_cache(tab, str(tmp_path), "cutjoin")
     assert load_table_cache(str(tmp_path), "cutjoin") is None
 
