@@ -92,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
                          default="cutjoin",
                          help="cutjoin = branch-point recursion, elsv = "
                               "Hodge-integral formula, brute = symmetric-"
-                              "group count, cross = all in-range methods")
+                              "group count, cross = every route that "
+                              "applies, the genus-0 formula too, compared")
     _add_common(hurwitz)
 
     table = sub.add_parser(
@@ -111,10 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--check", action="store_true",
                        help="recompute every row by a second route and "
                             "compare: the branch-point recursion for elsv "
-                            "rows; for direct rows the closed genus-zero "
-                            "forms (g = 0, at most two parts), else brute "
-                            "force (|mu| <= 5, r <= 8); checked is false "
-                            "where no second route applies")
+                            "rows; for direct rows the closed formula in "
+                            "genus 0, else brute force (|mu| <= 5, r <= 8); "
+                            "checked is false where no second route "
+                            "applies")
     _add_common(table)
 
     verify = sub.add_parser(
@@ -230,11 +231,10 @@ def _run_hurwitz(args, tables: Tables) -> int:
     if args.g < 0:
         raise ValueError(f"genus must be ≥ 0, got {args.g}")
     mu = _parse_parts(args.mu, "mu")
-    ell = len(mu)
-    chi = 2 * args.g - 2 + ell
+    chi = 2 * args.g - 2 + len(mu)
     r = chi + sum(mu)
     _refuse_over_branch_points(r)
-    from .hurwitz import brute_in_range, h_brute, h_direct, hurwitz_elsv
+    from .hurwitz import h_brute, h_direct, hurwitz_elsv, routes
     if args.method == "cutjoin":
         print(format_rational(h_direct(args.g, mu)))
         return 0
@@ -246,21 +246,15 @@ def _run_hurwitz(args, tables: Tables) -> int:
         print(format_rational(hurwitz_elsv(args.g, mu,
                                            table=tables.get("cutjoin"))))
         return 0
-    # cross: every method whose range covers this profile
-    results = [("cutjoin", h_direct(args.g, mu))]
-    if chi >= 1 and chi <= args.complexity_budget:
-        results.append(("elsv", hurwitz_elsv(args.g, mu,
-                                             table=tables.get("cutjoin"))))
-    if brute_in_range(args.g, mu):
-        results.append(("brute", h_brute(args.g, mu)))
-    vals = {format_rational(v) for _, v in results}
-    if len(vals) != 1:
-        detail = " ".join(f"{name}={format_rational(v)}"
-                          for name, v in results)
+    # cross: every route that answers this profile
+    results = [(name, format_rational(route())) for name, route in routes(
+        args.g, mu, args.complexity_budget, lambda: tables.get("cutjoin"))]
+    if len({v for _, v in results}) != 1:
+        detail = " ".join(f"{name}={v}" for name, v in results)
         raise ValueError(
             f"methods disagree at h({args.g}, {tuple(sorted(mu, reverse=True))}): "
             f"{detail}")
-    print(f"{vals.pop()} ({len(results)} methods agree)")
+    print(f"{results[0][1]} ({len(results)} methods agree)")
     return 0
 
 

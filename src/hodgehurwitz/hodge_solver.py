@@ -137,14 +137,12 @@ class HodgeTable:
 # module-level convenience surface
 
 
-_DEFAULT_TABLE: Optional[HodgeTable] = None
+_DEFAULT_TABLES: dict[str, HodgeTable] = {}
 
 
-def default_table() -> HodgeTable:
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = HodgeTable()
-    return _DEFAULT_TABLE
+def default_table(method: str = "cutjoin") -> HodgeTable:
+    """The process's table for ``method``; no method reads another's."""
+    return _DEFAULT_TABLES.setdefault(method, HodgeTable())
 
 
 def hodge_lambda(g: int, indices, method: str = "cutjoin",
@@ -160,7 +158,7 @@ def hodge_lambda(g: int, indices, method: str = "cutjoin",
     if j < 0 or j > g:
         return j, ZERO
     if table is None:
-        table = default_table()
+        table = default_table(method)
     table.ensure_level(g, len(idx), method)
     value = table.level_entries(g, len(idx)).get(idx, ZERO)
     return j, (value if j % 2 == 0 else -value)

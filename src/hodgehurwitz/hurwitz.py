@@ -1,18 +1,22 @@
-"""Simple Hurwitz numbers by three independent routes.
+"""Simple Hurwitz numbers by four independent routes.
 
 h(g, mu) counts degree-|mu| covers of the sphere with ramification
 profile mu over one point and 2g - 2 + len(mu) + |mu| simple branch
 points elsewhere, weighted by 1/|mu|! over all monodromy choices.
 
+* ``hurwitz_elsv`` — the intersection-number formula: a weighted sum
+  of linear Hodge integrals from the solver table.
 * ``h_direct`` — the cut-and-join recursion on the branch-point count,
   run in the normalization H = |Aut(mu)| h / r! that makes every
   weight a plain rational; the only base case is the trivial cover.
-* ``hurwitz_elsv`` — the intersection-number formula: a weighted sum
-  of linear Hodge integrals from the solver table.
+* ``genus_zero`` — Hurwitz's closed formula, genus 0 only.
 * ``h_brute`` — finite symmetric-group enumeration (a transfer-matrix
   walk over (permutation, orbit-partition) states), usable for small
   degree and branch count only, and deliberately independent of any
   recursion.
+
+``routes`` says which of them answer a profile, in that order of
+preference; ``table_generate`` and ``hurwitz --method cross`` read it.
 
 ``elsv_invert`` runs the intersection-number formula backwards: it
 recovers a whole level of the Hodge table from Hurwitz numbers alone
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import factorial
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from hodgehurwitz.exact_algebra import ONE, ZERO, HALF, Rational, aut, rat, \
     subsets
@@ -96,19 +100,26 @@ def h_direct(g: int, mu) -> Rational:
     return _rescaled(g, mu) * factorial(r) / aut(mu)
 
 
+def genus_zero(mu) -> Rational:
+    """h(0, mu) by Hurwitz's formula, r!/|Aut(mu)| prod(mu_i^mu_i / mu_i!)
+    d^(ell - 3) with d = |mu|, r = d + ell - 2: integers, one division."""
+    mu, r = _profile(0, mu)
+    d, ell = sum(mu), len(mu)
+    num = factorial(r) * d ** max(ell - 3, 0)
+    den = aut(mu) * d ** max(3 - ell, 0)
+    for m in mu:
+        num *= m ** m
+        den *= factorial(m)
+    return rat(num, den)
+
+
+# the names perfbench/make_oracle.py imports
 def genus_zero_one_part(k: int) -> Rational:
-    """h(0, (k)) in closed form: k^(k-2) / k."""
-    if k < 1:
-        raise ValueError("part must be positive")
-    return rat(k) ** (k - 2) / k
+    return genus_zero((k,))
 
 
 def genus_zero_two_part(a: int, b: int) -> Rational:
-    """h(0, (a, b)) in closed form: a^a b^b (a+b-1)! / (a! b! |Aut|)."""
-    if a < 1 or b < 1:
-        raise ValueError("parts must be positive")
-    value = (rat(a) ** a) * (rat(b) ** b) * factorial(a + b - 1)
-    return value / (factorial(a) * factorial(b) * aut((a, b)))
+    return genus_zero((a, b))
 
 
 def _elsv_weight(mu: tuple[int, ...], idx: tuple[int, ...]) -> int:
@@ -145,8 +156,6 @@ def hurwitz_elsv(g: int, mu, table: Optional[HodgeTable] = None) -> Rational:
     """
     mu, r = _profile(g, mu)
     ell = len(mu)
-    if 2 * g - 2 + ell < 1:
-        raise ValueError(f"unstable (g,ell)=({g},{ell})")
     if table is None:
         from hodgehurwitz.hodge_solver import default_table
         table = default_table()
@@ -182,8 +191,6 @@ def h_brute(g: int, mu) -> Rational:
         raise ValueError(
             f"oracle out of range: need |mu| <= {_BRUTE_D_MAX} and "
             f"r <= {_BRUTE_R_MAX}, got |mu|={d}, r={r}")
-    if r < 0:
-        return ZERO
 
     # canonical permutation of type mu, as an image tuple
     sigma = list(range(d))
@@ -225,6 +232,25 @@ def h_brute(g: int, mu) -> Rational:
     for m in mu:
         z *= m
     return rat(hits, z)
+
+
+def routes(g: int, mu, budget: Optional[int],
+           table: Callable[[], HodgeTable]) -> list[tuple[str, Callable]]:
+    """(name, thunk) of each route that answers h(g, mu), in order of
+    preference; no two share code: "elsv" where 1 <= 2g-2+ell <= budget
+    (None: no bound), "direct", "closed form" where g = 0, and "brute"
+    where ``brute_in_range``.  Only the elsv thunk calls ``table()``."""
+    mu, _ = _profile(g, mu)
+    chi = 2 * g - 2 + len(mu)
+    found = []
+    if 1 <= chi and (budget is None or chi <= budget):
+        found.append(("elsv", lambda: hurwitz_elsv(g, mu, table=table())))
+    found.append(("direct", lambda: h_direct(g, mu)))
+    if g == 0:
+        found.append(("closed form", lambda: genus_zero(mu)))
+    if brute_in_range(g, mu):
+        found.append(("brute", lambda: h_brute(g, mu)))
+    return found
 
 
 def elsv_invert(g: int, ell: int) -> dict:
@@ -295,36 +321,18 @@ def _partitions(d: int, cap: Optional[int] = None):
             yield (first,) + rest
 
 
-def _second_route(g: int, mu: tuple[int, ...], how: str):
-    """(name, value) of h(g, mu) by a route that shares no code with
-    the row's own route ``how``, or None if there is none: the
-    recursion for a formula row; for a recursion row the closed
-    genus-zero forms (g = 0, at most two parts), else ``h_brute``
-    within its range."""
-    if how == "elsv":
-        return "direct", h_direct(g, mu)
-    if g == 0 and len(mu) == 1:
-        return "closed form", genus_zero_one_part(*mu)
-    if g == 0 and len(mu) == 2:
-        return "closed form", genus_zero_two_part(*mu)
-    if brute_in_range(g, mu):
-        return "brute", h_brute(g, mu)
-    return None
-
-
 def table_generate(g_max: int, d_max: int, include_genus_zero: bool = False,
                    check: bool = False,
                    hodge_table: Optional[HodgeTable] = None,
                    chi_budget: Optional[int] = None) -> list[dict]:
     """Rows of simple Hurwitz numbers, deterministically ordered.
 
-    Stable profiles are computed through the Hodge-integral formula;
-    levels it cannot see (genus 0 with fewer than three parts), or
-    whose complexity 2g-2+ell exceeds ``chi_budget``, fall back to
-    the branch-point recursion.  With ``check`` every row is
-    recomputed by a route that shares no code with its own
-    (``_second_route``) and compared exactly; a row with no such route
-    is marked unchecked.
+    Each row is computed by the first of its ``routes``: the
+    Hodge-integral formula for stable profiles within ``chi_budget``,
+    the branch-point recursion otherwise.  With ``check`` every row is
+    recomputed by its second route, which shares no code with the
+    first, and compared exactly; a row with no second route is marked
+    unchecked.
     """
     if g_max < 1:
         raise ValueError("g-max must be ≥ 1 for the Hurwitz table")
@@ -334,27 +342,25 @@ def table_generate(g_max: int, d_max: int, include_genus_zero: bool = False,
         from hodgehurwitz.hodge_solver import default_table
         hodge_table = default_table()
     rows = []
-    genera = range(0 if include_genus_zero else 1, g_max + 1)
-    for g in genera:
+    for g in range(0 if include_genus_zero else 1, g_max + 1):
         for d in range(1, d_max + 1):
             for mu in _partitions(d):
-                chi = 2 * g - 2 + len(mu)
-                if chi >= 1 and (chi_budget is None or chi <= chi_budget):
-                    how = "elsv"
-                    value = hurwitz_elsv(g, mu, table=hodge_table)
-                else:
-                    how = "direct"
-                    value = h_direct(g, mu)
-                second = _second_route(g, mu, how) if check else None
-                if second is not None and second[1] != value:
-                    raise ValueError(
-                        f"pipelines disagree at h({g}, {mu}): {how} gives "
-                        f"{value}, {second[0]} gives {second[1]}")
+                (how, route), *others = routes(g, mu, chi_budget,
+                                               lambda: hodge_table)
+                value = route()
+                checked = check and bool(others)
+                if checked:
+                    name, second = others[0]
+                    other = second()
+                    if other != value:
+                        raise ValueError(
+                            f"pipelines disagree at h({g}, {mu}): {how} "
+                            f"gives {value}, {name} gives {other}")
                 rows.append({
                     "g": g,
                     "mu": list(mu),
                     "h": value,
                     "method": how,
-                    "checked": second is not None,
+                    "checked": checked,
                 })
     return rows

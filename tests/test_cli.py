@@ -219,6 +219,24 @@ def test_hurwitz_cross_agreement(capsys):
                        "--method", "cross")
     assert code == 0
     assert out == "1/2 (3 methods agree)\n"
+    # genus 0: the recursion, Hurwitz's formula and brute force
+    assert run(capsys, "hurwitz", "--g", "0", "--mu", "3,2",
+               "--method", "cross") == (0, "216 (3 methods agree)\n", "")
+
+
+@pytest.mark.parametrize("route, g, mu, detail", [
+    ("genus_zero", "0", "3,2",
+     "h(0, (3, 2)): direct=216 closed form=217 brute=216"),
+    ("h_brute", "1", "1,2", "h(1, (2, 1)): elsv=40 direct=40 brute=41"),
+], ids=["closed_form", "brute"])
+def test_hurwitz_cross_names_a_wrong_route(capsys, monkeypatch, route, g, mu,
+                                           detail):
+    right = getattr(hurwitz, route)
+    monkeypatch.setattr(hurwitz, route, lambda *args: right(*args) + 1)
+    code, out, err = run(capsys, "hurwitz", "--g", g, "--mu", mu,
+                         "--method", "cross")
+    assert (code, out) == (1, "")
+    assert err == f"error: methods disagree at {detail}\n"
 
 
 def test_hurwitz_half_integer_prints_as_fraction(capsys):
@@ -332,17 +350,17 @@ def test_table_check_and_genus_zero(capsys):
     assert zero_rows[(1, 1, 1)]["method"] == "elsv"
 
 
-@pytest.mark.parametrize("form, row", [
-    ("genus_zero_one_part", "h(0, (3,))"),
-    ("genus_zero_two_part", "h(0, (2, 1))"),
+@pytest.mark.parametrize("wrong, row", [
+    ((3,), "h(0, (3,))"),
+    ((2, 1), "h(0, (2, 1))"),
 ], ids=["one_part", "two_part"])
 def test_table_check_compares_direct_rows_with_a_closed_form(
-        capsys, monkeypatch, form, row):
+        capsys, monkeypatch, wrong, row):
     # a direct row is checked by a route that shares no code with
     # h_direct, so a wrong closed form is caught
-    right = getattr(hurwitz, form)
-    monkeypatch.setattr(hurwitz, form, lambda *parts: right(*parts) + 1
-                        if sum(parts) == 3 else right(*parts))
+    right = hurwitz.genus_zero
+    monkeypatch.setattr(hurwitz, "genus_zero", lambda mu: right(mu) + 1
+                        if mu == wrong else right(mu))
     code, out, err = run(capsys, "table", "--g-max", "1", "--size-max", "3",
                          "--include-genus-zero", "--check")
     assert (code, out) == (1, "")
@@ -365,6 +383,21 @@ def test_table_check_marks_rows_beyond_every_second_route(capsys):
     assert rows["2,2 1 1"] == ["direct", "false"]   # r = 9
     assert rows["2,1 1 1 1"] == ["direct", "false"]  # r = 10
     assert out.count(",false\n") == 2
+
+
+def test_table_check_covers_every_genus_zero_row(capsys):
+    # Hurwitz's formula checks the direct rows of genus 0 beyond brute
+    # force too; in genus 1 those rows stay unchecked
+    code, out, _ = run(capsys, "table", "--g-max", "1", "--size-max", "6",
+                       "--include-genus-zero", "--complexity-budget", "1",
+                       "--check")
+    assert code == 0
+    rows = {line.rsplit(",", 3)[0]: line.split(",")[3:]
+            for line in out.splitlines()[1:]}
+    assert rows["0,1 1 1 1 1 1"] == ["direct", "true"]   # |mu| = 6
+    assert rows["1,1 1 1 1 1 1"] == ["direct", "false"]
+    assert all(checked == "true" for key, (_, checked) in rows.items()
+               if key.startswith("0,"))
 
 
 def test_table_out_file(capsys, tmp_path):
@@ -593,6 +626,8 @@ _BM_SET = _HODGE_SET | _CURVE_SET | {"residue_kernel"}
     ("hodge --g 3 --indices 4,3", _HODGE_SET, False, False),
     ("hurwitz --g 2 --mu 3,2 --method elsv", _HODGE_SET | {"hurwitz"},
      False, False),
+    # no elsv route at genus 0 with ell <= 2: no table, no cache file read
+    ("hurwitz --g 0 --mu 3,2 --method cross", {"hurwitz"}, False, True),
 ])
 def test_each_command_loads_only_its_modules(tmp_path, argv, modules,
                                              uses_json, cached):

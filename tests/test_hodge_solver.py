@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from hodgehurwitz import level_solve
+from hodgehurwitz import hodge_solver, level_solve
 from hodgehurwitz.exact_algebra import rat
 from hodgehurwitz.hodge_solver import (
     HodgeTable,
@@ -324,6 +324,18 @@ def test_mutated_kernel_weight_raises(monkeypatch, method):
                         kernel.replace(weight=kernel.weight * rat(2, 3)))
     with pytest.raises(ValueError, match="identity violated"):
         HodgeTable().fill_to_complexity(5, method=method)
+
+
+def test_default_tables_are_kept_per_method(monkeypatch):
+    # a cut-and-join value in the shared table must not answer a "both"
+    # request: that one runs its own BM solve, which a wrong weight fails
+    monkeypatch.setattr(hodge_solver, "_DEFAULT_TABLES", {})
+    assert hodge_lambda(2, (4,), method="cutjoin") == (0, rat(1, 1152))
+    kernel = _KERNELS["bm"]
+    monkeypatch.setitem(_KERNELS, "bm",
+                        kernel.replace(weight=kernel.weight * rat(2, 3)))
+    with pytest.raises(ValueError, match="pipelines disagree"):
+        hodge_lambda(2, (4,), method="both")
 
 
 @pytest.mark.parametrize("method", ["cutjoin", "bm"])

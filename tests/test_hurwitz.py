@@ -8,12 +8,13 @@ import pytest
 from hodgehurwitz.exact_algebra import rat
 from hodgehurwitz.hodge_solver import HodgeTable
 from hodgehurwitz.hurwitz import (
+    brute_in_range,
     elsv_invert,
-    genus_zero_one_part,
-    genus_zero_two_part,
+    genus_zero,
     h_brute,
     h_direct,
     hurwitz_elsv,
+    routes,
     table_generate,
     _elsv_weight,
     _partitions,
@@ -38,18 +39,53 @@ def test_degree_two_is_one_half():
 
 
 def test_genus_zero_closed_forms():
-    for k in range(1, 8):
-        assert h_direct(0, (k,)) == genus_zero_one_part(k)
-    for a in range(1, 5):
-        for b in range(1, a + 1):
-            assert h_direct(0, (a, b)) == genus_zero_two_part(a, b)
+    # every genus-0 profile with d <= 10, so r <= 18: Hurwitz's formula
+    # against the recursion, and against brute force in its range
+    profiles = [mu for d in range(1, 11) for mu in _partitions(d)]
+    assert len(profiles) == 138
+    brute = 0
+    for mu in profiles:
+        assert genus_zero(mu) == h_direct(0, mu), mu
+        if brute_in_range(0, mu):
+            assert genus_zero(mu) == h_brute(0, mu), mu
+            brute += 1
+    assert brute == 18
 
 
 def test_closed_form_values():
-    assert genus_zero_one_part(3) == 1
-    assert genus_zero_one_part(5) == 25
-    assert genus_zero_two_part(1, 1) == rat(1, 2)
-    assert genus_zero_two_part(2, 2) == 12
+    assert genus_zero((3,)) == 1
+    assert genus_zero((5,)) == 25
+    assert genus_zero((1, 1)) == rat(1, 2)
+    assert genus_zero((2, 2)) == 12
+    assert genus_zero([1, 3, 2]) == genus_zero((3, 2, 1))
+    with pytest.raises(ValueError, match="positive"):
+        genus_zero((2, 0))
+
+
+def _no_table():
+    raise AssertionError("the Hodge table was fetched")
+
+
+@pytest.mark.parametrize("g, mu, budget, names", [
+    (0, (3, 2), 9, ["direct", "closed form", "brute"]),
+    (0, (1, 1, 1), 9, ["elsv", "direct", "closed form", "brute"]),
+    (0, (4, 3, 2), 9, ["elsv", "direct", "closed form"]),
+    (1, (2,), 9, ["elsv", "direct", "brute"]),
+    (1, (2, 2), 1, ["direct", "brute"]),        # chi 2 > budget 1
+    (2, (2, 1, 1), 1, ["direct"]),              # r = 9
+    (3, (1,) * 8, None, ["elsv", "direct"]),    # chi 12: no bound
+])
+def test_routes_in_preference_order(g, mu, budget, names):
+    # listing the routes runs none of them and fetches no table
+    assert [name for name, _ in routes(g, mu, budget, _no_table)] == names
+
+
+def test_every_route_of_a_profile_agrees():
+    table = HodgeTable()
+    for g, mu in [(0, (3, 2)), (0, (2, 1, 1)), (1, (2, 1)), (2, (3, 1))]:
+        values = {name: route()
+                  for name, route in routes(g, mu, 9, lambda: table)}
+        assert set(values.values()) == {h_direct(g, mu)}, (g, mu, values)
 
 
 def test_brute_matches_direct_in_range():
