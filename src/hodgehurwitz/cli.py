@@ -138,13 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_parts(text: str, what: str) -> tuple:
     try:
-        parts = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValueError(
             f"invalid {what} {text!r}: expected comma-separated integers")
-    if not parts:
-        raise ValueError(f"{what} must be nonempty")
-    return parts
 
 
 def _validate_common(args) -> None:
@@ -207,11 +204,10 @@ def _run_hodge(args, tables: Tables) -> int:
     if any(n < 0 for n in indices):
         raise ValueError(f"indices must be ≥ 0, got {indices}")
     chi = 2 * args.g - 2 + len(indices)
-    from .hodge_solver import hodge_lambda
     if chi < 1:
-        # unstable; raise the canonical error without building a table
-        hodge_lambda(args.g, indices, method=args.method)
+        raise ValueError(f"unstable (g,ell)=({args.g},{len(indices)})")
     _refuse_over_budget(chi, args.complexity_budget)
+    from .hodge_solver import hodge_lambda
     j, value = hodge_lambda(args.g, indices, method=args.method,
                             table=tables.get(args.method))
     if args.format == "json":

@@ -9,6 +9,10 @@ reads each lower level its recursion sum needs through
 time a sum reads it.  ``level_solve`` loads with the first level a
 process solves: a request answered from the seeded base levels or the
 cache file loads neither it nor the xi_hat tower.
+
+The caller owns every table and names the method of every fill; there
+is no process-wide table.  A table is filled by one method: its first
+solve, or the cache file it was loaded from, fixes it.
 """
 
 from __future__ import annotations
@@ -49,11 +53,15 @@ class HodgeTable:
     view of every value, keyed (g, indices).  The base levels
     (g, ell) = (0, 3) and (1, 1) are seeded; everything else comes from
     the recursions, which only apply for complexity 2g - 2 + ell >= 2.
+    The first solve fixes the table's method; ``ensure_level`` refuses
+    a solve by another method and any "both" request on a table that a
+    single method filled.
     """
 
     def __init__(self):
         self._levels: dict[tuple[int, int], dict] = {
             key: dict(level) for key, level in _BASE_LEVELS.items()}
+        self._method: Optional[str] = None
         self.filled = self._levels.keys()
 
     # -- access
@@ -78,16 +86,22 @@ class HodgeTable:
 
     # -- level scheduling
 
-    def ensure_level(self, g: int, ell: int, method: str = "cutjoin") -> None:
+    def ensure_level(self, g: int, ell: int, method: str) -> None:
         """Solve level (g, ell) by ``method`` unless it is filled; the
-        solve fills the lower levels its recursion reads, by ``method``."""
+        solve fills the lower levels its recursion reads, by ``method``.
+        A filled level may be read under another single method."""
         if g < 0 or ell < 1 or 2 * g - 2 + ell < 1:
             raise ValueError(f"unstable (g,ell)=({g},{ell})")
-        if (g, ell) not in self._levels:
+        missing = (g, ell) not in self._levels
+        if self._method not in (None, method) and (
+                missing or method == "both"):
+            raise ValueError(f"a {method} request on a table filled by "
+                             f"{self._method}")
+        if missing:
+            self._method = method
             self._solve_level(g, ell, method)
 
-    def fill_to_complexity(self, chi_max: int,
-                           method: str = "cutjoin") -> "HodgeTable":
+    def fill_to_complexity(self, chi_max: int, method: str) -> "HodgeTable":
         """Complete every level with 1 <= 2g - 2 + ell <= chi_max.
 
         Ensures level by level in increasing complexity, so each solve
@@ -134,20 +148,12 @@ class HodgeTable:
 
 
 # ---------------------------------------------------------------------------
-# module-level convenience surface
+# one Hodge integral
 
 
-_DEFAULT_TABLES: dict[str, HodgeTable] = {}
-
-
-def default_table(method: str = "cutjoin") -> HodgeTable:
-    """The process's table for ``method``; no method reads another's."""
-    return _DEFAULT_TABLES.setdefault(method, HodgeTable())
-
-
-def hodge_lambda(g: int, indices, method: str = "cutjoin",
-                 table: Optional[HodgeTable] = None):
-    """<tau_{n_1}..tau_{n_ell} lambda_j> with j forced by the dimension.
+def hodge_lambda(g: int, indices, method: str, table: HodgeTable):
+    """<tau_{n_1}..tau_{n_ell} lambda_j> with j forced by the dimension,
+    read from ``table`` after ``method`` fills its level.
 
     j = 3g - 3 + ell - sum(n); out-of-range j reports (j, 0); unstable
     (g, ell) raises.  Exactly one Chern class survives the dimension
@@ -157,8 +163,6 @@ def hodge_lambda(g: int, indices, method: str = "cutjoin",
     j = 3 * g - 3 + len(idx) - sum(idx)
     if j < 0 or j > g:
         return j, ZERO
-    if table is None:
-        table = default_table(method)
     table.ensure_level(g, len(idx), method)
     value = table.level_entries(g, len(idx)).get(idx, ZERO)
     return j, (value if j % 2 == 0 else -value)
@@ -221,9 +225,10 @@ def save_table_cache(table: HodgeTable, directory: str, method: str) -> str:
 def load_table_cache(directory: str, method: str) -> Optional[HodgeTable]:
     """Reload a persisted table, adopting it only if its rows match the
     stored digest and its base levels equal the seeded ones exactly; the
-    file's levels then go straight into the table's store.  A missing,
-    undecodable or misshapen file, another schema version, a file
-    written for another method or a digest mismatch is a miss (None)."""
+    file's levels then go straight into the table's store, and the
+    file's method is the table's.  A missing, undecodable or misshapen
+    file, another schema version, a file written for another method or
+    a digest mismatch is a miss (None)."""
     path = _cache_path(directory, method)
     if not os.path.exists(path):
         return None
@@ -249,4 +254,5 @@ def load_table_cache(directory: str, method: str) -> Optional[HodgeTable]:
         return None
     table = HodgeTable()
     table._levels.update(staged)
+    table._method = method
     return table

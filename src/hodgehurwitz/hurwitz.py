@@ -5,7 +5,8 @@ profile mu over one point and 2g - 2 + len(mu) + |mu| simple branch
 points elsewhere, weighted by 1/|mu|! over all monodromy choices.
 
 * ``hurwitz_elsv`` — the intersection-number formula: a weighted sum
-  of linear Hodge integrals from the solver table.
+  of linear Hodge integrals from the caller's table, filled by
+  cut-and-join.
 * ``h_direct`` — the cut-and-join recursion on the branch-point count,
   run in the normalization H = |Aut(mu)| h / r! that makes every
   weight a plain rational; the only base case is the trivial cover.
@@ -148,18 +149,17 @@ def _elsv_prefactor(mu: tuple[int, ...], r: int) -> Rational:
     return prefactor
 
 
-def hurwitz_elsv(g: int, mu, table: Optional[HodgeTable] = None) -> Rational:
+def hurwitz_elsv(g: int, mu, table: HodgeTable) -> Rational:
     """Simple Hurwitz number as a weighted sum of Hodge integrals:
 
       h(g, mu) = r!/|Aut(mu)| prod(mu_i^mu_i / mu_i!)
                  * sum_n prod(mu_i^n_i) <tau_n Lambda-alternating>_g
+
+    A missing level of ``table`` is solved by cut-and-join.
     """
     mu, r = _profile(g, mu)
     ell = len(mu)
-    if table is None:
-        from hodgehurwitz.hodge_solver import default_table
-        table = default_table()
-    table.ensure_level(g, ell)
+    table.ensure_level(g, ell, "cutjoin")
     total = ZERO
     for idx, val in table.level_entries(g, ell).items():
         total = total + val * _elsv_weight(mu, idx)
@@ -234,16 +234,16 @@ def h_brute(g: int, mu) -> Rational:
     return rat(hits, z)
 
 
-def routes(g: int, mu, budget: Optional[int],
+def routes(g: int, mu, budget: int,
            table: Callable[[], HodgeTable]) -> list[tuple[str, Callable]]:
     """(name, thunk) of each route that answers h(g, mu), in order of
-    preference; no two share code: "elsv" where 1 <= 2g-2+ell <= budget
-    (None: no bound), "direct", "closed form" where g = 0, and "brute"
-    where ``brute_in_range``.  Only the elsv thunk calls ``table()``."""
+    preference; no two share code: "elsv" where 1 <= 2g-2+ell <= budget,
+    "direct", "closed form" where g = 0, and "brute" where
+    ``brute_in_range``.  Only the elsv thunk calls ``table()``."""
     mu, _ = _profile(g, mu)
     chi = 2 * g - 2 + len(mu)
     found = []
-    if 1 <= chi and (budget is None or chi <= budget):
+    if 1 <= chi <= budget:
         found.append(("elsv", lambda: hurwitz_elsv(g, mu, table=table())))
     found.append(("direct", lambda: h_direct(g, mu)))
     if g == 0:
@@ -322,25 +322,21 @@ def _partitions(d: int, cap: Optional[int] = None):
 
 
 def table_generate(g_max: int, d_max: int, include_genus_zero: bool = False,
-                   check: bool = False,
-                   hodge_table: Optional[HodgeTable] = None,
-                   chi_budget: Optional[int] = None) -> list[dict]:
+                   check: bool = False, *, hodge_table: HodgeTable,
+                   chi_budget: int) -> list[dict]:
     """Rows of simple Hurwitz numbers, deterministically ordered.
 
     Each row is computed by the first of its ``routes``: the
-    Hodge-integral formula for stable profiles within ``chi_budget``,
-    the branch-point recursion otherwise.  With ``check`` every row is
-    recomputed by its second route, which shares no code with the
-    first, and compared exactly; a row with no second route is marked
-    unchecked.
+    Hodge-integral formula over ``hodge_table`` for stable profiles
+    within ``chi_budget``, the branch-point recursion otherwise.  With
+    ``check`` every row is recomputed by its second route, which shares
+    no code with the first, and compared exactly; a row with no second
+    route is marked unchecked.
     """
     if g_max < 1:
         raise ValueError("g-max must be ≥ 1 for the Hurwitz table")
     if d_max < 1:
-        raise ValueError("d-max must be ≥ 1")
-    if hodge_table is None:
-        from hodgehurwitz.hodge_solver import default_table
-        hodge_table = default_table()
+        raise ValueError("size-max must be ≥ 1")
     rows = []
     for g in range(0 if include_genus_zero else 1, g_max + 1):
         for d in range(1, d_max + 1):

@@ -5,14 +5,16 @@ Each suite is a list of (name, check) pairs, and ``cli`` prints one
 status line per check.  A suite imports the layers it checks when it is
 built, and only the ``verify`` command loads this module; the series
 suite is in ``verify_series``, so ``verify --suite series`` compiles
-neither this module nor any Hodge table.
+neither this module nor any Hodge table.  The suites read the call's
+tables from ``cli.Tables``, one per method; ``dvv_verify`` reads the
+table its caller passes and solves a missing level by cut-and-join.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from math import prod
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .exact_algebra import HALF, ZERO, Rational, format_rational, rat, \
     remove_one, subsets
@@ -22,7 +24,7 @@ if TYPE_CHECKING:
     from .hodge_solver import HodgeTable
 
 
-def dvv_verify(g: int, ell: int, table: Optional[HodgeTable] = None) -> bool:
+def dvv_verify(g: int, ell: int, table: HodgeTable) -> bool:
     """Check the Virasoro-type recursion on the pure psi-class sector.
 
     Validates, for every top-dimensional entry at level (g, ell + 1)
@@ -34,11 +36,9 @@ def dvv_verify(g: int, ell: int, table: Optional[HodgeTable] = None) -> bool:
         + sum_{stable splits} <sigma_a sigma_I><sigma_b sigma_J> ].
 
     Levels whose instances would involve unstable data (complexity of
-    the target below 2) have nothing to check and return True.
+    the target below 2) have nothing to check and return True.  Missing
+    levels of ``table`` are solved by cut-and-join.
     """
-    from .hodge_solver import default_table
-    if table is None:
-        table = default_table()
     target_ell = ell + 1
     if 2 * g - 2 + target_ell < 2:
         return True
@@ -51,7 +51,7 @@ def dvv_verify(g: int, ell: int, table: Optional[HodgeTable] = None) -> bool:
             return ZERO
         if sum(idx) != 3 * gg - 3 + len(idx):
             return ZERO
-        table.ensure_level(gg, len(idx))
+        table.ensure_level(gg, len(idx), "cutjoin")
         return table.value(gg, idx) * prod(
             prod(range(2 * n + 1, 0, -2)) for n in idx)
 
@@ -59,7 +59,7 @@ def dvv_verify(g: int, ell: int, table: Optional[HodgeTable] = None) -> bool:
         # memoized per (gg, sorted idx) for this call
         return sorted_sigma(gg, tuple(sorted(idx)))
 
-    table.ensure_level(g, target_ell)
+    table.ensure_level(g, target_ell, "cutjoin")
     dim = 3 * g - 3 + target_ell
     ok = True
     for key, _ in sorted(table.level_entries(g, target_ell).items()):

@@ -81,8 +81,9 @@ def test_hodge_unstable_builds_no_table(capsys, monkeypatch, indices, ell):
         (1, "", f"error: unstable (g,ell)=(0,{ell})\n")
 
 
-def test_hodge_rejects_malformed_indices(capsys):
-    code, _, err = run(capsys, "hodge", "--g", "1", "--indices", "1,x")
+@pytest.mark.parametrize("indices", ["1,x", ""])
+def test_hodge_rejects_malformed_indices(capsys, indices):
+    code, _, err = run(capsys, "hodge", "--g", "1", "--indices", indices)
     assert code == 1
     assert "expected comma-separated integers" in err
     assert err.count("\n") == 1
@@ -257,6 +258,11 @@ def test_hurwitz_rejects_bad_partition(capsys):
     code, _, err = run(capsys, "hurwitz", "--g", "1", "--mu", "2,0")
     assert code == 1
     assert "partition parts must be positive" in err
+
+
+def test_hurwitz_rejects_an_empty_profile(capsys):
+    assert run(capsys, "hurwitz", "--g", "1", "--mu", "") == (
+        1, "", "error: invalid mu '': expected comma-separated integers\n")
 
 
 @pytest.mark.parametrize("g, mu, r", [

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from hodgehurwitz import hodge_solver, level_solve
+from hodgehurwitz import level_solve
 from hodgehurwitz.exact_algebra import rat
 from hodgehurwitz.hodge_solver import (
     HodgeTable,
@@ -89,31 +89,32 @@ def test_known_one_point_values(table_cj):
 
 
 def test_hodge_lambda_genus_two(table_cj):
-    assert hodge_lambda(2, (3,), table=table_cj) == (1, rat(1, 480))
-    assert hodge_lambda(2, (2, 2), table=table_cj) == (1, rat(5, 576))
+    assert hodge_lambda(2, (3,), "cutjoin", table_cj) == (1, rat(1, 480))
+    assert hodge_lambda(2, (2, 2), "cutjoin", table_cj) == (1, rat(5, 576))
 
 
 def test_hodge_lambda_genus_three(table_cj):
-    assert hodge_lambda(3, (6,), table=table_cj) == (1, rat(7, 138240))
-    assert hodge_lambda(3, (5,), table=table_cj) == (2, rat(41, 580608))
-    assert hodge_lambda(3, (3, 3, 2), table=table_cj) == (1, rat(89, 7680))
+    assert hodge_lambda(3, (6,), "cutjoin", table_cj) == (1, rat(7, 138240))
+    assert hodge_lambda(3, (5,), "cutjoin", table_cj) == (2, rat(41, 580608))
+    assert hodge_lambda(3, (3, 3, 2), "cutjoin", table_cj) == \
+        (1, rat(89, 7680))
 
 
 def test_hodge_lambda_out_of_range_j(table_cj):
-    j, value = hodge_lambda(0, (0, 0, 0, 0), table=table_cj)
+    j, value = hodge_lambda(0, (0, 0, 0, 0), "cutjoin", table_cj)
     assert (j, value) == (1, 0)  # j > g = 0
-    j, value = hodge_lambda(1, (5,), table=table_cj)
+    j, value = hodge_lambda(1, (5,), "cutjoin", table_cj)
     assert (j, value) == (-4, 0)
 
 
 def test_hodge_lambda_unstable_message():
     with pytest.raises(ValueError, match=r"unstable \(g,ell\)=\(0,1\)"):
-        hodge_lambda(0, (0,))
+        hodge_lambda(0, (0,), "cutjoin", HodgeTable())
 
 
 def test_hodge_lambda_demand_driven_genus_five():
     tab = HodgeTable()
-    assert hodge_lambda(5, (12,), table=tab) == (1, rat(1, 106168320))
+    assert hodge_lambda(5, (12,), "cutjoin", tab) == (1, rat(1, 106168320))
     # only the recursion closure was filled, not the whole pyramid:
     # the deepest genus-0 level reached is (0,6), via repeated cuts
     assert (5, 1) in tab.filled and (0, 6) in tab.filled
@@ -122,7 +123,7 @@ def test_hodge_lambda_demand_driven_genus_five():
 
 def test_ensure_level_closure_is_minimal():
     tab = HodgeTable()
-    tab.ensure_level(2, 1)
+    tab.ensure_level(2, 1, "cutjoin")
     assert (2, 1) in tab.filled and (1, 2) in tab.filled
     assert (0, 4) not in tab.filled
 
@@ -326,16 +327,58 @@ def test_mutated_kernel_weight_raises(monkeypatch, method):
         HodgeTable().fill_to_complexity(5, method=method)
 
 
-def test_default_tables_are_kept_per_method(monkeypatch):
-    # a cut-and-join value in the shared table must not answer a "both"
-    # request: that one runs its own BM solve, which a wrong weight fails
-    monkeypatch.setattr(hodge_solver, "_DEFAULT_TABLES", {})
-    assert hodge_lambda(2, (4,), method="cutjoin") == (0, rat(1, 1152))
+def test_a_table_is_filled_by_one_method():
+    tab = HodgeTable()
+    tab.ensure_level(1, 2, "cutjoin")
+    tab.ensure_level(1, 2, "bm")        # a filled level reads either way
+    for method, (g, ell) in [("bm", (2, 1)), ("both", (2, 1)),
+                             ("both", (1, 2))]:
+        with pytest.raises(ValueError, match=f"a {method} request on a "
+                                             "table filled by cutjoin"):
+            tab.ensure_level(g, ell, method)
+    assert (2, 1) not in tab.filled
+
+
+def _wrong_bm_weight(monkeypatch):
     kernel = _KERNELS["bm"]
     monkeypatch.setitem(_KERNELS, "bm",
                         kernel.replace(weight=kernel.weight * rat(2, 3)))
+
+
+def test_an_elsv_fill_never_answers_a_both_request(monkeypatch):
+    # the ELSV sum fills by cut-and-join; a "both" request must not take
+    # those values as checked by BM, which a wrong weight would fail
+    tab = HodgeTable()
+    assert hurwitz_elsv(2, (2, 1), table=tab) == 364
+    _wrong_bm_weight(monkeypatch)
+    with pytest.raises(ValueError, match="a both request on a table "
+                                         "filled by cutjoin"):
+        hodge_lambda(2, (3, 1), "both", tab)
+
+
+def test_dvv_verify_never_fills_a_both_table(monkeypatch):
+    tab = HodgeTable().fill_to_complexity(6, method="both")
+    assert dvv_verify(3, 1, table=tab)  # level (3, 2) is filled
+    _wrong_bm_weight(monkeypatch)
+    with pytest.raises(ValueError, match="a cutjoin request on a table "
+                                         "filled by both"):
+        dvv_verify(3, 2, table=tab)
+    assert (3, 3) not in tab.filled
     with pytest.raises(ValueError, match="pipelines disagree"):
-        hodge_lambda(2, (4,), method="both")
+        hodge_lambda(3, (3, 3, 1), "both", tab)
+
+
+def test_a_loaded_table_keeps_the_method_of_its_file(tmp_path):
+    save_table_cache(HodgeTable().fill_to_complexity(3, method="cutjoin"),
+                     str(tmp_path), "cutjoin")
+    tab = load_table_cache(str(tmp_path), "cutjoin")
+    with pytest.raises(ValueError, match="a both request on a table "
+                                         "filled by cutjoin"):
+        hodge_lambda(2, (3,), "both", tab)
+    with pytest.raises(ValueError, match="a bm request on a table "
+                                         "filled by cutjoin"):
+        tab.ensure_level(2, 2, "bm")
+    tab.ensure_level(2, 2, "cutjoin")
 
 
 @pytest.mark.parametrize("method", ["cutjoin", "bm"])
@@ -503,7 +546,7 @@ def test_cache_roundtrip(tmp_path):
 
 
 def test_cache_rejects_corrupted_base(tmp_path):
-    tab = HodgeTable().fill_to_complexity(2)
+    tab = HodgeTable().fill_to_complexity(2, method="cutjoin")
     tab.level_entries(1, 1)[(1,)] = rat(1, 25)
     save_table_cache(tab, str(tmp_path), "cutjoin")
     assert load_table_cache(str(tmp_path), "cutjoin") is None
@@ -511,7 +554,7 @@ def test_cache_rejects_corrupted_base(tmp_path):
 
 def test_cache_base_level_with_an_extra_value_is_a_miss(tmp_path):
     # the file's base levels must equal the seeded ones, key for key
-    tab = HodgeTable().fill_to_complexity(2)
+    tab = HodgeTable().fill_to_complexity(2, method="cutjoin")
     tab.level_entries(1, 1)[(2,)] = rat(1, 7)
     save_table_cache(tab, str(tmp_path), "cutjoin")
     assert load_table_cache(str(tmp_path), "cutjoin") is None
@@ -519,8 +562,9 @@ def test_cache_base_level_with_an_extra_value_is_a_miss(tmp_path):
 
 @pytest.mark.parametrize("edit", ["schema", "sha256", "value"])
 def test_cache_without_matching_digest_is_a_miss(tmp_path, edit):
-    path = save_table_cache(HodgeTable().fill_to_complexity(3),
-                            str(tmp_path), "cutjoin")
+    path = save_table_cache(
+        HodgeTable().fill_to_complexity(3, method="cutjoin"),
+        str(tmp_path), "cutjoin")
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if edit == "value":     # a well-formed non-base value, digest kept

@@ -73,7 +73,7 @@ def _no_table():
     (1, (2,), 9, ["elsv", "direct", "brute"]),
     (1, (2, 2), 1, ["direct", "brute"]),        # chi 2 > budget 1
     (2, (2, 1, 1), 1, ["direct"]),              # r = 9
-    (3, (1,) * 8, None, ["elsv", "direct"]),    # chi 12: no bound
+    (3, (1,) * 8, 12, ["elsv", "direct"]),      # chi 12 = budget 12
 ])
 def test_routes_in_preference_order(g, mu, budget, names):
     # listing the routes runs none of them and fetches no table
@@ -130,19 +130,21 @@ def test_genus_five_one_part_list():
 
 
 def test_elsv_matches_direct():
+    tab = HodgeTable()
     for g, mu in [(1, (2,)), (1, (1, 1)), (2, (3,)), (1, (2, 2)),
                   (3, (2, 1)), (2, (4, 1)), (4, (3,)), (1, (3, 2, 1))]:
-        assert hurwitz_elsv(g, mu) == h_direct(g, mu), (g, mu)
+        assert hurwitz_elsv(g, mu, table=tab) == h_direct(g, mu), (g, mu)
 
 
 def test_elsv_unstable_raises():
     with pytest.raises(ValueError, match=r"unstable \(g,ell\)=\(0,2\)"):
-        hurwitz_elsv(0, (3, 1))
+        hurwitz_elsv(0, (3, 1), table=HodgeTable())
 
 
 def test_elsv_genus_zero_stable():
-    assert hurwitz_elsv(0, (1, 1, 1)) == h_direct(0, (1, 1, 1))
-    assert hurwitz_elsv(0, (3, 2, 1)) == h_direct(0, (3, 2, 1))
+    tab = HodgeTable()
+    assert hurwitz_elsv(0, (1, 1, 1), table=tab) == h_direct(0, (1, 1, 1))
+    assert hurwitz_elsv(0, (3, 2, 1), table=tab) == h_direct(0, (3, 2, 1))
 
 
 def test_elsv_invert_startup():
@@ -215,7 +217,7 @@ def test_partitions_descending_lex():
 
 
 def test_table_generate_rows():
-    rows = table_generate(2, 3)
+    rows = table_generate(2, 3, hodge_table=HodgeTable(), chi_budget=9)
     keys = [(r["g"], tuple(r["mu"])) for r in rows]
     assert keys == [
         (1, (1,)), (1, (2,)), (1, (1, 1)), (1, (3,)), (1, (2, 1)),
@@ -231,7 +233,8 @@ def test_table_generate_rows():
 
 
 def test_table_generate_check_and_genus_zero():
-    rows = table_generate(1, 2, include_genus_zero=True, check=True)
+    rows = table_generate(1, 2, include_genus_zero=True, check=True,
+                          hodge_table=HodgeTable(), chi_budget=9)
     by_key = {(r["g"], tuple(r["mu"])): r for r in rows}
     assert by_key[(0, (1,))]["method"] == "direct"
     assert by_key[(0, (1,))]["h"] == 1
@@ -242,6 +245,6 @@ def test_table_generate_check_and_genus_zero():
 
 def test_table_generate_rejects_bad_bounds():
     with pytest.raises(ValueError, match="g-max must be ≥ 1"):
-        table_generate(0, 3)
-    with pytest.raises(ValueError, match="d-max"):
-        table_generate(1, 0)
+        table_generate(0, 3, hodge_table=HodgeTable(), chi_budget=9)
+    with pytest.raises(ValueError, match="size-max must be ≥ 1"):
+        table_generate(1, 0, hodge_table=HodgeTable(), chi_budget=9)
