@@ -36,7 +36,7 @@ MAX_BUDGET = 10
 # comparison window opens at truncation order 2n + 2
 ETA_INDICES = range(-1, 9)
 MIN_SERIES_ORDER = 2 * ETA_INDICES[-1] + 2
-# a fresh series suite process at order 60 takes about 0.25 s (2 vCPUs,
+# a fresh series suite process at order 60 takes about 0.12 s (2 vCPUs,
 # Python 3.11, fractions); its work above start-up grows about as the
 # square of the order (README)
 MAX_SERIES_ORDER = 60
@@ -187,10 +187,10 @@ class Tables:
         return self._tables[method][0]
 
     def save(self) -> None:
-        for method, (table, levels) in self._tables.items():
+        for table, levels in self._tables.values():
             if self._cache_dir and len(table.filled) > levels:
                 from .hodge_solver import save_table_cache
-                save_table_cache(table, self._cache_dir, method)
+                save_table_cache(table, self._cache_dir)
 
 
 # ---------------------------------------------------------------------------

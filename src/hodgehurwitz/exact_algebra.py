@@ -1,4 +1,4 @@
-"""Exact rational arithmetic, multiset helpers and special numbers.
+"""Exact rational arithmetic and multiset helpers.
 
 Every number in this package is an exact rational; there is no floating
 point anywhere.  Rationals are backed by ``gmpy2.mpq`` when available
@@ -13,6 +13,8 @@ residue polynomials p_ab (rationals).
 Every CLI process loads this module.  The truncated Laurent series live
 in ``series``, which loads only with the curve layer; for callers that
 read their five names here, those resolve on first access (PEP 562).
+The special numbers (``bernoulli``, ``double_factorial``) live with
+their only caller, the curve layer (``lambert_curve``).
 """
 
 from __future__ import annotations
@@ -87,41 +89,3 @@ def subsets(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...],
         yield (tuple(v for p, v in enumerate(items) if mask >> p & 1),
                tuple(v for p, v in enumerate(items) if not mask >> p & 1))
 
-
-# ---------------------------------------------------------------------------
-# special numbers
-
-
-def double_factorial(n: int) -> Rational:
-    """Double factorial of an odd integer, extended to negative arguments.
-
-    For n >= -1 this is the usual product (with (-1)!! = 1, the empty
-    product); for n <= -3 it is extended by the recurrence
-    n!! = (n+2)!!/(n+2), so (-3)!! = -1, (-5)!! = 1/3, and generally
-    (-(2k+1))!! = (-1)^k / (2k-1)!!.
-    """
-    if n % 2 == 0:
-        raise ValueError(f"double factorial of even {n}")
-    if n >= -1:
-        acc = 1
-        for k in range(n, 1, -2):
-            acc *= k
-        return Rational(acc)
-    k = (-n - 1) // 2
-    return Rational((-1) ** k, math.prod(range(2 * k - 1, 0, -2)))
-
-
-_BERNOULLI_CACHE: list[Rational] = [ONE, Rational(-1, 2)]
-
-
-def bernoulli(r: int) -> Rational:
-    """Bernoulli number B_r (convention B_1 = -1/2, from z*e^{zx}/(e^z-1))."""
-    if r < 0:
-        raise ValueError("negative Bernoulli index")
-    while len(_BERNOULLI_CACHE) <= r:
-        n = len(_BERNOULLI_CACHE)
-        acc = ZERO
-        for j in range(n):
-            acc += math.comb(n + 1, j) * _BERNOULLI_CACHE[j]
-        _BERNOULLI_CACHE.append(-acc / (n + 1))
-    return _BERNOULLI_CACHE[r]

@@ -195,9 +195,15 @@ def _levels_digest(levels) -> str:
     return sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def save_table_cache(table: HodgeTable, directory: str, method: str) -> str:
-    """Write every filled level of ``table`` to the method's cache file,
-    with the schema version and the digest of the rows, atomically."""
+def save_table_cache(table: HodgeTable, directory: str) -> str:
+    """Write every filled level of ``table`` to the cache file of the
+    method that filled it, with the schema version and the digest of the
+    rows, atomically.  A table that no solve or load has given a method
+    raises ``ValueError``."""
+    method = table._method
+    if method is None:
+        raise ValueError("a table that no method has filled has no cache "
+                         "file")
     import json
     levels = [
         {

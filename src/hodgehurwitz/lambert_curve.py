@@ -8,28 +8,31 @@ This module builds, in exact arithmetic, on the series layer
 * the deck transformation (involution) ``s_involution``, the second
   solution of w(s) = w(t), the branch coordinate ``v_series`` with
   v^2/2 = w, and the Stirling expansion coefficients
-  ``stirling_coefficients``;
+  ``stirling_coefficients``, with the special numbers they need
+  (``bernoulli``, ``double_factorial``);
 * the odd Laurent family ``eta_series`` in v, plus the identity checks
   tying all of these together as truncated series.
 
 Series in t live in the formal variable "1/t": stored degree d is the
 coefficient of t^{-d}, so polynomials in t occupy degrees <= 0.
 
-Each series is computed once per process.  The Stirling coefficients
-grow as a module list; ``eta_series`` is memoized per argument.
-s(t) and v(t) are grow-only: the process holds each at the highest
-order requested so far and serves a lower order as its truncation; a
-higher order is reached by resuming from the series held, and the
-defining equation is verified at the new orders (see ``_solve_s``).
+Each series is computed once per process.  The Bernoulli numbers and
+the Stirling coefficients grow as module lists; ``eta_series`` is
+memoized per argument.  The process holds s(t) and v(t) each at the
+highest order requested so far and serves a lower order as its
+truncation; a higher order is solved afresh, and every solve is checked
+against its defining equation from its first order (see ``_solve_s``).
 
 s(t) comes from the ODE s' t^2 (t - 1) = s^2 (s - 1), which is
 w'(s) s' = w'(t) with w'(t) = -1/(t^2 (t - 1)).  Its coefficients in
 1/t follow one by one from s = -t + ..., each at O(n) cost through a
 running list of the coefficients of s^2, so N of them cost O(N^2)
-rational operations; the check of w(s) = w(t) that follows is a
-product of series, O(N^2) operations on Python ints (see ``_solve_s``).
-v(t) follows the same way, from y^2 = 2 w t^2 for y = t v (see
-``_solve_v``).
+operations on Python ints over one running denominator
+(``_RunningInts``); the check of w(s) = w(t) that follows is a product
+of series, O(N^2) operations on Python ints (see ``_solve_s``).  v(t)
+follows the same way, from y^2 = 2 w t^2 for y = t v (see
+``_solve_v``), and so do the Bernoulli numbers and the Stirling
+coefficients.
 ``s_powers`` and ``v_powers`` share the powers of the series served at
 one order across every composition into it.  Cached values are never
 mutated.
@@ -39,10 +42,9 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from typing import Optional
+from operator import mul
 
-from hodgehurwitz.exact_algebra import HALF, ONE, ZERO, bernoulli, \
-    double_factorial, rat
+from hodgehurwitz.exact_algebra import HALF, Rational
 from hodgehurwitz.series import LaurentSeries, SeriesPowers, \
     laurent_reciprocal, laurent_substitute
 from hodgehurwitz.xi_tower import xi_hat
@@ -83,9 +85,32 @@ def w_series(order: int) -> LaurentSeries:
                              [den // m for m in range(2, order + 1)])
 
 
-def _s_coefficients(held: list, order: int) -> list:
-    """c_{-1} .. c_order of s(t) = sum_k c_k t^-k, continuing the
-    recurrence from ``held`` = [c_{-1}, ..., c_T].
+class _RunningInts:
+    """Exact rationals ints[i] / den over one running denominator.
+
+    A new value num/d is appended as an int over den; den, and every
+    int held, grows only when d, reduced, does not divide den.
+    """
+
+    __slots__ = ("den", "ints")
+
+    def __init__(self, first: int):
+        self.den, self.ints = 1, [first]
+
+    def append(self, num: int, d: int) -> int:
+        """Append num/d; returns the factor by which den grew."""
+        k = d // math.gcd(num, d)
+        k //= math.gcd(self.den, k)
+        if k != 1:
+            self.den *= k
+            self.ints = [n * k for n in self.ints]
+        self.ints.append(num * self.den // d)
+        return k
+
+
+def _s_coefficients(order: int) -> tuple[int, list]:
+    """c_{-1} .. c_order of s(t) = sum_k c_k t^-k, from c_{-1} = -1, as
+    (den, ints) with c[i] = ints[i] / den.
 
     In the list, c[i] is c_{i-1}, and sq[j] = sum_{a<=j} c[a] c[j-a] is
     the coefficient of t^-(j-2) in s^2.  Comparing t^-(n-2) on both
@@ -96,22 +121,24 @@ def _s_coefficients(held: list, order: int) -> list:
 
     where c_n enters s^3 three times (through c_{-1}^2 = 1) and s' once.
     Then [s^2]_{n-1} = P - 2 c_n extends sq, so each c_n costs O(n).
+    The sums run on ints: sq is held over den^2, so P is over den^2 and
+    R over den^3.
     """
-    c = list(held)
-    sq = [sum(c[a] * c[j - a] for a in range(j + 1)) for j in range(len(c))]
-    for n in range(len(c) - 1, order + 1):
-        p = r = ZERO
-        for a in range(1, n + 1):
-            p += c[a] * c[n + 1 - a]
-            r += c[a] * sq[n + 1 - a]
-        cn = ((n - 1) * c[n] + p - r + sq[n]) / (n + 3)
-        c.append(cn)
-        sq.append(p - 2 * cn)
-    return c
+    c, sq = _RunningInts(-1), [1]
+    for n in range(order + 1):
+        ci, d = c.ints, c.den
+        p = sum(map(mul, ci[1:n + 1], ci[n:0:-1]))
+        r = sum(map(mul, ci[1:n + 1], sq[n:0:-1]))
+        k = c.append(((n - 1) * ci[n] * d + p + sq[n]) * d - r,
+                     (n + 3) * d ** 3)
+        if k != 1:
+            p *= k * k
+            sq = [m * k * k for m in sq]
+        sq.append(p - 2 * c.ints[-1] * c.den)
+    return c.den, c.ints
 
 
-def _solve_s(order: int,
-             seed: Optional[LaurentSeries] = None) -> LaurentSeries:
+def _solve_s(order: int) -> LaurentSeries:
     """Solve for the deck transformation s(t) through t^-order.
 
     Differentiating w(s) = w(t) with w'(t) = -1/(t^2 (t - 1)) gives the
@@ -122,81 +149,57 @@ def _solve_s(order: int,
     coefficient n + 3, which never vanishes, so the branch and the
     coefficients are unique (``_s_coefficients``).  Keeping the
     coefficients of s^2 as they grow makes c_n cost O(n), so N
-    coefficients cost O(N^2) rational operations.  ``seed``, an earlier
-    solve at a lower order, resumes the recurrence from the
-    coefficients it holds.
+    coefficients cost O(N^2) operations on Python ints.
 
     The result is then verified against the defining equation itself.
     With x = 1/sigma, W(sigma) = sum_{m >= 2} x^m/m = -x - log(1 - x),
     whose u-derivative is x' x/(1 - x), so k [u^k] W(sigma) is the
     coefficient of u^k in the series product (u x') x/(1 - x), which
     needs x only through u^(k-1) and costs O(N^2) in all; it must equal
-    k [u^k] w = 1 for every k >= 2.
-
-    The lag.  Write sigma = u^-1 (c_{-1} + c_0 u + ...) and x = u y with
-    y = 1/(c_{-1} + c_0 u + ...), so y_i reads c_{-1}..c_{i-1}.  Then
-    [u^k] x^m = [u^(k-m)] y^m reads c_j only for j <= k - m - 1, and
-    [u^k] W(sigma) reads c_j only for j <= k - 3 (every m >= 2).  The
-    newest of them, c_{k-3}, enters only through x^2/2, as
-    y_0 y_{k-2} = -c_{k-3}/c_{-1}^3 + (lower c): with c_{-1} = -1 an error
-    d in c_{k-3} alone moves the residual W(sigma) - w at u^k by d.  So
-    the residual vanishing through u^(order + 3) pins sigma through
-    u^order, and its coefficients through u^(T + 3) read only the
-    coefficients c_{-1}..c_T of a seed at order T, which the seed's own
-    solve checked and the recurrence passes on unchanged.  A growth from
-    a seed therefore compares only u^(T + 4) .. u^(order + 3); the
-    memo seeds only with series this function returned.  A wrong held
-    coefficient still shows there in general: the new coefficients obey
-    the ODE, whose residual is then nonzero below the seam, and
-    d/dt (W(s) - w) = -(s' t^2 (t - 1) - s^2 (s - 1)) /
-    (s^2 (s - 1) t^2 (t - 1)) carries it past the seam.
+    k [u^k] w = 1 for every k >= 2.  [u^k] W(sigma) reads c_j only for
+    j <= k - 3, and the newest, c_{k-3}, enters only through x^2/2 with
+    the factor -1/c_{-1}^3 = 1, so the residual vanishing at u^2 ..
+    u^(order + 3) pins every coefficient through u^order.
     """
-    held = [-ONE] if seed is None else [
-        seed.coefficient(k) for k in range(-1, seed.truncation_order + 1)]
-    c = _s_coefficients(held, max(order, 1))
-    if c[2] != 0:
+    den, c = _s_coefficients(max(order, 1))
+    if c[2]:
         raise RuntimeError("involution acquired a t^-1 term (internal error)")
-    sigma = LaurentSeries(dict(enumerate(c[:order + 2], -1)), "1/t", -1,
-                          order)
+    sigma = LaurentSeries._of("1/t", -1, order, den, -1, c)
     x = laurent_reciprocal(sigma)  # 1/sigma, honest through order + 2
     one = LaurentSeries.exact({0: 1}, "1/t")
     # u dW(sigma)/du = (u x') x/(1 - x), honest through order + 3
     dw = x.derivative().shift(1) * (x * laurent_reciprocal(one - x))
-    start = 2 if seed is None else len(held) + 2
-    if dw.lo > start or dw.ints[start - dw.lo:order + 4 - dw.lo] != \
-            [dw.den] * (order + 4 - start):
+    if dw.lo > 2 or dw.ints[2 - dw.lo:order + 4 - dw.lo] != \
+            [dw.den] * (order + 2):
         raise RuntimeError(
             "involution recurrence violates w(s) = w(t) (internal error)")
     return sigma
 
 
-def _v_coefficients(held: list, order: int) -> list:
-    """y_0 .. y_{order-1} of y = t v(t) = sqrt(2 w t^2), continuing the
-    recurrence from ``held`` = [y_0, ..., y_T].
+def _v_coefficients(order: int) -> tuple[int, list]:
+    """y_0 .. y_{order-1} of y = t v(t) = sqrt(2 w t^2), as (den, ints)
+    with y_n = ints[n] / den.
 
     With 2 w t^2 = sum_{n>=0} 2/(n + 2) t^-n, comparing t^-n in
     y^2 = 2 w t^2 gives 2 y_n = 2/(n + 2) - sum_{0<k<n} y_k y_{n-k},
     from y_0 = 1, so each y_n costs O(n).
     """
-    y = list(held)
-    for n in range(len(y), order):
-        y.append(rat(1, n + 2)
-                 - HALF * sum(y[k] * y[n - k] for k in range(1, n)))
-    return y
+    y = _RunningInts(1)
+    for n in range(1, order):
+        yi, d = y.ints, y.den
+        q = sum(map(mul, yi[1:n], yi[n - 1:0:-1]))  # over d^2
+        y.append(2 * d * d - (n + 2) * q, 2 * (n + 2) * d * d)
+    return y.den, y.ints
 
 
-def _solve_v(order: int,
-             seed: Optional[LaurentSeries] = None) -> LaurentSeries:
+def _solve_v(order: int) -> LaurentSeries:
     """Solve for the branch coordinate v(t) = y/t through t^-order.
 
     y = sqrt(A), A = 2 w t^2, follows from its recurrence
-    (``_v_coefficients``), resumed from the coefficients of ``seed``, an
-    earlier solve at a lower order, and is verified by y^2 = A before use.
+    (``_v_coefficients``) and is verified by y^2 = A before use.
     """
-    held = [ONE] if seed is None else [
-        seed.coefficient(k + 1) for k in range(seed.truncation_order)]
-    y = _v_coefficients(held, order)
-    y = LaurentSeries(dict(enumerate(y)), "1/t", 0, order - 1)
+    den, y = _v_coefficients(order)
+    y = LaurentSeries._of("1/t", 0, order - 1, den, 0, y)
     if not (y * y - w_series(order + 1).shift(-2).scale(2)).is_zero():
         raise RuntimeError("square-root recurrence failed (internal error)")
     return y.shift(1)
@@ -213,11 +216,11 @@ class _CurveMemo:
 
     def serve(self, name: str, order: int, solve) -> LaurentSeries:
         """The series ``name`` through t^-order.  A lower order than the
-        one held is its truncation; a higher one is solved by ``solve``,
-        seeded with the series held."""
+        one held is its truncation; a higher one is solved afresh by
+        ``solve`` and replaces the series held."""
         top = self.top.get(name)
         if top is None or top.truncation_order < order:
-            top = self.top[name] = solve(order, top)
+            top = self.top[name] = solve(order)
         return top.truncate(order)
 
     def table(self, name: str, series: LaurentSeries) -> SeriesPowers:
@@ -234,8 +237,8 @@ _CURVE = _CurveMemo()
 
 def s_involution(order: int) -> LaurentSeries:
     """The deck transformation s(t): the second solution of w(s) = w(t),
-    truncated at t^-order.  Solved once per process and grown on demand
-    (see ``_solve_s``)."""
+    truncated at t^-order.  Solved once per process, and afresh when a
+    higher order is asked for (see ``_solve_s``)."""
     if order < 0:
         raise ValueError("s_involution needs order >= 0")
     return _CURVE.serve("s", order, _solve_s)
@@ -243,8 +246,8 @@ def s_involution(order: int) -> LaurentSeries:
 
 def v_series(order: int) -> LaurentSeries:
     """The branch coordinate v(t) with v^2/2 = w and leading term +1/t,
-    truncated at t^-order.  Solved once per process and grown on demand
-    (see ``_solve_v``)."""
+    truncated at t^-order.  Solved once per process, and afresh when a
+    higher order is asked for (see ``_solve_v``)."""
     if order < 1:
         raise ValueError("v_series needs order >= 1")
     return _CURVE.serve("v", order, _solve_v)
@@ -264,26 +267,60 @@ def v_powers(order: int) -> SeriesPowers:
 # Stirling coefficients and the eta family
 
 
-_STIRLING: list = [ONE]
+def double_factorial(n: int) -> Rational:
+    """Double factorial of an odd integer, extended to negative arguments.
+
+    For n >= -1 this is the usual product (with (-1)!! = 1, the empty
+    product); for n <= -3 it is extended by the recurrence
+    n!! = (n+2)!!/(n+2), so (-3)!! = -1, (-5)!! = 1/3, and generally
+    (-(2k+1))!! = (-1)^k / (2k-1)!!.
+    """
+    if n % 2 == 0:
+        raise ValueError(f"double factorial of even {n}")
+    if n >= -1:
+        acc = 1
+        for k in range(n, 1, -2):
+            acc *= k
+        return Rational(acc)
+    k = (-n - 1) // 2
+    return Rational((-1) ** k, math.prod(range(2 * k - 1, 0, -2)))
+
+
+_BERNOULLI = _RunningInts(1)
+
+
+def bernoulli(r: int) -> Rational:
+    """Bernoulli number B_r (convention B_1 = -1/2, from z*e^{zx}/(e^z-1)),
+    from B_n = -sum_{j<n} C(n+1, j) B_j / (n + 1)."""
+    if r < 0:
+        raise ValueError("negative Bernoulli index")
+    b = _BERNOULLI
+    for n in range(len(b.ints), r + 1):
+        b.append(-sum(math.comb(n + 1, j) * m for j, m in enumerate(b.ints)),
+                 (n + 1) * b.den)
+    return Rational(b.ints[r], b.den)
+
+
+_STIRLING = _RunningInts(1)
 
 
 def stirling_coefficients(k_max: int) -> list:
     """s_0 .. s_{k_max}: exp(-sum_{r>=1} B_{2r}/(2r(2r-1)) z^{2r-1}).
 
     Computed through the ODE f' = g' f of the exponential, i.e.
-    m f_m = sum_j j g_j f_{m-j}, so every prefix is exact.
+    m f_m = sum_j j g_j f_{m-j}, so every prefix is exact.  For odd j,
+    j g_j = -B_{j+1}/(j+1), summed in ints over lcm(2, 4, .., m + 1).
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    while len(_STIRLING) <= k_max:
-        m = len(_STIRLING)
-        acc = ZERO
-        for j in range(1, m + 1, 2):
-            r = (j + 1) // 2
-            g_j = -bernoulli(2 * r) / (2 * r * (2 * r - 1))
-            acc += j * g_j * _STIRLING[m - j]
-        _STIRLING.append(acc / m)
-    return _STIRLING[:k_max + 1]
+    f, b = _STIRLING, _BERNOULLI
+    bernoulli(k_max + 1)  # B_2 .. B_{k_max+1}, held over b.den
+    for m in range(len(f.ints), k_max + 1):
+        lcm = math.lcm(*range(2, m + 2, 2))
+        acc = sum(b.ints[j + 1] * (lcm // (j + 1)) * f.ints[m - j]
+                  for j in range(1, m + 1, 2))
+        f.append(-acc, m * lcm * b.den * f.den)
+    return [Rational(n, f.den) for n in f.ints[:k_max + 1]]
 
 
 @cache
@@ -294,15 +331,10 @@ def eta_series(n: int, order: int) -> LaurentSeries:
     starting at v^{-(2n+1)}; the double factorial at negative odd
     arguments follows the recurrence extension.
     """
-    coeffs = {}
-    k = 0
-    while True:
-        d = 2 * (k - n) - 1
-        if d > order:
-            break
-        coeffs[d] = (stirling_coefficients(k)[k]
-                     * double_factorial(2 * (n - k) - 1))
-        k += 1
+    k_top = (order + 2 * n + 1) // 2  # the last k with 2(k-n)-1 <= order
+    sk = stirling_coefficients(max(k_top, 0))
+    coeffs = {2 * (k - n) - 1: sk[k] * double_factorial(2 * (n - k) - 1)
+              for k in range(k_top + 1)}
     return LaurentSeries(coeffs, "v", -(2 * n + 1), order)
 
 

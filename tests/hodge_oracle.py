@@ -9,7 +9,8 @@ The tests compare the solver's integer path against them.  A
 multivariate polynomial is a dict from exponent tuples, one entry per
 variable position, to nonzero rationals: the form in which the solver
 reads its kernels.  ``poly_add``, ``poly_scale`` and ``poly_mul`` are its
-ring operations.
+ring operations; the expanded right sides run them on ints over one
+denominator per right side.
 
 The series layer stores each series as integers over one denominator
 and forms powers only through the degree a composition reads.
@@ -24,7 +25,7 @@ compare these with the series layer.
 """
 
 from itertools import permutations
-from math import factorial
+from math import factorial, lcm
 from operator import add
 from typing import Iterator, NamedTuple
 
@@ -320,16 +321,34 @@ def _embed(terms: dict, width: int, slots: tuple[int, ...]) -> dict:
     return out
 
 
+def _cleared(terms: dict) -> tuple[int, dict]:
+    """Rational ``terms`` as (D, {exponents: int}), each coefficient
+    int/D."""
+    den = lcm(*(Rational(c).denominator for c in terms.values()))
+    return den, {e: int(Rational(c) * den) for e, c in terms.items()}
+
+
 def _rhs_expanded(kernel: _Kernel, table: HodgeTable, g: int,
                   width: int, slots) -> dict:
     """``kernel``'s right side in ``width`` variables, summed over the
     choice of the distinguished slot among ``slots``; every other
-    variable is a spectator.  Its unknowns live at level (g, width)."""
-    total = {}
+    variable is a spectator.  Its unknowns live at level (g, width).
+
+    Each occurrence's terms are cleared of their denominator once, and
+    the products run on ints over one denominator L for the whole right
+    side, the lcm of each occurrence's D den(weight coeff)."""
+    occurrences = []
     for terms, groups, coeff in _recursion_terms(
             kernel.join, kernel.cut, table.level_entries, g, width):
-        if not terms:
-            continue
+        if terms:
+            den, ints = _cleared(terms)
+            q = kernel.weight * coeff
+            occurrences.append((ints, groups, int(q.numerator),
+                                den * int(q.denominator)))
+    level = lcm(*(den for *_, den in occurrences))
+    total = {}
+    for terms, groups, num, den in occurrences:
+        factor = num * (level // den)
         spectators = len(next(iter(terms))) - 1
         # a distinct order of the group-tagged indices over the free slots
         # is a subset of them per group, each in a distinct order
@@ -338,7 +357,7 @@ def _rhs_expanded(kernel: _Kernel, table: HodgeTable, g: int,
             others = [s for s in range(width) if s != slot]
             for picked in permutations(others, spectators):
                 base = poly_scale(_embed(terms, width, (slot,) + picked),
-                                  kernel.weight * coeff)
+                                  factor)
                 free = [s for s in others if s not in picked]
                 for order in distinct_permutations(tagged):
                     term = base
@@ -346,7 +365,7 @@ def _rhs_expanded(kernel: _Kernel, table: HodgeTable, g: int,
                         term = poly_mul(term, from_univariate(
                             kernel.basis(2 * w + kernel.parity), width, s))
                     total = poly_add(total, term)
-    return total
+    return {e: Rational(c, level) for e, c in total.items()}
 
 
 def cutjoin_rhs(g: int, ell: int, table: HodgeTable) -> XiIdentity:

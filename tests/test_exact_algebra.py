@@ -9,11 +9,10 @@ from hypothesis import given, settings, strategies as st
 from hodgehurwitz.exact_algebra import (
     Rational,
     TruncationError,
-    bernoulli,
-    double_factorial,
     format_rational,
     rat,
 )
+from hodgehurwitz.lambert_curve import bernoulli, double_factorial
 from hodgehurwitz.series import (
     LaurentSeries,
     SeriesPowers,

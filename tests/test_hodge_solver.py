@@ -1,6 +1,7 @@
 """Tests for the Hodge-integral table and its two recursion pipelines."""
 
 import json
+import os
 from math import factorial
 
 import pytest
@@ -370,7 +371,7 @@ def test_dvv_verify_never_fills_a_both_table(monkeypatch):
 
 def test_a_loaded_table_keeps_the_method_of_its_file(tmp_path):
     save_table_cache(HodgeTable().fill_to_complexity(3, method="cutjoin"),
-                     str(tmp_path), "cutjoin")
+                     str(tmp_path))
     tab = load_table_cache(str(tmp_path), "cutjoin")
     with pytest.raises(ValueError, match="a both request on a table "
                                          "filled by cutjoin"):
@@ -537,7 +538,7 @@ def test_to_rows_deterministic(table_cj):
 
 def test_cache_roundtrip(tmp_path):
     tab = HodgeTable().fill_to_complexity(3, method="cutjoin")
-    path = save_table_cache(tab, str(tmp_path), "cutjoin")
+    path = save_table_cache(tab, str(tmp_path))
     assert path.endswith("hodge-cutjoin.json")
     loaded = load_table_cache(str(tmp_path), "cutjoin")
     assert loaded is not None
@@ -545,10 +546,23 @@ def test_cache_roundtrip(tmp_path):
     assert load_table_cache(str(tmp_path), "bm") is None
 
 
+def test_a_table_is_saved_under_the_method_that_filled_it(tmp_path):
+    # the cache file is named by the table's own method, never the
+    # caller's: a cut-and-join table never answers a later both request
+    tab = HodgeTable().fill_to_complexity(3, method="cutjoin")
+    path = save_table_cache(tab, str(tmp_path))
+    assert os.listdir(tmp_path) == ["hodge-cutjoin.json"]
+    assert path == str(tmp_path / "hodge-cutjoin.json")
+    assert load_table_cache(str(tmp_path), "both") is None
+    with pytest.raises(ValueError, match="no method has filled"):
+        save_table_cache(HodgeTable(), str(tmp_path))
+    assert os.listdir(tmp_path) == ["hodge-cutjoin.json"]
+
+
 def test_cache_rejects_corrupted_base(tmp_path):
     tab = HodgeTable().fill_to_complexity(2, method="cutjoin")
     tab.level_entries(1, 1)[(1,)] = rat(1, 25)
-    save_table_cache(tab, str(tmp_path), "cutjoin")
+    save_table_cache(tab, str(tmp_path))
     assert load_table_cache(str(tmp_path), "cutjoin") is None
 
 
@@ -556,15 +570,14 @@ def test_cache_base_level_with_an_extra_value_is_a_miss(tmp_path):
     # the file's base levels must equal the seeded ones, key for key
     tab = HodgeTable().fill_to_complexity(2, method="cutjoin")
     tab.level_entries(1, 1)[(2,)] = rat(1, 7)
-    save_table_cache(tab, str(tmp_path), "cutjoin")
+    save_table_cache(tab, str(tmp_path))
     assert load_table_cache(str(tmp_path), "cutjoin") is None
 
 
 @pytest.mark.parametrize("edit", ["schema", "sha256", "value"])
 def test_cache_without_matching_digest_is_a_miss(tmp_path, edit):
     path = save_table_cache(
-        HodgeTable().fill_to_complexity(3, method="cutjoin"),
-        str(tmp_path), "cutjoin")
+        HodgeTable().fill_to_complexity(3, method="cutjoin"), str(tmp_path))
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if edit == "value":     # a well-formed non-base value, digest kept

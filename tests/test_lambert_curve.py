@@ -6,10 +6,10 @@ import pytest
 
 from hodgehurwitz import lambert_curve, level_solve, residue_kernel
 from hodgehurwitz.cli import main
-from hodgehurwitz.exact_algebra import double_factorial, format_rational, \
-    rat
+from hodgehurwitz.exact_algebra import format_rational, rat
 from hodgehurwitz.lambert_curve import (
     d_dt,
+    double_factorial,
     eta_series,
     eta_xi_identity_check,
     h02_series_identity_check,
@@ -40,9 +40,9 @@ def curve_solves(monkeypatch):
     for name in solves:
         solve = getattr(lambert_curve, f"_solve_{name}")
 
-        def counting(order, seed=None, name=name, solve=solve):
+        def counting(order, name=name, solve=solve):
             solves[name].append(order)
-            return solve(order, seed)
+            return solve(order)
 
         monkeypatch.setattr(lambert_curve, f"_solve_{name}", counting)
     return solves
@@ -150,98 +150,35 @@ def test_s_involution_printed_coefficients():
 
 
 def test_s_involution_low_orders_are_truncations():
-    # the uncached solve, from scratch and grown from a lower solve, is
-    # the truncation of a deeper one; at orders 2-7, 11-13 and 23-25 a
-    # residual checked only through `order` leaves the top terms wrong
+    # the uncached solve at every order is the truncation of a deeper one
     full = lambert_curve._solve_s(60)
     for k in range(61):
         assert lambert_curve._solve_s(k) == full.truncate(k), k
-    for k in list(range(2, 8)) + [11, 12, 13, 23, 24, 25, 60]:
-        seed = full.truncate(k // 2)
-        assert lambert_curve._solve_s(k, seed) == full.truncate(k), k
 
 
-def test_s_recurrence_resumes_from_the_held_coefficients(monkeypatch):
-    # growing passes the held coefficients on unchanged and computes
-    # only the new ones
-    seed = lambert_curve._solve_s(12)
-    resumed = []
-    extend = lambert_curve._s_coefficients
-
-    def recording(held, order):
-        resumed.append(len(held))
-        return extend(held, order)
-
-    monkeypatch.setattr(lambert_curve, "_s_coefficients", recording)
-    assert lambert_curve._solve_s(20, seed) == lambert_curve._solve_s(20)
-    assert resumed == [14, 1]
-    # so a wrong coefficient held is carried on, and the check refuses it
-    bad = LaurentSeries({**seed.coeffs, 5: seed.coefficient(5) * 2},
-                        "1/t", -1, 12)
-    with pytest.raises(RuntimeError, match="internal error"):
-        lambert_curve._solve_s(20, bad)
-
-
-@pytest.mark.parametrize("side", ["below", "above"])
-def test_s_growth_checks_across_the_seam(monkeypatch, side):
-    # a growth from a seed at order 12 compares W(sigma) = w only at
-    # t^-16 .. t^-23; a wrong c_12 (the last held coefficient) and a
-    # wrong c_13 (the first new one) must each still be refused
-    seed = lambert_curve._solve_s(12)
-    if side == "below":
-        seed = LaurentSeries({**seed.coeffs, 12: seed.coefficient(12)
-                              + rat(1, 10 ** 6)}, "1/t", -1, 12)
-    else:
-        extend = lambert_curve._s_coefficients
-
-        def corrupted(held, order):
-            c = extend(held, order)
-            c[13 + 1] += rat(1, 10 ** 6)
-            return c
-
-        monkeypatch.setattr(lambert_curve, "_s_coefficients", corrupted)
-    with pytest.raises(RuntimeError, match="internal error"):
-        lambert_curve._solve_s(20, seed)
-
-
-@pytest.mark.parametrize("order", [13, 14])
-def test_s_growth_check_starts_at_the_first_new_order(monkeypatch, order):
-    # a growth from a seed at order 12 compares W(sigma) = w from t^-16,
-    # the first order that a wrong c_13 (the first new coefficient)
-    # moves; grown by one or two orders, a check that started later
-    # would let it through
-    seed = lambert_curve._solve_s(12)
-    extend = lambert_curve._s_coefficients
-
-    def corrupted(held, order):
-        c = extend(held, order)
-        c[13 + 1] += rat(1, 10 ** 6)
-        return c
-
-    monkeypatch.setattr(lambert_curve, "_s_coefficients", corrupted)
-    with pytest.raises(RuntimeError, match="internal error"):
-        lambert_curve._solve_s(order, seed)
-
-
-@pytest.mark.parametrize("index", [0, 1, 2, 9, 40, 60])
+@pytest.mark.parametrize("index", [0, 1, 2, 9, 12, 13, 40, 60])
 def test_s_recurrence_corruption_is_caught(monkeypatch, index):
     # one wrong coefficient out of the recurrence, at t^-index, must
-    # fail the defining-equation check (or, at t^-1, the t^-1 check)
+    # fail the defining-equation check (or, at t^-1, the t^-1 check);
+    # solved at order = index it first moves the residual at
+    # t^-(index + 3), the last degree compared, so the check's window
+    # must run from its start through there
     extend = lambert_curve._s_coefficients
 
-    def corrupted(held, order):
-        c = extend(held, order)
-        c[index + 1] += rat(1, 10 ** 6)
-        return c
+    def corrupted(order):
+        den, c = extend(order)
+        c[index + 1] += den  # c_index + 1, over the same denominator
+        return den, c
 
     monkeypatch.setattr(lambert_curve, "_s_coefficients", corrupted)
-    with pytest.raises(RuntimeError, match="internal error"):
-        lambert_curve._solve_s(60)
+    for order in (index, 60):
+        with pytest.raises(RuntimeError, match="internal error"):
+            lambert_curve._solve_s(order)
 
 
 def test_s_involution_grows_from_lower_orders(curve_solves):
-    # lower orders are truncations of the series held; a higher order
-    # resumes the solve from it and equals a solve from scratch
+    # lower orders are truncations of the series held; a higher order is
+    # solved afresh and replaces it
     served = {k: s_involution(k) for k in (10, 4, 16, 12, 20)}
     assert curve_solves["s"] == [10, 16, 20]
     for k, s in served.items():
@@ -279,7 +216,7 @@ def test_v_series_printed_coefficients():
 def test_v_series_low_orders_are_truncations(curve_solves):
     # v(t) is an infinite series at every order, including order 1
     for k in range(1, 40):
-        v = v_series(k)  # each grows the process memo from order k - 1
+        v = v_series(k)  # each solves afresh, above the order held
         assert v.truncation_order == k, k
     full = v_series(40)
     assert curve_solves["v"] == list(range(1, 41))
@@ -291,19 +228,17 @@ def test_v_series_low_orders_are_truncations(curve_solves):
 @pytest.mark.parametrize("index", [0, 1, 2, 9, 40, 59])
 def test_v_recurrence_corruption_is_caught(monkeypatch, index):
     # one wrong coefficient of sqrt(2 w t^2), at t^-index, must fail the
-    # y^2 = A check, from scratch and when grown from a lower solve
-    seed = lambert_curve._solve_v(index) if index else None
+    # y^2 = A check
     extend = lambert_curve._v_coefficients
 
-    def corrupted(held, order):
-        y = extend(held, order)
-        y[index] += rat(1, 10 ** 6)
-        return y
+    def corrupted(order):
+        den, y = extend(order)
+        y[index] += den  # y_index + 1, over the same denominator
+        return den, y
 
     monkeypatch.setattr(lambert_curve, "_v_coefficients", corrupted)
-    for start in (None, seed):
-        with pytest.raises(RuntimeError, match="internal error"):
-            lambert_curve._solve_v(60, start)
+    with pytest.raises(RuntimeError, match="internal error"):
+        lambert_curve._solve_v(60)
 
 
 def test_v_squared_is_twice_w():

@@ -7,12 +7,11 @@ from hodgehurwitz import level_solve, residue_kernel
 from hodgehurwitz.cli import main
 from hodgehurwitz.exact_algebra import (
     TruncationError,
-    double_factorial,
     format_rational,
     rat,
 )
 from hodgehurwitz.hodge_solver import HodgeTable
-from hodgehurwitz.lambert_curve import d_dt, s_powers
+from hodgehurwitz.lambert_curve import d_dt, double_factorial, s_powers
 from hodgehurwitz.residue_kernel import (
     ResidueCache,
     p_ab,
