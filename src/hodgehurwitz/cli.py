@@ -28,9 +28,10 @@ from typing import Optional
 from .exact_algebra import format_rational
 
 DEFAULT_BUDGET = 9
-# a fill to complexity chi, both pipelines, takes about 0.65 s at chi 9
-# in process on one core (Python 3.11, fractions) and about doubles with
-# each step (10: 1.2 s, 11: 2.4 s, 12: 4.8 s)
+# a fill to complexity chi, both pipelines, takes about 0.6 s at chi 9
+# in process and about doubles with each step (10: 1.7 s, 11: 3.7 s,
+# 12: 8.1 s; medians of 3 on a shared 2-vCPU host, Python 3.11.7,
+# fractions, which another day ran 30% faster)
 MAX_BUDGET = 10
 # the series suite compares eta_n with xi_hat_n for these n; the
 # comparison window opens at truncation order 2n + 2
@@ -42,8 +43,9 @@ MIN_SERIES_ORDER = 2 * ETA_INDICES[-1] + 2
 MAX_SERIES_ORDER = 60
 # h(g, mu) needs r = 2g - 2 + ell + |mu| simple branch points, and the
 # branch-point recursion descends once per branch point.  The dearest
-# profiles found at r = 24 (such as g = 4, mu = 11,1,1,1) take about
-# 3 s, and each step of r multiplies that by about 1.4.
+# profiles found at r = 24 (such as g = 4, mu = 11,1,1,1) take 1.8-3 s
+# cold (medians of 5 on a shared 2-vCPU host, Python 3.11.7, fractions,
+# on two days), and each step of r multiplies that by about 1.4.
 MAX_BRANCH_POINTS = 24
 
 

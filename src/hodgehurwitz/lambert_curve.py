@@ -352,12 +352,13 @@ def eta_xi_identity_check(n: int, order: int) -> bool:
         raise ValueError("identity holds for n >= -1")
     s = s_powers(order)
     lhs = v_powers(order).substitute(eta_series(n, order))
-    xh = xi_hat(n)
     if n >= 0:
+        xh = xi_hat(n)
         rhs = poly_as_recip_series(xh) - s.substitute(xh)
     else:
-        # xi_hat_{-1} lives in the 1/t ring already; composing with s
-        # means substituting 1/s(t) for its variable.
+        # xi_hat_{-1} = 1 - 1/t lives in the 1/t ring already; composing
+        # with s means substituting 1/s(t) for its variable.
+        xh = LaurentSeries.exact({0: 1, 1: -1}, "1/t")
         rhs = xh - laurent_substitute(xh, s.power(-1))
     diff = lhs - rhs.scale(HALF)
     if diff.truncation_order is not None and diff.truncation_order < 0:

@@ -47,14 +47,19 @@ reads level (g, n), the cut reads (g - 1, n + 2), and the splits pair
 levels with k1 + k2 = n spectators.  A ``_Kernel`` spec holds what
 differs (weight, join and cut polynomials, label basis, spectator label
 parity, the number ``head`` of fixed key positions, image and decoder),
-and ``_recursion_terms`` writes the sum once.  It reads each lower level
-through a reader ``level(g, ell) -> entries``; inside ``solve_level``
-the reader is the table's ``ensure_level`` then ``level_entries``, with
-the solve's own method, so a solve fills exactly the missing levels it
-reads, and every level under a "both" solve is itself solved both
-ways.  Folded keys are flat: the first ``head`` positions stay in place
-and the rest are sorted.  Cut-and-join has head 0; ``bm`` has head 1, the label of its
-distinguished variable t.
+and ``_recursion_terms`` writes the sum once, with no kernel in it: it
+yields each occurrence's term by name, ("join", m) or ("cut", a, b),
+with its spectator groups and coefficient, and ``_rhs_in_basis``
+converts each term in one kernel.  A method is the kernels it solves
+with (``_METHODS``): "both" is cut-and-join then ``bm``, and reads the
+stream once for the two.  The stream reads each lower level through a
+reader ``level(g, ell) -> entries``; inside ``solve_level`` the reader
+is the table's ``ensure_level`` then ``level_entries``, with the solve's
+own method, so a solve fills exactly the missing levels it reads, and
+every level under a "both" solve is itself solved both ways.  Folded
+keys are flat: the first ``head`` positions stay in place and the rest
+are sorted.  Cut-and-join has head 0; ``bm`` has head 1, the label of
+its distinguished variable t.
 The ``bm`` unknowns are solved per choice of which index sits in the
 t-slot, and the solver verifies that all choices give the same value
 before storing — the permutation symmetry of the output is checked, not
@@ -68,8 +73,8 @@ from itertools import combinations, permutations
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Callable, Optional
 
-from hodgehurwitz.exact_algebra import HALF, ONE, ZERO, Rational, aut, rat, \
-    remove_one
+from hodgehurwitz.exact_algebra import HALF, ONE, ZERO, Rational, aut, \
+    format_rational, rat, remove_one
 from hodgehurwitz.xi_tower import xi_form, xi_hat, xi_hat_over_t
 
 if TYPE_CHECKING:
@@ -318,12 +323,15 @@ _KERNELS = {
                   0, 1, _image_bm, _decode_bm),
 }
 
+# a method is the kernels it solves with, in order; "both" requires
+# every kernel's solution to equal the first's
+_METHODS = {"cutjoin": ("cutjoin",), "bm": ("bm",), "both": ("cutjoin", "bm")}
 
-def _kernel(method: str) -> _Kernel:
-    kernel = _KERNELS.get(method)
-    if kernel is None:
+
+def _method_kernels(method: str) -> tuple[str, ...]:
+    if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
-    return kernel
+    return _METHODS[method]
 
 
 @cache
@@ -334,17 +342,16 @@ def _labels(kernel: _Kernel, part: str, *indices: int) -> tuple[int, dict]:
     return _in_basis(getattr(kernel, part)(*indices), kernel)
 
 
-def _recursion_terms(join: Callable[[int], dict],
-                     cut: Callable[[int, int], dict],
-                     level: Callable[[int, int], dict], g: int, ell: int):
-    """Yield the right side at level (g, ell) as (terms, groups, coeff),
+def _recursion_terms(level: Callable[[int, int], dict], g: int, ell: int):
+    """Yield the right side at level (g, ell) as (term, groups, coeff),
     reading each lower level's entries through ``level(g, ell)``,
-    once per join, cut and split occurrence: ``terms`` is what ``join``
-    or ``cut`` gives, keyed by the exponents (or labels) of the
-    distinguished slot and of the spectator slots it occupies; each of
-    ``groups`` is a multiset of indices for the spectator slots left,
-    placed in every distinct way; ``coeff`` times the kernel weight is
-    the occurrence's rational scalar."""
+    once per join, cut and split occurrence: ``term`` names a kernel
+    polynomial, ("join", m) or ("cut", a, b), whose terms are keyed by
+    the exponents (or labels) of the distinguished slot and of the
+    spectator slots it occupies; each of ``groups`` is a multiset of
+    indices for the spectator slots left, placed in every distinct way;
+    ``coeff`` times the kernel weight is the occurrence's rational
+    scalar.  No kernel enters, so one stream serves every kernel."""
     if 2 * g - 2 + ell < 2:
         raise ValueError(
             f"recursion applies for complexity 2g-2+ell >= 2; "
@@ -354,13 +361,13 @@ def _recursion_terms(join: Callable[[int], dict],
     if n >= 1:
         for E, val in level(g, n).items():
             for m in _distinct_values(E):
-                yield join(m), (remove_one(E, m),), val
+                yield ("join", m), (remove_one(E, m),), val
     # cut: the distinguished slot closes a handle
     if g >= 1:
         for E, val in level(g - 1, n + 2).items():
             for a, b in _value_pairs(E):
                 rest = remove_one(remove_one(E, a), b)
-                yield cut(a, b), (rest,), val if a == b else 2 * val
+                yield ("cut", a, b), (rest,), val if a == b else 2 * val
     # split: two stable surfaces share the spectators
     for g1, k1, g2, k2 in _splits(g, n):
         left = _star_values(level(g1, k1 + 1))
@@ -369,7 +376,7 @@ def _recursion_terms(join: Callable[[int], dict],
             for w2, bmap in right.items():
                 for a, va in amap.items():
                     for b, vb in bmap.items():
-                        yield cut(a, b), (w1, w2), va * vb
+                        yield ("cut", a, b), (w1, w2), va * vb
 
 
 def _image_remainder(rhs: dict, kernel: _Kernel, chi: int,
@@ -425,32 +432,30 @@ def _merge_slot_choices(solved: dict, head: int, context: str) -> dict:
     return merged
 
 
-def _rhs_in_basis(level: Callable[[int, int], dict], kernel: _Kernel, g: int,
-                  ell: int) -> dict:
+def _rhs_in_basis(occurrences, kernel: _Kernel) -> dict:
     """Folded right side of ``kernel``'s identity in its label basis,
-    whose unknowns live at level (g, ell), reading lower levels through
-    ``level``.
+    from the ``occurrences`` of ``_recursion_terms``, each term converted
+    through ``_labels``.
 
     Each occurrence is a converted kernel (D, ints) times a rational
     scalar q = num(q)/den(q).  With L the lcm of every D den(q), each
     key sums the Python ints c num(q) L/(D den(q)) and is divided by
     L once."""
     head, parity, weight = kernel.head, kernel.parity, kernel.weight
-    occurrences = []
-    for (den, ints), groups, coeff in _recursion_terms(
-            lambda m: _labels(kernel, "join", m),
-            lambda a, b: _labels(kernel, "cut", a, b), level, g, ell):
+    converted = []
+    for term, groups, coeff in occurrences:
+        den, ints = _labels(kernel, *term)
         # den(q) need not be in lowest terms: L absorbs any factor
         den *= int(weight.denominator * coeff.denominator)
         labels: tuple[int, ...] = ()
         for group in groups:
             den *= aut(group)
             labels += tuple(2 * w + parity for w in group)
-        occurrences.append(
+        converted.append(
             (ints, labels, int(weight.numerator * coeff.numerator), den))
-    level = lcm(*(den for *_, den in occurrences))
+    level = lcm(*(den for *_, den in converted))
     sums: dict = {}
-    for ints, labels, num, den in occurrences:
+    for ints, labels, num, den in converted:
         factor = num * (level // den)
         for key, c in ints.items():
             key = key[:head] + tuple(sorted(key[head:] + labels,
@@ -463,33 +468,35 @@ def _rhs_in_basis(level: Callable[[int, int], dict], kernel: _Kernel, g: int,
 # one level of a table
 
 
-def _solve(level: Callable[[int, int], dict], method: str, g: int,
-           ell: int) -> dict:
-    kernel = _kernel(method)
-    context = f"{method} level (g,ell)=({g},{ell})"
-    solved = _run_extraction(_rhs_in_basis(level, kernel, g, ell), kernel,
-                             g, ell, context)
-    return _merge_slot_choices(solved, kernel.head, context)
-
-
 def solve_level(table: HodgeTable, g: int, ell: int, method: str) -> dict:
     """The entries of level (g, ell) by ``method``: "cutjoin", "bm", or
-    "both", which solves by each and requires equal results.  Every
-    lower level the recursion reads is filled in ``table`` first, by
-    ``method``."""
+    "both", which solves by each and requires equal results.  The
+    recursion sum is read once, and every lower level it reads is filled
+    in ``table`` first, by ``method``."""
     def level(g: int, ell: int) -> dict:
         table.ensure_level(g, ell, method)
         return table.level_entries(g, ell)
 
-    if method != "both":
-        return _solve(level, method, g, ell)
-    a = _solve(level, "cutjoin", g, ell)
-    b = _solve(level, "bm", g, ell)
-    if a != b:
-        raise ValueError(
-            f"pipelines disagree at (g,ell)=({g},{ell}): "
-            f"cutjoin {a} vs bm {b}")
-    return a
+    names = _method_kernels(method)
+    occurrences = list(_recursion_terms(level, g, ell))
+    first = None
+    for name in names:
+        kernel = _KERNELS[name]
+        context = f"{name} level (g,ell)=({g},{ell})"
+        solved = _merge_slot_choices(
+            _run_extraction(_rhs_in_basis(occurrences, kernel), kernel, g,
+                            ell, context), kernel.head, context)
+        if first is None:
+            first = solved
+        elif solved != first:
+            # the first entry that differs; an absent entry is zero
+            key = min(k for k in first.keys() | solved.keys()
+                      if first.get(k) != solved.get(k))
+            raise ValueError(
+                f"pipelines disagree at (g,ell)=({g},{ell}): indices {key}: "
+                f"{names[0]} {format_rational(first.get(key, ZERO))} vs "
+                f"{name} {format_rational(solved.get(key, ZERO))}")
+    return first
 
 
 def identity_remainder(table: HodgeTable, g: int, ell: int,
@@ -499,12 +506,15 @@ def identity_remainder(table: HodgeTable, g: int, ell: int,
     stored values satisfy the recursion; "both" gives the first remainder
     that is not empty, cut-and-join first, as ``solve_level`` solves."""
     table.ensure_level(g, ell, method)
-    if method == "both":
-        return (identity_remainder(table, g, ell, "cutjoin")
-                or identity_remainder(table, g, ell, "bm"))
-    kernel = _kernel(method)
-    values = {unknown: val
-              for M, val in table.level_entries(g, ell).items()
-              for unknown in _slot_choices(M, kernel.head)}
-    return _image_remainder(_rhs_in_basis(table.level_entries, kernel, g, ell),
-                            kernel, 2 * g - 2 + ell, values)
+    names = _method_kernels(method)
+    entries = table.level_entries(g, ell)
+    occurrences = list(_recursion_terms(table.level_entries, g, ell))
+    for name in names:
+        kernel = _KERNELS[name]
+        values = {unknown: val for M, val in entries.items()
+                  for unknown in _slot_choices(M, kernel.head)}
+        remainder = _image_remainder(_rhs_in_basis(occurrences, kernel),
+                                     kernel, 2 * g - 2 + ell, values)
+        if remainder:
+            return remainder
+    return {}

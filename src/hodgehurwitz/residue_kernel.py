@@ -195,20 +195,17 @@ def p_ab_eta(a: int, b: int, order: Optional[int] = None) -> dict:
     return polynomial_part(composed.scale(HALF))
 
 
-def p_n_eta(n: int, order: Optional[int] = None,
-            m_max: Optional[int] = None) -> dict:
+def p_n_eta(n: int, order: Optional[int] = None) -> dict:
     if n < 0:
         raise ValueError("p_n_eta index must be >= 0")
     if order is None:
         order = 2 * n + 16
-    if m_max is None:
-        m_max = n + 2  # higher m cannot contribute
     v = v_powers(order)
     dv = d_dt(v.series)
     eta_top = eta_series(n + 1, order)
     inv_eta = laurent_reciprocal(eta_series(-1, order))
     terms: dict[tuple[int, int], object] = {}
-    for m in range(m_max + 1):
+    for m in range(n + 3):  # higher m cannot contribute
         # polynomial_part reads degrees <= 0, and v^d starts at degree d
         left = polynomial_part(v.substitute(eta_top.shift(2 * m)._cut(0)))
         if not left:

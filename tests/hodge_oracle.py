@@ -254,7 +254,8 @@ def xi_in_x_check(n: int, order: int) -> bool:
     if n >= 0:
         got = laurent_substitute(xi_hat(n), t_of_x)
     else:
-        got = laurent_substitute(xi_hat(-1), laurent_reciprocal(t_of_x))
+        got = laurent_substitute(LaurentSeries.exact({0: 1, 1: -1}, "1/t"),
+                                 laurent_reciprocal(t_of_x))
     if got.coefficient(0) != 0:
         return False
     for k in range(1, order + 1):
@@ -338,8 +339,9 @@ def _rhs_expanded(kernel: _Kernel, table: HodgeTable, g: int,
     the products run on ints over one denominator L for the whole right
     side, the lcm of each occurrence's D den(weight coeff)."""
     occurrences = []
-    for terms, groups, coeff in _recursion_terms(
-            kernel.join, kernel.cut, table.level_entries, g, width):
+    for (part, *indices), groups, coeff in _recursion_terms(
+            table.level_entries, g, width):
+        terms = getattr(kernel, part)(*indices)
         if terms:
             den, ints = _cleared(terms)
             q = kernel.weight * coeff

@@ -7,9 +7,11 @@ import sys
 import pytest
 
 import hodgehurwitz
-from hodgehurwitz import hurwitz, lambert_curve, reference_data
+from hodgehurwitz import hurwitz, lambert_curve, level_solve, \
+    reference_data
 from hodgehurwitz.cli import MAX_BRANCH_POINTS, MAX_BUDGET, \
     MAX_SERIES_ORDER, MIN_SERIES_ORDER, main
+from hodgehurwitz.exact_algebra import rat
 from hodgehurwitz.hodge_solver import HodgeTable
 
 
@@ -79,6 +81,34 @@ def test_hodge_unstable_builds_no_table(capsys, monkeypatch, indices, ell):
     monkeypatch.setattr(HodgeTable, "__init__", fail)
     assert run(capsys, "hodge", "--g", "0", "--indices", indices) == \
         (1, "", f"error: unstable (g,ell)=(0,{ell})\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("hodge", "--g", "-1", "--indices", "3"), "genus must be ≥ 0, got -1"),
+    (("hodge", "--g", "1", "--indices", "1,-1"),
+     "indices must be ≥ 0, got (1, -1)"),
+    (("hurwitz", "--g", "-1", "--mu", "2"), "genus must be ≥ 0, got -1"),
+], ids=["hodge_genus", "hodge_index", "hurwitz_genus"])
+def test_negative_input_builds_no_table(capsys, monkeypatch, argv, err):
+    def fail(self):
+        raise AssertionError("no table may be built")
+
+    monkeypatch.setattr(HodgeTable, "__init__", fail)
+    assert run(capsys, *argv) == (1, "", f"error: {err}\n")
+
+
+def test_hodge_both_names_the_first_entry_where_pipelines_disagree(
+        capsys, monkeypatch):
+    # a wrong BM weight scales BM's whole right side, so BM's own checks
+    # pass and only the comparison with cut-and-join can refuse
+    kernel = level_solve._KERNELS["bm"]
+    monkeypatch.setitem(level_solve._KERNELS, "bm",
+                        kernel.replace(weight=kernel.weight * rat(2, 3)))
+    monkeypatch.delenv("HURWITZ_REC_CACHE", raising=False)
+    assert run(capsys, "hodge", "--g", "1", "--indices", "1,1",
+               "--method", "both") == \
+        (1, "", "error: pipelines disagree at (g,ell)=(1,2): indices "
+                "(1, 0): cutjoin -1/24 vs bm -1/36\n")
 
 
 @pytest.mark.parametrize("indices", ["1,x", ""])

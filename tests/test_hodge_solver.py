@@ -2,6 +2,7 @@
 
 import json
 import os
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -16,7 +17,8 @@ from hodgehurwitz.hodge_solver import (
     save_table_cache,
 )
 from hodgehurwitz.hurwitz import hurwitz_elsv
-from hodgehurwitz.level_solve import _KERNELS, _in_basis, _rhs_in_basis
+from hodgehurwitz.level_solve import _KERNELS, _in_basis, _recursion_terms, \
+    _rhs_in_basis
 from hodgehurwitz.verify import dvv_verify
 from hodgehurwitz.xi_tower import xi_form, xi_hat
 from hodge_oracle import XiIdentity, bm_rhs, cut_pair_poly, cutjoin_rhs, \
@@ -230,11 +232,11 @@ def test_folded_rhs_is_the_fold_of_the_expanded_rhs(table_cj, g, ell):
     # the solver's right side, built in labels, is the expanded oracle
     # converted into the label basis and folded
     expanded = cutjoin_rhs(g, ell, table_cj).rhs
-    assert _rhs_in_basis(table_cj.level_entries, _KERNELS["cutjoin"], g,
-                         ell) == \
+    occurrences = list(_recursion_terms(table_cj.level_entries, g, ell))
+    assert _rhs_in_basis(occurrences, _KERNELS["cutjoin"]) == \
         _expanded_in_basis(expanded, ell, "cutjoin")
     expanded = bm_rhs(g, ell - 1, table_cj)
-    assert _rhs_in_basis(table_cj.level_entries, _KERNELS["bm"], g, ell) == \
+    assert _rhs_in_basis(occurrences, _KERNELS["bm"]) == \
         _expanded_in_basis(expanded, ell, "bm")
 
 
@@ -464,6 +466,45 @@ def test_both_identity_remainder_checks_both_kernels(monkeypatch):
     cutjoin = tab.identity_remainder(1, 2, "cutjoin")
     assert cutjoin and tab.identity_remainder(1, 2, "bm")
     assert tab.identity_remainder(1, 2, "both") == cutjoin
+
+
+def test_a_both_solve_reads_each_recursion_sum_once(monkeypatch):
+    # "both" converts one stream of terms in each kernel: a fill and a
+    # remainder check each read a level's recursion sum once
+    reads = Counter()
+    stream = level_solve._recursion_terms
+
+    def counting(*args):
+        reads[args[-2:]] += 1
+        return stream(*args)
+
+    monkeypatch.setattr(level_solve, "_recursion_terms", counting)
+    tab = HodgeTable().fill_to_complexity(5, method="both")
+    levels = Counter(_solvable_levels(tab))
+    assert len(levels) == 12 and reads == levels
+    reads.clear()
+    for g, ell in levels:
+        assert tab.identity_remainder(g, ell, "both") == {}, (g, ell)
+    assert reads == levels
+
+
+def test_a_key_beyond_the_dimension_is_refused(monkeypatch):
+    # a BM cut fault adds the one label xi_5 at the one-point level
+    # (2, 1), of dimension 4: its image is the one key (10,), so neither
+    # the leftover check nor the slot merge sees it
+    kernel = _KERNELS["bm"]
+
+    def cut(a, b):
+        terms = dict(kernel.cut(a, b))
+        if (a, b) == (1, 1):
+            for d, c in xi_form(5).items():
+                terms[(d,)] = terms.get((d,), 0) + c
+        return terms
+
+    monkeypatch.setitem(_KERNELS, "bm", kernel.replace(cut=cut))
+    with pytest.raises(ValueError, match=r"bm level \(g,ell\)=\(2,1\): "
+                                         r"key \(10,\) beyond dimension 4"):
+        HodgeTable().ensure_level(2, 1, "bm")
 
 
 def test_every_reader_reads_the_one_store():

@@ -67,13 +67,11 @@ def test_xi_hat_degree_leading_and_root():
 
 
 def test_xi_hat_laurent_members():
-    m1 = xi_hat(-1)
-    assert isinstance(m1, LaurentSeries)
-    assert m1.coeffs == {0: rat(1), 1: rat(-1)}  # 1 - 1/t
-    m2 = xi_hat(-2)
-    assert m2.coeffs == {2: rat(-1, 2)}  # -1/(2 t^2), additive const dropped
-    with pytest.raises(ValueError):
-        xi_hat(-3)
+    # the Laurent members below the tower are refused, not served
+    for n in (-1, -2, -3):
+        with pytest.raises(ValueError,
+                           match=f"xi_hat requires n >= 0, got {n}"):
+            xi_hat(n)
 
 
 def test_xi_form_values_and_structure():

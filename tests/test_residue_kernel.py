@@ -120,11 +120,6 @@ def test_p_n_matches_eta_form_small():
         assert p_n(n) == p_n_eta(n)
 
 
-def test_p_n_eta_m_sum_insensitivity():
-    for n in range(4):
-        assert p_n_eta(n) == p_n_eta(n, m_max=n + 4)
-
-
 def test_p_n_primitive_consistency():
     # the t_i-degree-0 slice of p_n equals the t_i-coefficient of degree 1
     # in the primitive, i.e. d/dt_i evaluated at t_i = 0: re-derive from
