@@ -28,11 +28,15 @@ from typing import Optional
 from .exact_algebra import format_rational
 
 DEFAULT_BUDGET = 9
-# a fill to complexity chi, both pipelines, takes about 0.6 s at chi 9
-# in process and about doubles with each step (10: 1.7 s, 11: 3.7 s,
-# 12: 8.1 s; medians of 3 on a shared 2-vCPU host, Python 3.11.7,
-# fractions, which another day ran 30% faster)
-MAX_BUDGET = 10
+# a request fills only its level's closure; the dearest cold
+# ``hodge --method both`` request at complexity chi, such as
+# --g 5 --indices 19,0,0,0,0,0,0 at 15, takes about 2.3 s at chi 13,
+# 4.2 s at 14, 7.8 s at 15 and 13.4 s at 16 (medians of 5, of 3 at 16,
+# fresh processes with PYTHONDONTWRITEBYTECODE=1 on a shared 2-vCPU
+# host, Python 3.11.7, fractions; single runs at 15 ranged 7.1-11.7 s).
+# The dvv suite checks every level within the budget and grows faster:
+# 1.3, 2.1, 6.2 and 17 s at budgets 9-12; at 15 it ran over 5 minutes.
+MAX_BUDGET = 15
 # the series suite compares eta_n with xi_hat_n for these n; the
 # comparison window opens at truncation order 2n + 2
 ETA_INDICES = range(-1, 9)
@@ -62,7 +66,8 @@ def _add_common(sub) -> None:
         "--complexity-budget", type=int, default=DEFAULT_BUDGET,
         metavar="CHI",
         help="largest recursion level 2g-2+ell the Hodge table may fill "
-             f"(default {DEFAULT_BUDGET}, 1 to {MAX_BUDGET})")
+             f"(default {DEFAULT_BUDGET}, 1 to {MAX_BUDGET}; the dearest "
+             f"cold --method both request at {MAX_BUDGET} takes about 8 s)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,11 +28,12 @@ has integer coefficients), built as such; the ``bm`` residue
 polynomials are rational and have their denominators cleared first.
 Each is converted by fraction-free triangular elimination and memoized
 as its labels over one denominator, (D, {labels: int}).  The right side
-of a level is a sum of occurrences, one per join, cut and split term,
-each a converted kernel times a rational scalar q (the kernel weight, a
-table value or product of two, over the automorphisms of the spectator
-groups).  With the level denominator L, the lcm of every D den(q), each
-key sums the Python ints c num(q) L/(D den(q)) and is divided by L once.
+of a level is one rational scalar q per (kernel term, spectator
+multiset): the kernel weight times the sum of the pair's join, cut and
+split coefficients (a table value or product of two over the spectator
+groups' automorphisms).  With the level denominator L, the lcm of every
+D den(q), each key sums the Python ints c num(q) L/(D den(q)) and is
+divided by L once.
 
 Extraction works on those rationals.  Each unknown's image is a few
 keys, and each key names one unknown, so extraction reads every unknown
@@ -47,19 +48,18 @@ reads level (g, n), the cut reads (g - 1, n + 2), and the splits pair
 levels with k1 + k2 = n spectators.  A ``_Kernel`` spec holds what
 differs (weight, join and cut polynomials, label basis, spectator label
 parity, the number ``head`` of fixed key positions, image and decoder),
-and ``_recursion_terms`` writes the sum once, with no kernel in it: it
-yields each occurrence's term by name, ("join", m) or ("cut", a, b),
-with its spectator groups and coefficient, and ``_rhs_in_basis``
-converts each term in one kernel.  A method is the kernels it solves
-with (``_METHODS``): "both" is cut-and-join then ``bm``, and reads the
-stream once for the two.  The stream reads each lower level through a
-reader ``level(g, ell) -> entries``; inside ``solve_level`` the reader
-is the table's ``ensure_level`` then ``level_entries``, with the solve's
-own method, so a solve fills exactly the missing levels it reads, and
-every level under a "both" solve is itself solved both ways.  Folded
-keys are flat: the first ``head`` positions stay in place and the rest
-are sorted.  Cut-and-join has head 0; ``bm`` has head 1, the label of
-its distinguished variable t.
+and ``_recursion_terms`` collects the sum once, with no kernel in it,
+keyed by term name, ("join", m) or ("cut", a, b), and sorted spectator
+multiset; ``_rhs_in_basis`` converts each pair in one kernel.  A method
+is the kernels it solves with (``_METHODS``): "both" is cut-and-join
+then ``bm``, and collects the sum once for the two.  The sum reads each
+lower level through a reader ``level(g, ell) -> entries``; inside
+``solve_level`` the reader is the table's ``ensure_level`` then
+``level_entries``, with the solve's own method, so a solve fills exactly
+the missing levels it reads, and every level under a "both" solve is
+itself solved both ways.  Folded keys are flat: the first ``head``
+positions stay in place and the rest are sorted.  Cut-and-join has head
+0; ``bm`` has head 1, the label of its distinguished variable t.
 The ``bm`` unknowns are solved per choice of which index sits in the
 t-slot, and the solver verifies that all choices give the same value
 before storing — the permutation symmetry of the output is checked, not
@@ -68,6 +68,7 @@ assumed.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 from itertools import combinations, permutations
 from math import gcd, lcm
@@ -116,11 +117,12 @@ def _splits(g: int, n: int):
 
 
 def _star_values(entries: dict) -> dict:
-    """W -> {a: <tau_a tau_W>}, read off the entries of one level."""
+    """W -> {a: <tau_a tau_W> / |Aut W|}, from the entries of one level."""
     out: dict[tuple[int, ...], dict[int, Rational]] = {}
     for E, val in entries.items():
         for a in set(E):
-            out.setdefault(remove_one(E, a), {})[a] = val
+            W = remove_one(E, a)
+            out.setdefault(W, {})[a] = val / aut(W)
     return out
 
 
@@ -343,40 +345,44 @@ def _labels(kernel: _Kernel, part: str, *indices: int) -> tuple[int, dict]:
 
 
 def _recursion_terms(level: Callable[[int, int], dict], g: int, ell: int):
-    """Yield the right side at level (g, ell) as (term, groups, coeff),
-    reading each lower level's entries through ``level(g, ell)``,
-    once per join, cut and split occurrence: ``term`` names a kernel
-    polynomial, ("join", m) or ("cut", a, b), whose terms are keyed by
-    the exponents (or labels) of the distinguished slot and of the
-    spectator slots it occupies; each of ``groups`` is a multiset of
-    indices for the spectator slots left, placed in every distinct way;
-    ``coeff`` times the kernel weight is the occurrence's rational
-    scalar.  No kernel enters, so one stream serves every kernel."""
+    """The right side at level (g, ell), collected: a Counter keyed
+    (term, spectators), reading each lower level through ``level(g,
+    ell)``.  ``term`` names a kernel polynomial, ("join", m) or ("cut",
+    a, b), keyed by the exponents (or labels) of the distinguished slot
+    and the spectator slots it occupies; ``spectators`` is the sorted
+    multiset of indices for the slots left, placed in every distinct
+    way.  The value, times the kernel weight, is the pair's scalar: each
+    occurrence's coefficient over its spectator groups' automorphisms,
+    summed.  No kernel enters, so one sum serves every kernel."""
     if 2 * g - 2 + ell < 2:
         raise ValueError(
             f"recursion applies for complexity 2g-2+ell >= 2; "
             f"(g,ell)=({g},{ell}) is a base level")
-    n = ell - 1
+    n, terms = ell - 1, Counter()
     # join: a spectator merges with the distinguished slot
     if n >= 1:
         for E, val in level(g, n).items():
             for m in _distinct_values(E):
-                yield ("join", m), (remove_one(E, m),), val
+                rest = remove_one(E, m)
+                terms[("join", m), rest] += val / aut(rest)
     # cut: the distinguished slot closes a handle
     if g >= 1:
         for E, val in level(g - 1, n + 2).items():
             for a, b in _value_pairs(E):
                 rest = remove_one(remove_one(E, a), b)
-                yield ("cut", a, b), (rest,), val if a == b else 2 * val
+                terms[("cut", a, b), rest] += \
+                    (val if a == b else 2 * val) / aut(rest)
     # split: two stable surfaces share the spectators
     for g1, k1, g2, k2 in _splits(g, n):
         left = _star_values(level(g1, k1 + 1))
         right = _star_values(level(g2, k2 + 1))
         for w1, amap in left.items():
             for w2, bmap in right.items():
+                rest = tuple(sorted(w1 + w2, reverse=True))
                 for a, va in amap.items():
                     for b, vb in bmap.items():
-                        yield ("cut", a, b), (w1, w2), va * vb
+                        terms[("cut", a, b), rest] += va * vb
+    return terms
 
 
 def _image_remainder(rhs: dict, kernel: _Kernel, chi: int,
@@ -432,27 +438,22 @@ def _merge_slot_choices(solved: dict, head: int, context: str) -> dict:
     return merged
 
 
-def _rhs_in_basis(occurrences, kernel: _Kernel) -> dict:
+def _rhs_in_basis(terms: Counter, kernel: _Kernel) -> dict:
     """Folded right side of ``kernel``'s identity in its label basis,
-    from the ``occurrences`` of ``_recursion_terms``, each term converted
-    through ``_labels``.
+    from the collected ``terms`` of ``_recursion_terms``, each term
+    converted through ``_labels``.
 
-    Each occurrence is a converted kernel (D, ints) times a rational
-    scalar q = num(q)/den(q).  With L the lcm of every D den(q), each
-    key sums the Python ints c num(q) L/(D den(q)) and is divided by
-    L once."""
+    Each pair is a converted kernel (D, ints) times a rational scalar
+    q = num(q)/den(q), the kernel weight times the pair's value.  With
+    L the lcm of every D den(q), each key sums the Python ints
+    c num(q) L/(D den(q)) and is divided by L once."""
     head, parity, weight = kernel.head, kernel.parity, kernel.weight
     converted = []
-    for term, groups, coeff in occurrences:
+    for (term, spectators), q in terms.items():
         den, ints = _labels(kernel, *term)
-        # den(q) need not be in lowest terms: L absorbs any factor
-        den *= int(weight.denominator * coeff.denominator)
-        labels: tuple[int, ...] = ()
-        for group in groups:
-            den *= aut(group)
-            labels += tuple(2 * w + parity for w in group)
-        converted.append(
-            (ints, labels, int(weight.numerator * coeff.numerator), den))
+        q *= weight
+        converted.append((ints, tuple(2 * w + parity for w in spectators),
+                          int(q.numerator), den * int(q.denominator)))
     level = lcm(*(den for *_, den in converted))
     sums: dict = {}
     for ints, labels, num, den in converted:
@@ -471,20 +472,20 @@ def _rhs_in_basis(occurrences, kernel: _Kernel) -> dict:
 def solve_level(table: HodgeTable, g: int, ell: int, method: str) -> dict:
     """The entries of level (g, ell) by ``method``: "cutjoin", "bm", or
     "both", which solves by each and requires equal results.  The
-    recursion sum is read once, and every lower level it reads is filled
-    in ``table`` first, by ``method``."""
+    recursion sum is collected once, and every lower level it reads is
+    filled in ``table`` first, by ``method``."""
     def level(g: int, ell: int) -> dict:
         table.ensure_level(g, ell, method)
         return table.level_entries(g, ell)
 
     names = _method_kernels(method)
-    occurrences = list(_recursion_terms(level, g, ell))
+    terms = _recursion_terms(level, g, ell)
     first = None
     for name in names:
         kernel = _KERNELS[name]
         context = f"{name} level (g,ell)=({g},{ell})"
         solved = _merge_slot_choices(
-            _run_extraction(_rhs_in_basis(occurrences, kernel), kernel, g,
+            _run_extraction(_rhs_in_basis(terms, kernel), kernel, g,
                             ell, context), kernel.head, context)
         if first is None:
             first = solved
@@ -508,12 +509,12 @@ def identity_remainder(table: HodgeTable, g: int, ell: int,
     table.ensure_level(g, ell, method)
     names = _method_kernels(method)
     entries = table.level_entries(g, ell)
-    occurrences = list(_recursion_terms(table.level_entries, g, ell))
+    terms = _recursion_terms(table.level_entries, g, ell)
     for name in names:
         kernel = _KERNELS[name]
         values = {unknown: val for M, val in entries.items()
                   for unknown in _slot_choices(M, kernel.head)}
-        remainder = _image_remainder(_rhs_in_basis(occurrences, kernel),
+        remainder = _image_remainder(_rhs_in_basis(terms, kernel),
                                      kernel, 2 * g - 2 + ell, values)
         if remainder:
             return remainder

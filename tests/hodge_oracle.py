@@ -29,7 +29,8 @@ from math import factorial, lcm
 from operator import add
 from typing import Iterator, NamedTuple
 
-from hodgehurwitz.exact_algebra import ZERO, Rational, TruncationError, rat
+from hodgehurwitz.exact_algebra import ZERO, Rational, TruncationError, \
+    aut, rat
 from hodgehurwitz.hodge_solver import HodgeTable
 from hodgehurwitz.level_solve import _KERNELS, _in_basis, _Kernel, \
     _recursion_terms, _run_extraction
@@ -335,35 +336,32 @@ def _rhs_expanded(kernel: _Kernel, table: HodgeTable, g: int,
     choice of the distinguished slot among ``slots``; every other
     variable is a spectator.  Its unknowns live at level (g, width).
 
-    Each occurrence's terms are cleared of their denominator once, and
-    the products run on ints over one denominator L for the whole right
-    side, the lcm of each occurrence's D den(weight coeff)."""
-    occurrences = []
-    for (part, *indices), groups, coeff in _recursion_terms(
-            table.level_entries, g, width):
+    Each pair's spectators go in every distinct order, each weighted
+    q' = weight q |Aut(spectators)|; its terms are cleared once, and the
+    products run on ints over the lcm L of every pair's D den(q')."""
+    pairs = []
+    for ((part, *indices), spectators), q in _recursion_terms(
+            table.level_entries, g, width).items():
         terms = getattr(kernel, part)(*indices)
         if terms:
             den, ints = _cleared(terms)
-            q = kernel.weight * coeff
-            occurrences.append((ints, groups, int(q.numerator),
-                                den * int(q.denominator)))
-    level = lcm(*(den for *_, den in occurrences))
+            q *= kernel.weight * aut(spectators)
+            pairs.append((ints, spectators, int(q.numerator),
+                          den * int(q.denominator)))
+    level = lcm(*(den for *_, den in pairs))
     total = {}
-    for terms, groups, num, den in occurrences:
+    for terms, spectators, num, den in pairs:
         factor = num * (level // den)
-        spectators = len(next(iter(terms))) - 1
-        # a distinct order of the group-tagged indices over the free slots
-        # is a subset of them per group, each in a distinct order
-        tagged = tuple((i, w) for i, group in enumerate(groups) for w in group)
+        picks = len(next(iter(terms))) - 1
         for slot in slots:
             others = [s for s in range(width) if s != slot]
-            for picked in permutations(others, spectators):
+            for picked in permutations(others, picks):
                 base = poly_scale(_embed(terms, width, (slot,) + picked),
                                   factor)
                 free = [s for s in others if s not in picked]
-                for order in distinct_permutations(tagged):
+                for order in distinct_permutations(spectators):
                     term = base
-                    for s, (_, w) in zip(free, order):
+                    for s, w in zip(free, order):
                         term = poly_mul(term, from_univariate(
                             kernel.basis(2 * w + kernel.parity), width, s))
                     total = poly_add(total, term)

@@ -61,6 +61,16 @@ def test_criterion_1_tables_match_their_pinned_digest():
             "8f889d19aaeff9c9ae653c13a7e20e84", method
 
 
+def test_criterion_1_both_table_to_chi_12_matches_its_pinned_digest():
+    # "both" refuses on any disagreement, so one fill pins both pipelines
+    start = time.monotonic()
+    rows = HodgeTable().fill_to_complexity(12, method="both").to_rows()
+    assert time.monotonic() - start < 120
+    assert len(rows) == 3723
+    assert hashlib.md5(json.dumps(rows).encode()).hexdigest() == \
+        "9afdaad4ed0dbbc219a25da0be7f0df0"
+
+
 def test_criterion_2_hurwitz_reference_values_both_pipelines():
     start = time.monotonic()
     table = _filled("cutjoin")

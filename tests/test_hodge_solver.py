@@ -232,11 +232,11 @@ def test_folded_rhs_is_the_fold_of_the_expanded_rhs(table_cj, g, ell):
     # the solver's right side, built in labels, is the expanded oracle
     # converted into the label basis and folded
     expanded = cutjoin_rhs(g, ell, table_cj).rhs
-    occurrences = list(_recursion_terms(table_cj.level_entries, g, ell))
-    assert _rhs_in_basis(occurrences, _KERNELS["cutjoin"]) == \
+    terms = _recursion_terms(table_cj.level_entries, g, ell)
+    assert _rhs_in_basis(terms, _KERNELS["cutjoin"]) == \
         _expanded_in_basis(expanded, ell, "cutjoin")
     expanded = bm_rhs(g, ell - 1, table_cj)
-    assert _rhs_in_basis(occurrences, _KERNELS["bm"]) == \
+    assert _rhs_in_basis(terms, _KERNELS["bm"]) == \
         _expanded_in_basis(expanded, ell, "bm")
 
 
@@ -486,6 +486,15 @@ def test_a_both_solve_reads_each_recursion_sum_once(monkeypatch):
     for g, ell in levels:
         assert tab.identity_remainder(g, ell, "both") == {}, (g, ell)
     assert reads == levels
+
+
+def test_the_recursion_sum_is_collected_per_term_and_spectators():
+    # the 17,062 join, cut and split occurrences of a chi <= 9 fill merge
+    # into 4617 (term, spectators) pairs; spectators keyed unsorted would
+    # leave every value right but stop the merging
+    tab = HodgeTable().fill_to_complexity(9, method="cutjoin")
+    assert sum(len(_recursion_terms(tab.level_entries, g, ell))
+               for g, ell in _solvable_levels(tab)) == 4617
 
 
 def test_a_key_beyond_the_dimension_is_refused(monkeypatch):
