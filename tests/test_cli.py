@@ -565,7 +565,8 @@ def test_flag_validation_precedes_work(capsys, solved):
     ("table", "--g-max", "6", "--size-max", "2"),
     ("verify", "--suite", "appendix"),
 ], ids=["hodge", "hodge_both", "hurwitz_elsv", "table", "verify"])
-@pytest.mark.parametrize("budget", [str(MAX_BUDGET + 1), "2000"])
+@pytest.mark.parametrize("budget", [str(MAX_BUDGET + 1), "2000"],
+                         ids=["ceiling_plus_1", "2000"])
 def test_budget_above_the_ceiling_is_refused_before_work(
         capsys, monkeypatch, argv, budget):
     def fail(*args, **kwargs):
