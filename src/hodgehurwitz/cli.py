@@ -34,8 +34,8 @@ DEFAULT_BUDGET = 9
 # 4.2 s at 14, 7.8 s at 15 and 13.4 s at 16 (medians of 5, of 3 at 16,
 # fresh processes with PYTHONDONTWRITEBYTECODE=1 on a shared 2-vCPU
 # host, Python 3.11.7, fractions; single runs at 15 ranged 7.1-11.7 s).
-# The dvv suite checks every level within the budget and grows faster:
-# 1.3, 2.1, 6.2 and 17 s at budgets 9-12; at 15 it ran over 5 minutes.
+# The dvv suite checks every level within the budget: cold, about 0.3,
+# 1.9 and 10.2 s at budgets 9, 12 and 15 (medians of 3-4, same host).
 MAX_BUDGET = 15
 # the series suite compares eta_n with xi_hat_n for these n; the
 # comparison window opens at truncation order 2n + 2
@@ -47,9 +47,9 @@ MIN_SERIES_ORDER = 2 * ETA_INDICES[-1] + 2
 MAX_SERIES_ORDER = 60
 # h(g, mu) needs r = 2g - 2 + ell + |mu| simple branch points, and the
 # branch-point recursion descends once per branch point.  The dearest
-# profiles found at r = 24 (such as g = 4, mu = 11,1,1,1) take 1.8-3 s
-# cold (medians of 5 on a shared 2-vCPU host, Python 3.11.7, fractions,
-# on two days), and each step of r multiplies that by about 1.4.
+# profile found at r = 24, g = 2, mu = 6,4,4,2,1, takes about 1.5 s
+# cold (median of 3 on a shared 2-vCPU host, Python 3.11.7, fractions),
+# and each step of r multiplies that by about 1.45.
 MAX_BRANCH_POINTS = 24
 
 

@@ -20,6 +20,7 @@ their only caller, the curve layer (``lambert_curve``).
 from __future__ import annotations
 
 import math
+from itertools import product
 from typing import Iterator, Optional, Union
 
 try:
@@ -81,11 +82,13 @@ def remove_one(items: tuple[int, ...], value: int) -> tuple[int, ...]:
     return items[:i] + items[i + 1:]
 
 
-def subsets(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...],
-                                                      tuple[int, ...]]]:
-    """Each split of the positions of ``items`` into a chosen part and
-    the rest, as (chosen, rest), both in the order of ``items``."""
-    for mask in range(1 << len(items)):
-        yield (tuple(v for p, v in enumerate(items) if mask >> p & 1),
-               tuple(v for p, v in enumerate(items) if not mask >> p & 1))
-
+def splits(items: tuple[int, ...]) -> Iterator[tuple]:
+    """Each split of the multiset ``items`` as (chosen, rest, count):
+    both parts non-increasing, ``count`` the number of position subsets
+    of ``items`` that give it."""
+    values = sorted(set(items), reverse=True)
+    mults = [items.count(v) for v in values]
+    for ks in product(*(range(m + 1) for m in mults)):
+        yield (sum(((v,) * k for v, k in zip(values, ks)), ()),
+               sum(((v,) * (m - k) for v, m, k in zip(values, mults, ks)), ()),
+               math.prod(map(math.comb, mults, ks)))

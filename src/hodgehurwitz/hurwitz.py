@@ -32,7 +32,7 @@ from math import factorial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from hodgehurwitz.exact_algebra import ONE, ZERO, HALF, Rational, aut, rat, \
-    subsets
+    remove_one, splits
 
 if TYPE_CHECKING:
     from hodgehurwitz.hodge_solver import HodgeTable
@@ -60,7 +60,8 @@ def _rescaled(g: int, mu: tuple[int, ...]) -> Rational:
         + sum_{g1+g2=g} sum_{S subset of mu minus i}
           H(g1, S + (a,)) H(g2, S^c + (b,)) ]
 
-    over part positions; the split sum runs over ordered pairs.
+    with a, b ordered.  The sums over i and S run over multisets, each
+    term times the part positions or subsets S it stands for.
     """
     r = 2 * g - 2 + len(mu) + sum(mu)
     if r <= 0:
@@ -72,16 +73,16 @@ def _rescaled(g: int, mu: tuple[int, ...]) -> Rational:
             rest = mu[:i] + mu[i + 1:j] + mu[j + 1:]
             joined = tuple(sorted(rest + (mu[i] + mu[j],), reverse=True))
             total = total + (mu[i] + mu[j]) * _rescaled(g, joined)
-    for i in range(ell):
-        k = mu[i]
-        rest = mu[:i] + mu[i + 1:]
+    for k in set(mu):
+        rest = remove_one(mu, k)
+        parts = list(splits(rest))
         for a in range(1, k):
             b = k - a
-            weight = HALF * a * b
+            weight = HALF * mu.count(k) * a * b
             if g >= 1:
                 cut = tuple(sorted(rest + (a, b), reverse=True))
                 total = total + weight * _rescaled(g - 1, cut)
-            for left, right in subsets(rest):
+            for left, right, count in parts:
                 mu1 = tuple(sorted(left + (a,), reverse=True))
                 mu2 = tuple(sorted(right + (b,), reverse=True))
                 for g1 in range(g + 1):
@@ -91,7 +92,7 @@ def _rescaled(g: int, mu: tuple[int, ...]) -> Rational:
                     c2 = _rescaled(g - g1, mu2)
                     if not c2:
                         continue
-                    total = total + weight * c1 * c2
+                    total = total + weight * count * c1 * c2
     return total / r
 
 
@@ -263,16 +264,8 @@ def elsv_invert(g: int, ell: int) -> dict:
     if 2 * g - 2 + ell < 1:
         raise ValueError(f"unstable (g,ell)=({g},{ell})")
     dim = 3 * g - 3 + ell
-
-    def multisets(size: int, bound: int, total: int):
-        if size == 0:
-            yield ()
-            return
-        for first in range(min(bound, total), -1, -1):
-            for rest in multisets(size - 1, first, total - first):
-                yield (first,) + rest
-
-    unknowns = [n for n in multisets(ell, dim, dim)]
+    unknowns = [n + (0,) * (ell - len(n)) for d in range(dim, -1, -1)
+                for n in _partitions(d) if len(n) <= ell]
     index_of = {n: i for i, n in enumerate(unknowns)}
     size = len(unknowns)
 

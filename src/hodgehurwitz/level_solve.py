@@ -348,12 +348,13 @@ def _recursion_terms(level: Callable[[int, int], dict], g: int, ell: int):
     """The right side at level (g, ell), collected: a Counter keyed
     (term, spectators), reading each lower level through ``level(g,
     ell)``.  ``term`` names a kernel polynomial, ("join", m) or ("cut",
-    a, b), keyed by the exponents (or labels) of the distinguished slot
-    and the spectator slots it occupies; ``spectators`` is the sorted
-    multiset of indices for the slots left, placed in every distinct
-    way.  The value, times the kernel weight, is the pair's scalar: each
-    occurrence's coefficient over its spectator groups' automorphisms,
-    summed.  No kernel enters, so one sum serves every kernel."""
+    a, b) with a <= b, keyed by the exponents (or labels) of the
+    distinguished slot and the spectator slots it occupies;
+    ``spectators`` is the sorted multiset of indices for the slots left,
+    placed in every distinct way.  The value, times the kernel weight,
+    is the pair's scalar: each occurrence's coefficient over its
+    spectator groups' automorphisms, summed.  No kernel enters, so one
+    sum serves every kernel."""
     if 2 * g - 2 + ell < 2:
         raise ValueError(
             f"recursion applies for complexity 2g-2+ell >= 2; "
@@ -381,7 +382,7 @@ def _recursion_terms(level: Callable[[int, int], dict], g: int, ell: int):
                 rest = tuple(sorted(w1 + w2, reverse=True))
                 for a, va in amap.items():
                     for b, vb in bmap.items():
-                        terms[("cut", a, b), rest] += va * vb
+                        terms[("cut", min(a, b), max(a, b)), rest] += va * vb
     return terms
 
 

@@ -17,7 +17,7 @@ from math import prod
 from typing import TYPE_CHECKING
 
 from .exact_algebra import HALF, ZERO, Rational, format_rational, rat, \
-    remove_one, subsets
+    remove_one, splits
 
 if TYPE_CHECKING:
     from .cli import Tables
@@ -35,9 +35,11 @@ def dvv_verify(g: int, ell: int, table: HodgeTable) -> bool:
         sigma_{L-i}> + 1/2 sum_{a+b=n-2} [ <sigma_a sigma_b sigma_{n_L}>
         + sum_{stable splits} <sigma_a sigma_I><sigma_b sigma_J> ].
 
-    Levels whose instances would involve unstable data (complexity of
-    the target below 2) have nothing to check and return True.  Missing
-    levels of ``table`` are solved by cut-and-join.
+    Both sums over L run over multisets, each term times the positions
+    or subsets of L it stands for.  Levels whose instances would involve
+    unstable data (complexity of the target below 2) have nothing to
+    check and return True.  Missing levels of ``table`` are solved by
+    cut-and-join.
     """
     target_ell = ell + 1
     if 2 * g - 2 + target_ell < 2:
@@ -69,22 +71,22 @@ def dvv_verify(g: int, ell: int, table: HodgeTable) -> bool:
             rest = remove_one(key, n)
             lhs = sigma(g, key)
             rhs = ZERO
-            for i, ni in enumerate(rest):
-                sub = rest[:i] + rest[i + 1:]
-                rhs = rhs + (2 * ni + 1) * sigma(g, sub + (n + ni - 1,))
+            for ni in set(rest):
+                sub = remove_one(rest, ni) + (n + ni - 1,)
+                rhs = rhs + rest.count(ni) * (2 * ni + 1) * sigma(g, sub)
             # each split of rest, listed once for every a (none if n < 2)
-            splits = list(subsets(rest)) if n >= 2 else []
+            parts = list(splits(rest)) if n >= 2 else []
             for a in range(n - 1):
                 b = n - 2 - a
                 if g >= 1:
                     rhs = rhs + HALF * sigma(g - 1, rest + (a, b))
-                for left, right in splits:
+                for left, right, count in parts:
                     for g1 in range(g + 1):
                         c1 = sigma(g1, left + (a,))
                         if not c1:
                             continue
                         c2 = sigma(g - g1, right + (b,))
-                        rhs = rhs + HALF * c1 * c2
+                        rhs = rhs + HALF * count * c1 * c2
             if lhs != rhs:
                 ok = False
     return ok

@@ -9,6 +9,7 @@ import hashlib
 import json
 import time
 
+from hodgehurwitz.cli import main
 from hodgehurwitz.exact_algebra import rat
 from hodgehurwitz.hodge_solver import HodgeTable, hodge_lambda
 from hodgehurwitz.hurwitz import elsv_invert, h_brute, h_direct, \
@@ -186,6 +187,16 @@ def test_criterion_7_dvv_sector():
         while 2 * g - 1 + ell <= CHI_MAX:
             assert dvv_verify(g, ell, table=table), (g, ell)
             ell += 1
+
+
+def test_criterion_7_dvv_suite_at_budget_12_is_bounded(monkeypatch):
+    # the suite checks every g <= 3 level within the budget, in process,
+    # filling its own table with no cache file to read
+    monkeypatch.delenv("HURWITZ_REC_CACHE", raising=False)
+    start = time.monotonic()
+    assert main(["verify", "--suite", "dvv", "--complexity-budget", "12"]) \
+        == 0
+    assert time.monotonic() - start < 10
 
 
 def test_criterion_8_two_point_series_and_inversion():

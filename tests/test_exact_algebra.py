@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from hodgehurwitz.exact_algebra import (
     TruncationError,
     format_rational,
     rat,
+    splits,
 )
 from hodgehurwitz.lambert_curve import bernoulli, double_factorial
 from hodgehurwitz.series import (
@@ -32,6 +34,23 @@ def test_rational_roundtrip():
     assert rat("-22/7") == q
     assert format_rational(rat(5)) == "5"
     assert rat("5") == Rational(5)
+
+
+@given(st.lists(st.integers(0, 3), max_size=8).map(tuple))
+@settings(max_examples=60)
+def test_splits_are_the_position_subsets_collected(items):
+    # each multiset split stands for exactly the position masks giving it
+    by_mask = Counter()
+    for mask in range(1 << len(items)):
+        chosen = [v for p, v in enumerate(items) if mask >> p & 1]
+        rest = [v for p, v in enumerate(items) if not mask >> p & 1]
+        by_mask[tuple(sorted(chosen, reverse=True)),
+                tuple(sorted(rest, reverse=True))] += 1
+    got = Counter()
+    for chosen, rest, count in splits(items):
+        assert (chosen, rest) not in got
+        got[chosen, rest] = count
+    assert got == by_mask
 
 
 # --- multivariate polynomials (test oracles): {exponents: coefficient} -----

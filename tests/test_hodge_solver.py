@@ -490,11 +490,12 @@ def test_a_both_solve_reads_each_recursion_sum_once(monkeypatch):
 
 def test_the_recursion_sum_is_collected_per_term_and_spectators():
     # the 17,062 join, cut and split occurrences of a chi <= 9 fill merge
-    # into 4617 (term, spectators) pairs; spectators keyed unsorted would
+    # into 3298 (term, spectators) pairs; spectators keyed unsorted, or a
+    # cut keyed (a, b) in the order the split gives it (4617), would
     # leave every value right but stop the merging
     tab = HodgeTable().fill_to_complexity(9, method="cutjoin")
     assert sum(len(_recursion_terms(tab.level_entries, g, ell))
-               for g, ell in _solvable_levels(tab)) == 4617
+               for g, ell in _solvable_levels(tab)) == 3298
 
 
 def test_a_key_beyond_the_dimension_is_refused(monkeypatch):
