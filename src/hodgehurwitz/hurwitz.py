@@ -8,8 +8,7 @@ points elsewhere, weighted by 1/|mu|! over all monodromy choices.
   of linear Hodge integrals from the caller's table, filled by
   cut-and-join.
 * ``h_direct`` — the cut-and-join recursion on the branch-point count,
-  run in the normalization H = |Aut(mu)| h / r! that makes every
-  weight a plain rational; the only base case is the trivial cover.
+  on integer counts z_mu h, with the trivial cover as its one base case.
 * ``genus_zero`` — Hurwitz's closed formula, genus 0 only.
 * ``h_brute`` — finite symmetric-group enumeration (a transfer-matrix
   walk over (permutation, orbit-partition) states), usable for small
@@ -28,10 +27,10 @@ check between the recursions.
 from __future__ import annotations
 
 from functools import cache
-from math import factorial
+from math import comb, factorial, prod
 from typing import TYPE_CHECKING, Callable, Optional
 
-from hodgehurwitz.exact_algebra import ONE, ZERO, HALF, Rational, aut, rat, \
+from hodgehurwitz.exact_algebra import ONE, ZERO, Rational, aut, rat, \
     remove_one, splits
 
 if TYPE_CHECKING:
@@ -50,56 +49,60 @@ def _profile(g: int, mu) -> tuple[tuple[int, ...], int]:
 
 
 @cache
-def _rescaled(g: int, mu: tuple[int, ...]) -> Rational:
-    """H = |Aut(mu)| h / r!, the recursion-friendly normalization.
+def _count(g: int, mu: tuple[int, ...]) -> int:
+    """N(g, mu) = z_mu h(g, mu), the number of transitive r-tuples of
+    transpositions whose product is one fixed permutation of type mu.
 
-    Peeling the last simple branch point gives
+    Peeling off the last transposition joins two cycles or cuts one:
 
-      r H(g, mu) = sum_{i<j} (mu_i + mu_j) H(g, join_{ij}(mu))
-        + 1/2 sum_i sum_{a+b=mu_i} a b [ H(g-1, cut_i(mu; a, b))
+      N(g, mu) = sum_{i<j} mu_i mu_j N(g, join_{ij}(mu))
+        + 1/2 sum_i mu_i sum_{a+b=mu_i} [ N(g-1, cut_i(mu; a, b))
         + sum_{g1+g2=g} sum_{S subset of mu minus i}
-          H(g1, S + (a,)) H(g2, S^c + (b,)) ]
+          C(r-1, r1) N(g1, S + (a,)) N(g2, S^c + (b,)) ]
 
-    with a, b ordered.  The sums over i and S run over multisets, each
-    term times the part positions or subsets S it stands for.
+    with a, b ordered and r1 the branch-point count of the first factor.
+    The sums over i and S run over multisets, each term times the part
+    positions or subsets S it stands for; mirrored terms pair up, so the
+    cut sum is even.
     """
-    r = 2 * g - 2 + len(mu) + sum(mu)
-    if r <= 0:
-        return ONE if (g, mu) == (0, (1,)) else ZERO
-    total = ZERO
     ell = len(mu)
+    r = 2 * g - 2 + ell + sum(mu)
+    if r <= 0:
+        return 1 if (g, mu) == (0, (1,)) else 0
+    join = cut = 0
     for i in range(ell):
         for j in range(i + 1, ell):
             rest = mu[:i] + mu[i + 1:j] + mu[j + 1:]
             joined = tuple(sorted(rest + (mu[i] + mu[j],), reverse=True))
-            total = total + (mu[i] + mu[j]) * _rescaled(g, joined)
+            join += mu[i] * mu[j] * _count(g, joined)
     for k in set(mu):
         rest = remove_one(mu, k)
         parts = list(splits(rest))
+        inner = 0
         for a in range(1, k):
             b = k - a
-            weight = HALF * mu.count(k) * a * b
             if g >= 1:
-                cut = tuple(sorted(rest + (a, b), reverse=True))
-                total = total + weight * _rescaled(g - 1, cut)
+                inner += _count(g - 1, tuple(sorted(rest + (a, b),
+                                                    reverse=True)))
             for left, right, count in parts:
                 mu1 = tuple(sorted(left + (a,), reverse=True))
                 mu2 = tuple(sorted(right + (b,), reverse=True))
+                r1 = len(mu1) + sum(mu1) - 2  # r(g1, mu1) - 2 g1
                 for g1 in range(g + 1):
-                    c1 = _rescaled(g1, mu1)
-                    if not c1:
-                        continue
-                    c2 = _rescaled(g - g1, mu2)
-                    if not c2:
-                        continue
-                    total = total + weight * count * c1 * c2
-    return total / r
+                    c1 = _count(g1, mu1)
+                    c2 = c1 and _count(g - g1, mu2)
+                    if c2:
+                        inner += count * comb(r - 1, r1 + 2 * g1) * c1 * c2
+        cut += mu.count(k) * k * inner
+    if cut % 2:
+        raise RuntimeError(f"odd cut sum at N({g}, {mu}) (internal error)")
+    return join + cut // 2
 
 
 def h_direct(g: int, mu) -> Rational:
     """Simple Hurwitz number via the branch-point recursion."""
-    mu, r = _profile(g, mu)
-    return _rescaled(g, mu) * factorial(r) / aut(mu)
+    mu, _ = _profile(g, mu)
+    return rat(_count(g, mu), aut(mu) * prod(mu))
 
 
 def genus_zero(mu) -> Rational:
@@ -229,10 +232,7 @@ def h_brute(g: int, mu) -> Rational:
     # transitivity: a single orbit across all d sheets
     hits = sum(count for (perm, partition), count in states.items()
                if perm == target and len(set(partition)) == 1)
-    z = aut(mu)
-    for m in mu:
-        z *= m
-    return rat(hits, z)
+    return rat(hits, aut(mu) * prod(mu))
 
 
 def routes(g: int, mu, budget: int,

@@ -1,11 +1,13 @@
 """Tests for the three Hurwitz-number routes and the ELSV bridge."""
 
+import hashlib
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 
 import pytest
 
-from hodgehurwitz.exact_algebra import rat
+from hodgehurwitz import hurwitz
+from hodgehurwitz.exact_algebra import format_rational, rat
 from hodgehurwitz.hodge_solver import HodgeTable
 from hodgehurwitz.hurwitz import (
     brute_in_range,
@@ -16,6 +18,7 @@ from hodgehurwitz.hurwitz import (
     hurwitz_elsv,
     routes,
     table_generate,
+    _count,
     _elsv_weight,
     _partitions,
     _profile,
@@ -127,6 +130,44 @@ def test_genus_five_one_part_list():
     wants = [0, rat(1, 2), 59049, 272097280, 333251953125, 202252053177720]
     for k, want in zip(range(1, 7), wants):
         assert h_direct(5, (k,)) == want, k
+
+
+def _grid():
+    """Every (g, mu) with g <= 6, |mu| <= 16 and r <= 18, in order of g,
+    then |mu|, then ``_partitions``."""
+    for g in range(7):
+        for d in range(1, 17):
+            for mu in _partitions(d):
+                if 2 * g - 2 + len(mu) + d <= 18:
+                    yield g, mu
+
+
+def test_direct_values_are_pinned():
+    lines = [f"{g} {','.join(map(str, mu))} "
+             f"{format_rational(h_direct(g, mu))}" for g, mu in _grid()]
+    assert len(lines) == 1467
+    assert hashlib.md5("\n".join(lines).encode()).hexdigest() == \
+        "ae6960ffa4d2b88b868ed851656edef1"
+
+
+def test_transposition_counts_are_ints():
+    # N(g, mu) = z_mu h(g, mu) counts tuples, so no rational enters
+    for g, mu in _grid():
+        assert type(_count(g, mu)) is int, (g, mu)
+
+
+def test_an_odd_cut_sum_is_an_internal_error(monkeypatch):
+    # C(1, 1) off by one breaks the mirror between the a = 1 and a = 2
+    # cuts of N(0, (3,)), so its cut sum is odd
+    monkeypatch.setattr(hurwitz, "comb",
+                        lambda n, k: comb(n, k) + ((n, k) == (1, 1)))
+    _count.cache_clear()
+    try:
+        with pytest.raises(RuntimeError,
+                           match=r"odd cut sum .*\(internal error\)"):
+            h_direct(0, (3,))
+    finally:
+        _count.cache_clear()
 
 
 def test_elsv_matches_direct():

@@ -98,7 +98,7 @@ def test_no_module_imports_a_private_name_of_another(path):
 def test_a_private_import_is_reported():
     tree = ast.parse("from .cli import Tables, _Parser\n"
                      "def f():\n"
-                     "    from hodgehurwitz.hurwitz import _rescaled\n"
+                     "    from hodgehurwitz.hurwitz import _count\n"
                      "    from fractions import _gcd\n")
     assert list(_private_package_imports(tree)) == \
-        [("cli", "_Parser", 1), ("hodgehurwitz.hurwitz", "_rescaled", 3)]
+        [("cli", "_Parser", 1), ("hodgehurwitz.hurwitz", "_count", 3)]
