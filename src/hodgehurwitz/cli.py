@@ -48,7 +48,7 @@ MAX_SERIES_ORDER = 60
 # h(g, mu) needs r = 2g - 2 + ell + |mu| simple branch points, and the
 # branch-point recursion descends once per branch point.  The dearest
 # profiles found at r = 24 (g = 2, mu = 5,5,3,2,2 or 6,4,4,2,1) take
-# about 0.4-0.47 s cold (medians of 7 on a shared 2-vCPU host, Python
+# about 0.35 s cold (medians of 7 on a shared 2-vCPU host, Python
 # 3.11.7, fractions), and each step of r multiplies that by about 1.5.
 MAX_BRANCH_POINTS = 24
 

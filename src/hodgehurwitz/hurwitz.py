@@ -48,6 +48,10 @@ def _profile(g: int, mu) -> tuple[tuple[int, ...], int]:
     return parts, 2 * g - 2 + len(parts) + sum(parts)
 
 
+# the splits of each multiset, listed once per process
+_splits = cache(lambda rest: tuple(splits(rest)))
+
+
 @cache
 def _count(g: int, mu: tuple[int, ...]) -> int:
     """N(g, mu) = z_mu h(g, mu), the number of transitive r-tuples of
@@ -77,14 +81,13 @@ def _count(g: int, mu: tuple[int, ...]) -> int:
             join += mu[i] * mu[j] * _count(g, joined)
     for k in set(mu):
         rest = remove_one(mu, k)
-        parts = list(splits(rest))
         inner = 0
         for a in range(1, k):
             b = k - a
             if g >= 1:
                 inner += _count(g - 1, tuple(sorted(rest + (a, b),
                                                     reverse=True)))
-            for left, right, count in parts:
+            for left, right, count in _splits(rest):
                 mu1 = tuple(sorted(left + (a,), reverse=True))
                 mu2 = tuple(sorted(right + (b,), reverse=True))
                 r1 = len(mu1) + sum(mu1) - 2  # r(g1, mu1) - 2 g1

@@ -18,10 +18,9 @@ coefficient of t^{-d}, so polynomials in t occupy degrees <= 0.
 
 Each series is computed once per process.  The Bernoulli numbers and
 the Stirling coefficients grow as module lists; ``eta_series`` is
-memoized per argument.  The process holds s(t) and v(t) each at the
-highest order requested so far and serves a lower order as its
-truncation; a higher order is solved afresh, and every solve is checked
-against its defining equation from its first order (see ``_solve_s``).
+memoized per argument, and so are s(t) and v(t), per truncation order:
+each order is solved once, and every solve is checked against its
+defining equation from its first order (see ``_solve_s``).
 
 s(t) comes from the ODE s' t^2 (t - 1) = s^2 (s - 1), which is
 w'(s) s' = w'(t) with w'(t) = -1/(t^2 (t - 1)).  Its coefficients in
@@ -33,8 +32,8 @@ of series, O(N^2) operations on Python ints (see ``_solve_s``).  v(t)
 follows the same way, from y^2 = 2 w t^2 for y = t v (see
 ``_solve_v``), and so do the Bernoulli numbers and the Stirling
 coefficients.
-``s_powers`` and ``v_powers`` share the powers of the series served at
-one order across every composition into it.  Cached values are never
+``s_powers`` and ``v_powers`` share the powers of the series at one
+order across every composition into it.  Cached values are never
 mutated.
 """
 
@@ -65,11 +64,7 @@ def d_dt(series: LaurentSeries) -> LaurentSeries:
     """
     if series.var != "1/t":
         raise ValueError(f"expected a series in 1/t, got {series.var!r}")
-    t = series.truncation_order
-    return LaurentSeries._of(
-        "1/t", series.min_degree + 1, None if t is None else t + 1,
-        series.den, series.lo + 1,
-        [-d * n for d, n in enumerate(series.ints, series.lo)])
+    return -(series.derivative().shift(2))
 
 
 # ---------------------------------------------------------------------------
@@ -205,62 +200,34 @@ def _solve_v(order: int) -> LaurentSeries:
     return y.shift(1)
 
 
-class _CurveMemo:
-    """The curve series of one process: s(t) and v(t), each held at the
-    highest order solved so far, and the power tables of the series
-    served at each order."""
-
-    def __init__(self):
-        self.top: dict[str, LaurentSeries] = {}
-        self.powers: dict[tuple[str, int], SeriesPowers] = {}
-
-    def serve(self, name: str, order: int, solve) -> LaurentSeries:
-        """The series ``name`` through t^-order.  A lower order than the
-        one held is its truncation; a higher one is solved afresh by
-        ``solve`` and replaces the series held."""
-        top = self.top.get(name)
-        if top is None or top.truncation_order < order:
-            top = self.top[name] = solve(order)
-        return top.truncate(order)
-
-    def table(self, name: str, series: LaurentSeries) -> SeriesPowers:
-        """The shared power table of a served series, keyed by its order."""
-        key = (name, series.truncation_order)
-        table = self.powers.get(key)
-        if table is None:
-            table = self.powers[key] = SeriesPowers(series)
-        return table
-
-
-_CURVE = _CurveMemo()
-
-
+@cache
 def s_involution(order: int) -> LaurentSeries:
-    """The deck transformation s(t): the second solution of w(s) = w(t),
-    truncated at t^-order.  Solved once per process, and afresh when a
-    higher order is asked for (see ``_solve_s``)."""
+    """The deck transformation s(t), the second solution of w(s) = w(t),
+    truncated at t^-order; solved and checked once per order (``_solve_s``)."""
     if order < 0:
         raise ValueError("s_involution needs order >= 0")
-    return _CURVE.serve("s", order, _solve_s)
+    return _solve_s(order)
 
 
+@cache
 def v_series(order: int) -> LaurentSeries:
     """The branch coordinate v(t) with v^2/2 = w and leading term +1/t,
-    truncated at t^-order.  Solved once per process, and afresh when a
-    higher order is asked for (see ``_solve_v``)."""
+    truncated at t^-order; solved and checked once per order (``_solve_v``)."""
     if order < 1:
         raise ValueError("v_series needs order >= 1")
-    return _CURVE.serve("v", order, _solve_v)
+    return _solve_v(order)
 
 
+@cache
 def s_powers(order: int) -> SeriesPowers:
     """Powers of ``s_involution(order)`` and of 1/s, formed once."""
-    return _CURVE.table("s", s_involution(order))
+    return SeriesPowers(s_involution(order))
 
 
+@cache
 def v_powers(order: int) -> SeriesPowers:
     """Powers of ``v_series(order)`` and of 1/v, formed once."""
-    return _CURVE.table("v", v_series(order))
+    return SeriesPowers(v_series(order))
 
 
 # ---------------------------------------------------------------------------

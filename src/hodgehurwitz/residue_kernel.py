@@ -43,7 +43,7 @@ exactly when the honest one is, so the same orders raise.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from hodgehurwitz.exact_algebra import HALF
 from hodgehurwitz.lambert_curve import (
@@ -180,12 +180,10 @@ def p_n(n: int) -> dict:
 # eta forms (independent oracles)
 
 
-def p_ab_eta(a: int, b: int, order: Optional[int] = None) -> dict:
+def p_ab_eta(a: int, b: int) -> dict:
     if a < 0 or b < 0:
         raise ValueError("p_ab_eta indices must be >= 0")
-    degree = 2 * (a + b + 2)
-    if order is None:
-        order = degree + 12
+    order = 2 * (a + b + 2) + 12
     v = v_powers(order)
     inv_eta = laurent_reciprocal(eta_series(-1, order))
     odd = eta_series(a + 1, order) * eta_series(b + 1, order) * inv_eta
@@ -195,11 +193,10 @@ def p_ab_eta(a: int, b: int, order: Optional[int] = None) -> dict:
     return polynomial_part(composed.scale(HALF))
 
 
-def p_n_eta(n: int, order: Optional[int] = None) -> dict:
+def p_n_eta(n: int) -> dict:
     if n < 0:
         raise ValueError("p_n_eta index must be >= 0")
-    if order is None:
-        order = 2 * n + 16
+    order = 2 * n + 16
     v = v_powers(order)
     dv = d_dt(v.series)
     eta_top = eta_series(n + 1, order)

@@ -31,11 +31,14 @@ from hodge_oracle import xi_in_x_check
 ORDER = 30
 
 
+_CURVE_MEMOS = (lambert_curve.s_involution, lambert_curve.v_series,
+                lambert_curve.s_powers, lambert_curve.v_powers)
+
+
 @pytest.fixture
 def curve_solves(monkeypatch):
-    """A fresh process memo of the curve series, and the orders at which
-    s(t) and v(t) are then solved, in call order."""
-    monkeypatch.setattr(lambert_curve, "_CURVE", lambert_curve._CurveMemo())
+    """Empty memos of the curve series, and the orders at which s(t) and
+    v(t) are then solved, in call order."""
     solves = {"s": [], "v": []}
     for name in solves:
         solve = getattr(lambert_curve, f"_solve_{name}")
@@ -45,7 +48,11 @@ def curve_solves(monkeypatch):
             return solve(order)
 
         monkeypatch.setattr(lambert_curve, f"_solve_{name}", counting)
-    return solves
+    for memo in _CURVE_MEMOS:
+        memo.cache_clear()
+    yield solves
+    for memo in _CURVE_MEMOS:
+        memo.cache_clear()
 
 
 # --- xi_hat tower ------------------------------------------------------------
@@ -174,13 +181,17 @@ def test_s_recurrence_corruption_is_caught(monkeypatch, index):
             lambert_curve._solve_s(order)
 
 
-def test_s_involution_grows_from_lower_orders(curve_solves):
-    # lower orders are truncations of the series held; a higher order is
-    # solved afresh and replaces it
-    served = {k: s_involution(k) for k in (10, 4, 16, 12, 20)}
-    assert curve_solves["s"] == [10, 16, 20]
+def test_s_involution_solves_each_order_once(curve_solves):
+    # each order is solved once, whatever order came before it, and a
+    # lower order agrees with the truncation of a higher one
+    orders = (10, 4, 16, 12, 20)
+    served = {k: s_involution(k) for k in orders}
+    assert curve_solves["s"] == list(orders)
+    for k in orders:
+        assert s_involution(k) is served[k], k
+    assert curve_solves["s"] == list(orders)
     for k, s in served.items():
-        assert s == lambert_curve._solve_s(k), k
+        assert s == s_involution(20).truncate(k), k
 
 
 def test_s_involution_fixes_w():
@@ -368,26 +379,25 @@ def test_verify_series_solves_s_and_v_once(capsys, curve_solves):
     assert curve_solves == {"s": [18], "v": [18]}
 
 
-def test_bm_hodge_solves_s_only_when_the_order_rises(capsys, monkeypatch,
-                                                     curve_solves):
+def test_bm_hodge_solves_each_order_of_s_once(capsys, monkeypatch,
+                                             curve_solves):
     monkeypatch.setattr(residue_kernel, "DEFAULT_CACHE", ResidueCache())
     # the solver memoizes p_ab and p_n in its label basis per kernel
     # object, so a copy of the bm kernel asks the fresh cache again
     monkeypatch.setitem(level_solve._KERNELS, "bm",
                         level_solve._KERNELS["bm"].replace())
-    memo, requested = lambert_curve._CURVE, []
-    serve = memo.serve
+    requested = []
+    involution = lambert_curve.s_involution
 
-    def recording(name, order, solve):
-        if name == "s":
-            requested.append(order)
-        return serve(name, order, solve)
+    def recording(order):
+        requested.append(order)
+        return involution(order)
 
-    monkeypatch.setattr(memo, "serve", recording)
+    monkeypatch.setattr(lambert_curve, "s_involution", recording)
+    monkeypatch.setattr(residue_kernel, "s_involution", recording)
     assert main(["hodge", "--g", "2", "--indices", "4", "--method",
                  "bm"]) == 0
     assert capsys.readouterr().out == "j=0 value=1/1152\n"
-    rises = [k for i, k in enumerate(requested)
-             if all(k > j for j in requested[:i])]
-    assert len(rises) < len(requested)
-    assert curve_solves["s"] == rises
+    # each order asked for is solved once, when it is first asked for
+    assert requested
+    assert curve_solves["s"] == list(dict.fromkeys(requested))

@@ -52,11 +52,6 @@ def test_p_ab_matches_eta_form_small():
             assert p_ab(a, b) == p_ab_eta(a, b)
 
 
-def test_p_ab_eta_insufficient_order_raises():
-    with pytest.raises(TruncationError):
-        p_ab_eta(2, 2, order=6)
-
-
 def test_p_n_0_frozen():
     assert p_n(0) == {(2, 0): 1, (0, 2): 3, (1, 0): rat(-2, 3), (0, 1): -2}
 
