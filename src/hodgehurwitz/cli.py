@@ -237,7 +237,7 @@ def _run_hurwitz(args, tables: Tables) -> int:
     chi = 2 * args.g - 2 + len(mu)
     r = chi + sum(mu)
     _refuse_over_branch_points(r)
-    from .hurwitz import h_brute, h_direct, hurwitz_elsv, routes
+    from .hurwitz import agree, h_brute, h_direct, hurwitz_elsv, routes
     if args.method == "cutjoin":
         print(format_rational(h_direct(args.g, mu)))
         return 0
@@ -250,14 +250,9 @@ def _run_hurwitz(args, tables: Tables) -> int:
                                            table=tables.get("cutjoin"))))
         return 0
     # cross: every route that answers this profile
-    results = [(name, format_rational(route())) for name, route in routes(
-        args.g, mu, args.complexity_budget, lambda: tables.get("cutjoin"))]
-    if len({v for _, v in results}) != 1:
-        detail = " ".join(f"{name}={v}" for name, v in results)
-        raise ValueError(
-            f"methods disagree at h({args.g}, {tuple(sorted(mu, reverse=True))}): "
-            f"{detail}")
-    print(f"{results[0][1]} ({len(results)} methods agree)")
+    value, names = agree(args.g, mu, routes(
+        args.g, mu, args.complexity_budget, lambda: tables.get("cutjoin")))
+    print(f"{format_rational(value)} ({len(names)} methods agree)")
     return 0
 
 

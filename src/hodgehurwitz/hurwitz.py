@@ -16,7 +16,8 @@ points elsewhere, weighted by 1/|mu|! over all monodromy choices.
   recursion.
 
 ``routes`` says which of them answer a profile, in that order of
-preference; ``table_generate`` and ``hurwitz --method cross`` read it.
+preference, and ``agree`` decides whether the routes it is given agree:
+``table_generate`` and ``hurwitz --method cross`` call both.
 
 ``elsv_invert`` runs the intersection-number formula backwards: it
 recovers a whole level of the Hodge table from Hurwitz numbers alone
@@ -30,8 +31,8 @@ from functools import cache
 from math import comb, factorial, prod
 from typing import TYPE_CHECKING, Callable, Optional
 
-from hodgehurwitz.exact_algebra import ONE, ZERO, Rational, aut, rat, \
-    remove_one, splits
+from hodgehurwitz.exact_algebra import ONE, ZERO, Rational, aut, \
+    format_rational, rat, remove_one, splits
 
 if TYPE_CHECKING:
     from hodgehurwitz.hodge_solver import HodgeTable
@@ -257,6 +258,19 @@ def routes(g: int, mu, budget: int,
     return found
 
 
+def agree(g: int, mu, found: list) -> tuple[Rational, list[str]]:
+    """(value, names): run each (name, thunk) of ``found`` in order and
+    return the one value they all give; on any difference raise one
+    ValueError naming every route run and its value."""
+    values = [(name, route()) for name, route in found]
+    value = values[0][1]
+    if any(v != value for _, v in values):
+        detail = " ".join(f"{n}={format_rational(v)}" for n, v in values)
+        raise ValueError(f"methods disagree at h({g}, "
+                         f"{tuple(sorted(mu, reverse=True))}): {detail}")
+    return value, [name for name, _ in values]
+
+
 def elsv_invert(g: int, ell: int) -> dict:
     """Recover the Hodge-table level (g, ell) from Hurwitz numbers.
 
@@ -325,9 +339,9 @@ def table_generate(g_max: int, d_max: int, include_genus_zero: bool = False,
     Each row is computed by the first of its ``routes``: the
     Hodge-integral formula over ``hodge_table`` for stable profiles
     within ``chi_budget``, the branch-point recursion otherwise.  With
-    ``check`` every row is recomputed by its second route, which shares
-    no code with the first, and compared exactly; a row with no second
-    route is marked unchecked.
+    ``check`` its second route, which shares no code with the first,
+    runs too, never a third, and ``agree`` compares the two; a row with
+    no second route is marked unchecked.
     """
     if g_max < 1:
         raise ValueError("g-max must be ≥ 1 for the Hurwitz table")
@@ -337,22 +351,13 @@ def table_generate(g_max: int, d_max: int, include_genus_zero: bool = False,
     for g in range(0 if include_genus_zero else 1, g_max + 1):
         for d in range(1, d_max + 1):
             for mu in _partitions(d):
-                (how, route), *others = routes(g, mu, chi_budget,
-                                               lambda: hodge_table)
-                value = route()
-                checked = check and bool(others)
-                if checked:
-                    name, second = others[0]
-                    other = second()
-                    if other != value:
-                        raise ValueError(
-                            f"pipelines disagree at h({g}, {mu}): {how} "
-                            f"gives {value}, {name} gives {other}")
+                found = routes(g, mu, chi_budget, lambda: hodge_table)
+                value, names = agree(g, mu, found[:2 if check else 1])
                 rows.append({
                     "g": g,
                     "mu": list(mu),
                     "h": value,
-                    "method": how,
-                    "checked": checked,
+                    "method": names[0],
+                    "checked": len(names) > 1,
                 })
     return rows

@@ -244,7 +244,6 @@ def _decode_bm(key: tuple[int, ...]) -> Optional[tuple[int, ...]]:
 # divided-difference join polynomials and cut products (cut-and-join form)
 
 
-@cache
 def _join_pair_poly(m: int) -> dict:
     """(xi_hat_{m+1}(x) xi_hat_0(y) x^2 - (x <-> y)) / (x - y), as integer
     terms keyed (x, y).  With A(x) = x^2 xi_hat_{m+1}(x), B = xi_hat_0,
@@ -261,7 +260,6 @@ def _join_pair_poly(m: int) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-@cache
 def _cut_pair_poly(a: int, b: int) -> dict:
     """xi_hat_{a+1} xi_hat_{b+1}, as integer terms."""
     out: dict = {}

@@ -182,24 +182,15 @@ def appendix_checks(budget: int, tables: Tables) -> list:
             return True
         return check
 
-    def hurwitz_direct():
-        for g, mu, val in HURWITZ_REFERENCE + HURWITZ_GENUS_FIVE:
-            got = h_direct(g, mu)
-            if got != rat(val):
-                raise ValueError(
-                    f"h({g}, {mu}) expected {val}, recursion gives "
-                    f"{format_rational(got)}")
-        return True
-
-    def hurwitz_formula():
-        table = tables.get("cutjoin")
-        for g, mu, val in HURWITZ_REFERENCE + HURWITZ_GENUS_FIVE:
-            got = hurwitz_elsv(g, mu, table=table)
-            if got != rat(val):
-                raise ValueError(
-                    f"h({g}, {mu}) expected {val}, Hodge-integral formula "
-                    f"gives {format_rational(got)}")
-        return True
+    def hurwitz_rows(route, what: str):
+        def check():
+            for g, mu, val in HURWITZ_REFERENCE + HURWITZ_GENUS_FIVE:
+                got = route(g, mu)
+                if got != rat(val):
+                    raise ValueError(f"h({g}, {mu}) expected {val}, {what} "
+                                     f"gives {format_rational(got)}")
+            return True
+        return check
 
     return [
         ("appendix: Hodge integrals, cut-and-join pipeline",
@@ -207,7 +198,8 @@ def appendix_checks(budget: int, tables: Tables) -> list:
         ("appendix: Hodge integrals, topological-recursion pipeline",
          hodge_rows("bm")),
         ("appendix: Hurwitz numbers, branch-point recursion",
-         hurwitz_direct),
+         hurwitz_rows(h_direct, "recursion")),
         ("appendix: Hurwitz numbers, Hodge-integral formula",
-         hurwitz_formula),
+         hurwitz_rows(lambda g, mu: hurwitz_elsv(
+             g, mu, table=tables.get("cutjoin")), "Hodge-integral formula")),
     ]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -400,8 +401,37 @@ def test_table_check_compares_direct_rows_with_a_closed_form(
     code, out, err = run(capsys, "table", "--g-max", "1", "--size-max", "3",
                          "--include-genus-zero", "--check")
     assert (code, out) == (1, "")
-    assert err.startswith(f"error: pipelines disagree at {row}: direct ")
-    assert err.count("\n") == 1
+    value = hurwitz.h_direct(0, wrong)
+    assert err == (f"error: methods disagree at {row}: direct={value} "
+                   f"closed form={value + 1}\n")
+
+
+def test_cross_and_table_check_report_a_disagreement_alike(
+        capsys, monkeypatch):
+    # one rule decides agreement: the same wrong route gives one line,
+    # naming every route run; table --check runs only its first two
+    right = hurwitz.genus_zero
+    monkeypatch.setattr(hurwitz, "genus_zero", lambda mu: right(mu) + 1
+                        if tuple(mu) == (3,) else right(mu))
+    line = "error: methods disagree at h(0, (3,)): direct=1 closed form=2"
+    assert run(capsys, "hurwitz", "--g", "0", "--mu", "3", "--method",
+               "cross") == (1, "", f"{line} brute=1\n")
+    assert run(capsys, "table", "--g-max", "1", "--size-max", "3",
+               "--include-genus-zero", "--check") == (1, "", f"{line}\n")
+
+
+def test_table_check_runs_the_second_route_only(capsys, monkeypatch):
+    # every genus-1 row has elsv and direct, so brute force never runs
+    def refuse(*args):
+        raise AssertionError("a third route ran")
+
+    monkeypatch.setattr(hurwitz, "h_brute", refuse)
+    code, out, _ = run(capsys, "table", "--g-max", "1", "--size-max", "3",
+                       "--check")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 1 + 2 + 3
+    assert all(row.endswith(",true") for row in rows)
 
 
 def test_table_check_marks_rows_beyond_every_second_route(capsys):
@@ -606,6 +636,34 @@ def test_unknown_subcommand_exits_nonzero():
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
     assert proc.stderr.count("\n") == 1
+
+
+# the stdout md5 of each request of .github/backend_requests.sh under
+# the fractions backend; CI holds gmpy2 to the same bytes
+BACKEND_MD5 = {
+    "verify_all": "22abbd05344905ba6e793aafc67ba4aa",
+    "series_60": "bb573144a5d639ac071549e65bba3b2d",
+    "hodge": "93a39348dfdd8173cc300a8aa268d862",
+    "table": "6500b08a1e78be94a435603d830516cb",
+    "cross": "958d6a866856b10053e4c2e1b2c8a768",
+    "table_g0": "17c28aa1ff935cffd947b5dda516523e",
+}
+
+
+def test_backend_requests_print_their_pinned_bytes(capsys, monkeypatch):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, ".github", "backend_requests.sh"),
+              encoding="utf-8") as fh:
+        requests = re.findall(
+            r'^python -m hodgehurwitz (.*) > "\$dir/(\w+)"$', fh.read(),
+            re.MULTILINE)
+    assert sorted(name for _, name in requests) == sorted(BACKEND_MD5)
+    monkeypatch.delenv("HURWITZ_REC_CACHE", raising=False)
+    for argv, name in requests:
+        code, out, err = run(capsys, *argv.split())
+        assert (code, err) == (0, ""), name
+        assert hashlib.md5(out.encode()).hexdigest() == BACKEND_MD5[name], \
+            name
 
 
 # What one request imports: run in a fresh interpreter, print the exit

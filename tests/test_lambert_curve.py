@@ -225,7 +225,7 @@ def test_v_series_printed_coefficients():
 def test_v_series_low_orders_are_truncations(curve_solves):
     # v(t) is an infinite series at every order, including order 1
     for k in range(1, 40):
-        v = v_series(k)  # each solves afresh, above the order held
+        v = v_series(k)  # each order is solved once, on first request
         assert v.truncation_order == k, k
     full = v_series(40)
     assert curve_solves["v"] == list(range(1, 41))
