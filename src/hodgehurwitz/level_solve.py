@@ -35,9 +35,10 @@ groups' automorphisms).  With the level denominator L, the lcm of every
 D den(q), each key sums the Python ints c num(q) L/(D den(q)) and is
 divided by L once.
 
-Extraction works on those rationals.  Each unknown's image is a few
-keys, and each key names one unknown, so extraction reads every unknown
-off directly.  Every read must agree and the image of the solution must
+Extraction works on those rationals.  An unknown is the sorted index
+tuple the table stores, in both kernels.  Its image is a few keys, and
+each key names one unknown, so extraction reads every unknown off
+directly.  Every read must agree and the image of the solution must
 equal the right side exactly — any leftover raises "identity violated".
 The recursions are thus self-checking: a wrong weight, kernel or
 denominator anywhere cannot silently produce a table.
@@ -60,9 +61,9 @@ the missing levels it reads, and every level under a "both" solve is
 itself solved both ways.  Folded keys are flat: the first ``head``
 positions stay in place and the rest are sorted.  Cut-and-join has head
 0; ``bm`` has head 1, the label of its distinguished variable t.
-The ``bm`` unknowns are solved per choice of which index sits in the
-t-slot, and the solver verifies that all choices give the same value
-before storing — the permutation symmetry of the output is checked, not
+A ``bm`` unknown has one key per distinct index that can sit in the
+t-slot, and every one of them must read the same value, or be a
+leftover — the permutation symmetry of the output is checked, not
 assumed.
 """
 
@@ -70,7 +71,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -95,18 +96,6 @@ def _value_pairs(items: tuple[int, ...]) -> list[tuple[int, int]]:
     return sorted({(min(x, y), max(x, y)) for x, y in combinations(items, 2)})
 
 
-def _slot_choices(indices: tuple[int, ...], head: int) -> list[tuple]:
-    """The unknowns of one index tuple: each distinct choice of the
-    indices in the ``head`` fixed slots, followed by the rest, sorted."""
-    choices = []
-    for fixed in sorted(set(permutations(indices, head)), reverse=True):
-        rest = indices
-        for v in fixed:
-            rest = remove_one(rest, v)
-        choices.append(fixed + rest)
-    return choices
-
-
 def _splits(g: int, n: int):
     """(g1, k1, g2, k2): two stable surfaces sharing n spectators."""
     for g1 in range(g + 1):
@@ -124,16 +113,6 @@ def _star_values(entries: dict) -> dict:
             W = remove_one(E, a)
             out.setdefault(W, {})[a] = val / aut(W)
     return out
-
-
-def _add_scaled(dst: dict, src: dict, factor) -> None:
-    if factor:
-        for k, c in src.items():
-            s = dst.get(k, ZERO) + c * factor
-            if s:
-                dst[k] = s
-            else:
-                dst.pop(k, None)
 
 
 def _cutjoin_basis(k: int) -> dict:
@@ -219,11 +198,16 @@ def _image_cutjoin(M: tuple[int, ...], chi: int) -> dict:
 
 
 @cache
-def _image_bm(unknown: tuple[int, ...], chi: int) -> dict:
-    """xi_form of the t-slot index times prod xi_form over the rest; the
-    residue form has no chi factor, so ``chi`` is unused.  Memoized and
-    shared like ``_image_cutjoin``."""
-    return {tuple(2 * m for m in unknown): ONE / aut(unknown[1:])}
+def _image_bm(M: tuple[int, ...], chi: int) -> dict:
+    """xi_v(t) times prod xi_form over the rest of M, one key for each
+    distinct index v of M in the t-slot; the residue form has no chi
+    factor, so ``chi`` is unused.  Memoized and shared like
+    ``_image_cutjoin``."""
+    image = {}
+    for v in _distinct_values(M):
+        rest = remove_one(M, v)
+        image[(2 * v,) + tuple(2 * m for m in rest)] = ONE / aut(rest)
+    return image
 
 
 def _decode_cutjoin(key: tuple[int, ...]) -> Optional[tuple[int, ...]]:
@@ -235,9 +219,10 @@ def _decode_cutjoin(key: tuple[int, ...]) -> Optional[tuple[int, ...]]:
 
 
 def _decode_bm(key: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    # label 2m carries index m in the t-slot and in the spectators alike
     if any(e % 2 for e in key):
         return None
-    return tuple(e // 2 for e in key)
+    return tuple(sorted((e // 2 for e in key), reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +374,21 @@ def _image_remainder(rhs: dict, kernel: _Kernel, chi: int,
     """``rhs`` minus the image of ``values``, a map unknown -> value."""
     remainder = dict(rhs)
     for unknown, value in values.items():
-        _add_scaled(remainder, kernel.image(unknown, chi), -value)
+        for key, weight in kernel.image(unknown, chi).items():
+            c = remainder.get(key, ZERO) - weight * value
+            if c:
+                remainder[key] = c
+            else:
+                remainder.pop(key, None)
     return remainder
 
 
 def _run_extraction(rhs: dict, kernel: _Kernel, g: int, ell: int,
                     context: str) -> dict:
-    """Read each unknown off its keys of ``rhs``; every read must agree
-    and the image of the solution must equal ``rhs`` exactly."""
+    """Read each unknown, a sorted index tuple, off its keys of
+    ``rhs``; every read must agree (for ``bm``, every choice of the
+    t-slot index) and the image of the solution must equal ``rhs``
+    exactly, so a key of an unknown missing from ``rhs`` is a leftover."""
     chi, dim = 2 * g - 2 + ell, 3 * g - 3 + ell
     solved: dict = {}
     for key, c in rhs.items():
@@ -420,21 +412,6 @@ def _run_extraction(rhs: dict, kernel: _Kernel, g: int, ell: int,
         raise ValueError(f"identity violated at {context}: leftover at "
                          f"{len(remainder)} keys, top {max(remainder)}")
     return solved
-
-
-def _merge_slot_choices(solved: dict, head: int, context: str) -> dict:
-    """Collapse per-slot solutions onto sorted index tuples, verifying
-    that every choice of the fixed slots is solved and all agree."""
-    merged = {}
-    for unknown, val in solved.items():
-        key = tuple(sorted(unknown, reverse=True))
-        by_slot = {u: solved.get(u) for u in _slot_choices(key, head)}
-        if set(by_slot.values()) != {val}:
-            raise ValueError(
-                f"identity violated at {context}: "
-                f"asymmetric solution for indices {key}: {by_slot}")
-        merged[key] = val
-    return merged
 
 
 def _rhs_in_basis(terms: Counter, kernel: _Kernel) -> dict:
@@ -483,9 +460,8 @@ def solve_level(table: HodgeTable, g: int, ell: int, method: str) -> dict:
     for name in names:
         kernel = _KERNELS[name]
         context = f"{name} level (g,ell)=({g},{ell})"
-        solved = _merge_slot_choices(
-            _run_extraction(_rhs_in_basis(terms, kernel), kernel, g,
-                            ell, context), kernel.head, context)
+        solved = _run_extraction(_rhs_in_basis(terms, kernel), kernel,
+                                 g, ell, context)
         if first is None:
             first = solved
         elif solved != first:
@@ -511,10 +487,8 @@ def identity_remainder(table: HodgeTable, g: int, ell: int,
     terms = _recursion_terms(table.level_entries, g, ell)
     for name in names:
         kernel = _KERNELS[name]
-        values = {unknown: val for M, val in entries.items()
-                  for unknown in _slot_choices(M, kernel.head)}
         remainder = _image_remainder(_rhs_in_basis(terms, kernel),
-                                     kernel, 2 * g - 2 + ell, values)
+                                     kernel, 2 * g - 2 + ell, entries)
         if remainder:
             return remainder
     return {}

@@ -401,10 +401,11 @@ def extract_in_xi_basis(identity: XiIdentity) -> dict:
 
     Converts the right-hand side into the shape's label basis and folds
     it (faithful: both recursion forms are symmetric in the t_i), then
-    reads each unknown off its keys directly.  For the "bm" shape the
-    returned keys are (n_0, n_1, ..) with n_0 the t-slot index; for
-    "cutjoin" they are non-increasing index tuples.  Disagreeing reads
-    or a nonzero remainder raise "identity violated".
+    reads each unknown off its keys directly.  The returned keys are
+    non-increasing index tuples for both shapes; a "bm" unknown is read
+    once for each index in the t-slot (t), so a right side that is not
+    symmetric in (t, t_1..) is refused.  Disagreeing reads or a nonzero
+    remainder raise "identity violated".
     """
     shape, g = identity.unknown_shape, identity.g
     n_vars = len(identity.variables)

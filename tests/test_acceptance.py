@@ -9,6 +9,8 @@ import hashlib
 import json
 import time
 
+import pytest
+
 from hodgehurwitz.cli import main
 from hodgehurwitz.exact_algebra import rat
 from hodgehurwitz.hodge_solver import HodgeTable, hodge_lambda
@@ -24,8 +26,8 @@ from hodgehurwitz.series import LaurentSeries, laurent_reciprocal, \
     laurent_substitute
 from hodgehurwitz.verify import dvv_verify
 from hodgehurwitz.xi_tower import xi_form
-from hodge_oracle import XiIdentity, bm_rhs, extract_in_xi_basis, poly_add, \
-    poly_scale
+from hodge_oracle import XiIdentity, bm_rhs, extract_in_xi_basis, \
+    from_univariate, poly_add, poly_mul, poly_scale
 
 CHI_MAX = 9
 ORDER = 30
@@ -156,20 +158,24 @@ def test_criterion_6_identity_remainders_vanish():
 
 
 def test_criterion_6_extracted_tables_are_permutation_symmetric():
+    # a BM unknown is read once for each index in the t-slot, and every
+    # read must agree: an extracted table is symmetric or refused
     table = _filled("bm")
     for g, spectators in [(0, 3), (1, 1), (1, 2)]:
         rhs = bm_rhs(g, spectators, table)
         names = ("t",) + tuple(f"t_{i}" for i in range(1, spectators + 1))
         extracted = extract_in_xi_basis(XiIdentity("bm", g, names, rhs))
-        by_multiset: dict = {}
-        for key, value in extracted.items():
-            by_multiset.setdefault(tuple(sorted(key)), set()).add(value)
-        assert by_multiset
-        for multiset, values in by_multiset.items():
-            assert len(values) == 1, (g, spectators, multiset)
-        level = table.level_entries(g, spectators + 1)
-        for key, value in extracted.items():
-            assert value == level[tuple(sorted(key, reverse=True))], key
+        assert extracted == table.level_entries(g, spectators + 1)
+    # xi_1(t) xi_0(t_1) is not symmetric in (t, t_1): alone it leaves the
+    # t-slot choice xi_0(t) xi_1(t_1) over, and added to a true right
+    # side it makes the two reads of <tau_1 tau_0> disagree
+    one_slot = poly_mul(from_univariate(xi_form(1), 2, 0),
+                        from_univariate(xi_form(0), 2, 1))
+    for rhs, fault in [(one_slot, "leftover"),
+                       (poly_add(bm_rhs(1, 1, table), one_slot),
+                        r"reads of \(1, 0\) disagree")]:
+        with pytest.raises(ValueError, match=f"identity violated.*{fault}"):
+            extract_in_xi_basis(XiIdentity("bm", 1, ("t", "t_1"), rhs))
 
 
 def test_criterion_7_dvv_sector():

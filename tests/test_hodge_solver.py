@@ -149,12 +149,26 @@ def test_dvv_detects_corruption():
     assert dvv_verify(2, 0, table=tab) is False
 
 
+def _xi_product(t_index: int, spectator: int) -> dict:
+    """xi_{t_index}(t) xi_{spectator}(t_1)."""
+    return poly_mul(from_univariate(xi_form(t_index), 2, 0),
+                    from_univariate(xi_form(spectator), 2, 1))
+
+
 def test_trivial_bm_extraction():
     variables = ("t", "t_1")
-    rhs = poly_mul(from_univariate(xi_form(1), 2, 0),
-                   from_univariate(xi_form(0), 2, 1))
+    rhs = poly_add(_xi_product(1, 0), _xi_product(0, 1))
     assert extract_in_xi_basis(XiIdentity("bm", 1, variables, rhs)) == {
         (1, 0): 1}
+
+
+def test_bm_extraction_refuses_one_slot_choice():
+    # <tau_1 tau_0> has a key for each index in the t-slot; with only
+    # xi_1(t) xi_0(t_1) the image of the read value leaves the other over
+    rhs = _xi_product(1, 0)
+    with pytest.raises(ValueError, match=r"identity violated.*leftover at "
+                                         r"1 keys, top \(0, 2\)"):
+        extract_in_xi_basis(XiIdentity("bm", 1, ("t", "t_1"), rhs))
 
 
 def test_extraction_of_zero_rhs_is_empty():
@@ -222,20 +236,31 @@ def _expanded_in_basis(poly: dict, width: int, method: str) -> dict:
     return {key: rat(c, den) for key, c in ints.items()}
 
 
-RECURSIVE_LEVELS_TO_CHI_4 = [
+# every recursive level to chi 4, and each level of chi 5..7 whose case
+# takes under about a second; the expanded cut-and-join side sums over
+# all ell distinguished slots, so the case grows fast in ell: (0, 7)
+# takes 11 s, (1, 6) 28 s and (2, 5) 14 s
+FOLD_ORACLE_LEVELS = [
     (g, chi + 2 - 2 * g) for chi in range(2, 5)
-    for g in range((chi + 1) // 2 + 1) if chi + 2 - 2 * g >= 1]
+    for g in range((chi + 1) // 2 + 1) if chi + 2 - 2 * g >= 1] + [
+    (1, 5), (2, 3), (3, 1), (2, 4), (3, 2), (3, 3), (4, 1)]
 
 
-@pytest.mark.parametrize("g,ell", RECURSIVE_LEVELS_TO_CHI_4)
-def test_folded_rhs_is_the_fold_of_the_expanded_rhs(table_cj, g, ell):
+@pytest.fixture(scope="module")
+def table_cj_to_6():
+    return HodgeTable().fill_to_complexity(6, method="cutjoin")
+
+
+@pytest.mark.parametrize("g,ell", FOLD_ORACLE_LEVELS)
+def test_folded_rhs_is_the_fold_of_the_expanded_rhs(table_cj_to_6, g, ell):
     # the solver's right side, built in labels, is the expanded oracle
     # converted into the label basis and folded
-    expanded = cutjoin_rhs(g, ell, table_cj).rhs
-    terms = _recursion_terms(table_cj.level_entries, g, ell)
+    table = table_cj_to_6
+    expanded = cutjoin_rhs(g, ell, table).rhs
+    terms = _recursion_terms(table.level_entries, g, ell)
     assert _rhs_in_basis(terms, _KERNELS["cutjoin"]) == \
         _expanded_in_basis(expanded, ell, "cutjoin")
-    expanded = bm_rhs(g, ell - 1, table_cj)
+    expanded = bm_rhs(g, ell - 1, table)
     assert _rhs_in_basis(terms, _KERNELS["bm"]) == \
         _expanded_in_basis(expanded, ell, "bm")
 
@@ -328,6 +353,37 @@ def test_mutated_kernel_weight_raises(monkeypatch, method):
                         kernel.replace(weight=kernel.weight * rat(2, 3)))
     with pytest.raises(ValueError, match="identity violated"):
         HodgeTable().fill_to_complexity(5, method=method)
+
+
+def _bm_image_mutant(monkeypatch, change):
+    """Install a ``bm`` kernel whose image of each unknown with two or
+    more distinct indices has ``change(image, key)`` applied at the key
+    with its least index in the t-slot."""
+    kernel = _KERNELS["bm"]
+
+    def image(M, chi):
+        got = dict(kernel.image(M, chi))
+        if len(got) > 1:
+            change(got, min(got))
+        return got
+
+    monkeypatch.setitem(_KERNELS, "bm", kernel.replace(image=image))
+
+
+def test_one_wrong_t_slot_weight_raises(monkeypatch):
+    # the other t-slot keys of the unknown read its true value
+    def scale(image, key):
+        image[key] *= rat(2, 3)
+
+    _bm_image_mutant(monkeypatch, scale)
+    with pytest.raises(ValueError, match="identity violated.*disagree"):
+        HodgeTable().fill_to_complexity(5, method="bm")
+
+
+def test_a_dropped_t_slot_key_raises(monkeypatch):
+    _bm_image_mutant(monkeypatch, dict.pop)
+    with pytest.raises(ValueError, match="identity violated.*misses its key"):
+        HodgeTable().fill_to_complexity(5, method="bm")
 
 
 def test_a_table_is_filled_by_one_method():
@@ -424,11 +480,9 @@ def test_label_denominator_off_by_three_raises(monkeypatch, method):
 def test_bm_public_level_12_pairs(table_cj):
     rhs = bm_rhs(1, 1, table_cj)
     got = extract_in_xi_basis(XiIdentity("bm", 1, ("t", "t_1"), rhs))
-    # pair-indexed coefficients collapse symmetrically onto the level
-    level = table_cj.level_entries(1, 2)
-    assert got[(2, 0)] == got[(0, 2)] == level[(2, 0)]
-    assert got[(1, 1)] == level[(1, 1)]
-    assert got[(1, 0)] == got[(0, 1)] == level[(1, 0)]
+    # every t-slot choice of each index pair reads the cut-and-join value
+    assert got == table_cj.level_entries(1, 2)
+    assert set(got) == {(2, 0), (1, 1), (1, 0)}
 
 
 def test_bm_public_two_point_symmetry(table_cj):
@@ -501,7 +555,7 @@ def test_the_recursion_sum_is_collected_per_term_and_spectators():
 def test_a_key_beyond_the_dimension_is_refused(monkeypatch):
     # a BM cut fault adds the one label xi_5 at the one-point level
     # (2, 1), of dimension 4: its image is the one key (10,), so neither
-    # the leftover check nor the slot merge sees it
+    # the leftover check nor the agreement of its t-slot reads sees it
     kernel = _KERNELS["bm"]
 
     def cut(a, b):
