@@ -20,7 +20,7 @@ export RUNNER_TEMP
 
 # every step in the workflow's order; a step marked ":pip" installs a
 # package, or needs one installed, and offline skips it
-STEPS="install:pip tier1 perfbench oracle requests cache backend-fractions
+STEPS="install:pip tier1 digests perfbench oracle requests cache backend-fractions
 install-gmpy2:pip backend-gmpy2:pip tier1-gmpy2:pip"
 
 case ${1:-} in
@@ -29,6 +29,25 @@ install)
     ;;
 tier1)
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
+    ;;
+digests)
+    # a fresh table filled to complexity 13 by each method must equal the
+    # one pinned table; the tier-1 tests pin complexity 12
+    PYTHONPATH=src python - <<'PY'
+import hashlib
+import json
+import sys
+
+from hodgehurwitz.hodge_solver import HodgeTable
+
+for method in ("cutjoin", "bm", "both"):
+    rows = HodgeTable().fill_to_complexity(13, method=method).to_rows()
+    digest = hashlib.md5(json.dumps(rows).encode()).hexdigest()
+    print(f"digests: {method} to complexity 13: {len(rows)} rows, "
+          f"md5 {digest}")
+    if (len(rows), digest) != (5955, "50a62fe448cd89ec5b9808337bd5e06e"):
+        sys.exit(f"digests: {method} differs from the pinned table")
+PY
     ;;
 perfbench)
     python -m pytest perfbench -q

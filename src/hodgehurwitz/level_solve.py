@@ -46,12 +46,15 @@ denominator anywhere cannot silently produce a table.
 Both right-hand sides are one join/cut/split sum in different kernels:
 n = ell - 1 spectator slots sit beside one distinguished slot, the join
 reads level (g, n), the cut reads (g - 1, n + 2), and the splits pair
-levels with k1 + k2 = n spectators.  A ``_Kernel`` spec holds what
-differs (weight, join and cut polynomials, label basis, spectator label
-parity, the number ``head`` of fixed key positions, image and decoder),
-and ``_recursion_terms`` collects the sum once, with no kernel in it,
-keyed by term name, ("join", m) or ("cut", a, b), and sorted spectator
-multiset; ``_rhs_in_basis`` converts each pair in one kernel.  A method
+levels with k1 + k2 = n spectators.  A split (g1, k1 | g2, k2) and its
+mirror (g2, k2 | g1, k1) give the same keys and values, so the sum
+visits each split from its lesser side, (g1, k1) <= (g2, k2), and
+counts it twice unless it is its own mirror.  A ``_Kernel`` spec holds
+what differs (weight, join and cut polynomials, label basis, spectator
+label parity, the number ``head`` of fixed key positions, image and
+decoder), and ``_recursion_terms`` collects the sum once, with no kernel
+in it, keyed by term name, ("join", m) or ("cut", a, b), and sorted
+spectator multiset; ``_rhs_in_basis`` converts each pair in one kernel.  A method
 is the kernels it solves with (``_METHODS``): "both" is cut-and-join
 then ``bm``, and collects the sum once for the two.  The sum reads each
 lower level through a reader ``level(g, ell) -> entries``; inside
@@ -356,16 +359,23 @@ def _recursion_terms(level: Callable[[int, int], dict], g: int, ell: int):
                 rest = remove_one(remove_one(E, a), b)
                 terms[("cut", a, b), rest] += \
                     (val if a == b else 2 * val) / aut(rest)
-    # split: two stable surfaces share the spectators
+    # split: two stable surfaces share the spectators; the mirror split
+    # (g2, k2 | g1, k1) gives the same keys and values, so each split is
+    # visited from its lesser side and counted twice unless it is its
+    # own mirror
     for g1, k1, g2, k2 in _splits(g, n):
+        if (g1, k1) > (g2, k2):
+            continue
+        sides = 1 if (g1, k1) == (g2, k2) else 2
         left = _star_values(level(g1, k1 + 1))
-        right = _star_values(level(g2, k2 + 1))
+        right = left if sides == 1 else _star_values(level(g2, k2 + 1))
         for w1, amap in left.items():
             for w2, bmap in right.items():
                 rest = tuple(sorted(w1 + w2, reverse=True))
                 for a, va in amap.items():
                     for b, vb in bmap.items():
-                        terms[("cut", min(a, b), max(a, b)), rest] += va * vb
+                        terms[("cut", min(a, b), max(a, b)), rest] += \
+                            sides * va * vb
     return terms
 
 

@@ -16,8 +16,9 @@ made only where a caller reads a coefficient (``coefficient``,
 ``coeffs``, ``polynomial_part``).  Only ``.numerator``, ``.denominator``
 and ``Rational(n, d)`` touch the backend, which both backends provide.
 ``mul_through`` forms a product only through the last degree a caller
-reads, and ``SeriesPowers`` forms each power only through the degree its
-composition reads (the cap rule in its docstring).
+reads, and ``SeriesPowers`` keeps one chain of powers per cap, each
+power formed once and only through its cap (the cap rule in its
+docstring).
 
 Only the curve layer and the series suite load this module.
 """
@@ -350,64 +351,53 @@ def laurent_substitute(p, s: LaurentSeries) -> LaurentSeries:
 
 
 class SeriesPowers:
-    """The powers of one series ``s`` and of its reciprocal, each formed
-    on first use and only as far as it is read.
+    """The powers of one series ``s`` and of its reciprocal, one chain
+    per cap, each power formed on first use.
 
-    ``power(k, through)`` is s**k for k >= 1 and (1/s)**(-k) for
-    k <= -1, the product of the power below it and s (or 1/s), known
-    through min(honest order, ``through``); ``through=None`` asks for the
-    whole honest window.  A power is kept at the furthest degree asked
-    of it; a later call that asks further forms it again from the power
-    below it.
+    ``power(k, cap)`` is s**k for k >= 1 and (1/s)**(-k) for k <= -1.
+    Let b be the factor (s or 1/s) and m its min_degree.  The powers of
+    b through a cap form one chain [b, b**2, ...], each the product of
+    the one below it and b (``LaurentSeries.mul_through``, or the whole
+    product for ``cap=None``), so ``power(k, cap)`` is b itself for
+    |k| = 1 and otherwise b**|k| known through min(honest order,
+    ``cap``), the value a fresh table gives.  When m < 0, as for the
+    powers of 1/s when s has valuation >= 1, each product would consume
+    -m further orders of the power below it, so every cap reads the
+    chain formed over the whole honest window.
 
     The cap rule.  A truncated outer series caps a composition at
     C = (T_p + 1) val(s) - 1, and ``substitute`` asks each power only
-    through C.  Let b be the factor (s or 1/s) and m its min_degree.
-    When m >= 0, b**k through C needs b**(k-1) only through C - m <= C
-    and b only through C - min_degree(b**(k-1)), so a chain whose every
-    power is cut at C (``LaurentSeries.mul_through``) has the truncation
-    order min(honest, C) at every power, the honest order of the
-    uncapped chain wherever that is below C.  When m < 0, as for the
-    powers of 1/s when s has valuation >= 1, each product would consume
-    -m further orders of the power below it, so those powers are formed
-    over their whole honest window.  A composition read from one table
-    thus equals ``laurent_substitute`` computed afresh, truncation order
-    included.  Keep one table per series to share the products across
-    every composition into it.
+    through C.  When m >= 0, b**k through C needs b**(k-1) only through
+    C - m <= C and b only through C - min_degree(b**(k-1)), so every
+    power of the chain through C has the truncation order min(honest,
+    C), the honest order of the uncapped power wherever that is below C.
+    A composition read from the table thus equals ``laurent_substitute``
+    computed afresh, truncation order included.  Keep one table per
+    series to share the products across every composition into it.
     """
 
-    __slots__ = ("series", "_pos", "_neg")
+    __slots__ = ("series", "_chains")
 
     def __init__(self, s: LaurentSeries):
         self.series = s
-        # [(b**k, the degree it was formed through or None for all)]
-        self._pos = [(s, None)]
-        self._neg: list[tuple[LaurentSeries, Optional[int]]] = []
+        # (k < 0, cap) -> [b, b**2, ...]: b is s or 1/s, and the cap is
+        # None when b has min_degree < 0
+        self._chains: dict[tuple[bool, Optional[int]], list] = \
+            {(False, None): [s]}
 
-    def power(self, k: int, through: Optional[int] = None) -> LaurentSeries:
+    def power(self, k: int, cap: Optional[int] = None) -> LaurentSeries:
         if k == 0:
             raise ValueError("power 0 is not tabulated")
-        if k < 0 and not self._neg:
-            self._neg.append((laurent_reciprocal(self.series), None))
-        chain, top = (self._pos, k) if k > 0 else (self._neg, -k)
-        base = chain[0][0]
+        if k < 0 and (True, None) not in self._chains:
+            self._chains[True, None] = [laurent_reciprocal(self.series)]
+        base = self._chains[k < 0, None][0]
         if base.min_degree < 0:
-            through = None
-        # the powers below that reach too short are formed again first
-        k = top
-        while k > 1 and (k > len(chain) or not (
-                chain[k - 1][1] is None
-                or through is not None and chain[k - 1][1] >= through)):
-            k -= 1
-        for k in range(k + 1, top + 1):
-            below = chain[k - 2][0]
-            entry = (below * base if through is None
-                     else below.mul_through(base, through), through)
-            if k > len(chain):
-                chain.append(entry)
-            else:
-                chain[k - 1] = entry
-        return chain[top - 1][0]
+            cap = None
+        chain = self._chains.setdefault((k < 0, cap), [base])
+        while len(chain) < abs(k):
+            chain.append(chain[-1] * base if cap is None
+                         else chain[-1].mul_through(base, cap))
+        return chain[abs(k) - 1]
 
     def substitute(self, p) -> LaurentSeries:
         """``laurent_substitute(p, self.series)`` from the tabulated powers."""

@@ -5,7 +5,9 @@ These build the same recursions expanded, as genuine multivariate
 polynomials in (t_1..t_ell) or (t, t_1..t_ell), and read a level off an
 expanded identity; ``join_pair_poly`` and ``cut_pair_poly`` build the
 cut-and-join kernels by polynomial products and ``divided_difference``.
-The tests compare the solver's integer path against them.  A
+The tests compare the solver's integer path against them, and
+``recursion_terms_both_sides`` collects the recursion sum visiting every
+split from both sides, as a reference for the solver's one-sided sum.  A
 multivariate polynomial is a dict from exponent tuples, one entry per
 variable position, to nonzero rationals: the form in which the solver
 reads its kernels.  ``poly_add``, ``poly_scale`` and ``poly_mul`` are its
@@ -24,16 +26,18 @@ compare these with the series layer.
 ``distinct_permutations`` serve only these checks.
 """
 
+from collections import Counter
 from itertools import permutations
 from math import factorial, lcm
 from operator import add
 from typing import Iterator, NamedTuple
 
 from hodgehurwitz.exact_algebra import ZERO, Rational, TruncationError, \
-    aut, rat
+    aut, rat, remove_one
 from hodgehurwitz.hodge_solver import HodgeTable
-from hodgehurwitz.level_solve import _KERNELS, _in_basis, _Kernel, \
-    _recursion_terms, _run_extraction
+from hodgehurwitz.level_solve import _KERNELS, _distinct_values, _in_basis, \
+    _Kernel, _recursion_terms, _run_extraction, _splits, _star_values, \
+    _value_pairs
 from hodgehurwitz.series import LaurentSeries, laurent_reciprocal, \
     laurent_substitute
 from hodgehurwitz.xi_tower import xi_hat
@@ -288,6 +292,33 @@ def cut_pair_poly(a: int, b: int) -> dict:
     """xi_hat_{a+1} xi_hat_{b+1}, as terms."""
     return poly_mul(from_univariate(xi_hat(a + 1), 1, 0),
                     from_univariate(xi_hat(b + 1), 1, 0))
+
+
+def recursion_terms_both_sides(level, g: int, ell: int) -> Counter:
+    """``_recursion_terms`` with every split (g1, k1 | g2, k2) visited
+    from both sides, each side its own pair of star values."""
+    n, terms = ell - 1, Counter()
+    if n >= 1:
+        for E, val in level(g, n).items():
+            for m in _distinct_values(E):
+                rest = remove_one(E, m)
+                terms[("join", m), rest] += val / aut(rest)
+    if g >= 1:
+        for E, val in level(g - 1, n + 2).items():
+            for a, b in _value_pairs(E):
+                rest = remove_one(remove_one(E, a), b)
+                terms[("cut", a, b), rest] += \
+                    (val if a == b else 2 * val) / aut(rest)
+    for g1, k1, g2, k2 in _splits(g, n):
+        left = _star_values(level(g1, k1 + 1))
+        right = _star_values(level(g2, k2 + 1))
+        for w1, amap in left.items():
+            for w2, bmap in right.items():
+                rest = tuple(sorted(w1 + w2, reverse=True))
+                for a, va in amap.items():
+                    for b, vb in bmap.items():
+                        terms[("cut", min(a, b), max(a, b)), rest] += va * vb
+    return terms
 
 
 def rebuilt(converted: tuple[int, dict], kernel: _Kernel,

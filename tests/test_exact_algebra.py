@@ -7,6 +7,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hodgehurwitz import lambert_curve, residue_kernel
+from hodgehurwitz.cli import main
 from hodgehurwitz.exact_algebra import (
     Rational,
     TruncationError,
@@ -15,6 +17,7 @@ from hodgehurwitz.exact_algebra import (
     splits,
 )
 from hodgehurwitz.lambert_curve import bernoulli, double_factorial
+from hodgehurwitz.residue_kernel import ResidueCache
 from hodgehurwitz.series import (
     LaurentSeries,
     SeriesPowers,
@@ -410,11 +413,70 @@ def test_capped_powers_stop_at_the_cap():
     p = LaurentSeries({1: 1, 2: 1, 3: 1, 4: 1, 5: 1}, "u", 1, 5)  # cap 5
     assert_same_series(table.substitute(p),
                        laurent_substitute_uncapped(p, s))
-    # asking the whole window forms each power again, in full
+    # the whole window is a chain of its own, formed in full
     for k in range(1, 6):
         assert table.power(k) == laurent_substitute_uncapped(
             {k: 1}, s)
         assert table.power(k).min_degree == k
+    # and each cap reads its own chain: after s^4 through 6 and in full,
+    # s^4 through 4 is still a fresh table's
+    table.power(4, 6)
+    assert table.power(4, 4).truncation_order == 4
+    assert table.power(4, 4) == SeriesPowers(s).power(4, 4)
+
+
+def test_each_power_is_formed_once_per_sign_and_cap(monkeypatch):
+    s = LaurentSeries({1: 1, 2: rat(1, 3), 3: rat(7, 36)}, "v", 1, 12)
+    formed, capped = [], []
+    mul, mul_through = LaurentSeries.__mul__, LaurentSeries.mul_through
+
+    def counting_mul(a, b):
+        out = mul(a, b)
+        formed.append((out.truncation_order, out.min_degree))
+        return out
+
+    def counting_mul_through(a, b, degree):
+        capped.append(degree)
+        return mul_through(a, b, degree)
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", counting_mul)
+    monkeypatch.setattr(LaurentSeries, "mul_through", counting_mul_through)
+    table = SeriesPowers(s)
+    for _ in range(2):
+        for cap in (4, 6):
+            for k in (4, -3, 2, 3):
+                table.power(k, cap)
+    # s^2..s^4 through 4 and through 6; 1/s has min_degree -1, so its
+    # powers are formed once, over their honest windows 9 and 8
+    assert sorted(formed) == [(4, 2), (4, 3), (4, 4), (6, 2), (6, 3),
+                              (6, 4), (8, -3), (9, -2)]
+    assert sorted(capped) == [4, 4, 4, 6, 6, 6]
+
+
+@pytest.mark.parametrize("argv,most", [
+    (["verify", "--suite", "series", "--order", "18"], 69),
+    (["verify", "--suite", "residues"], 617)])
+def test_a_verify_request_forms_few_series_products(monkeypatch, capsys,
+                                                    argv, most):
+    # with the curve series solved afresh, so that every product of the
+    # request is formed here
+    memos = (lambert_curve.s_involution, lambert_curve.v_series,
+             lambert_curve.s_powers, lambert_curve.v_powers)
+    for memo in memos:
+        memo.cache_clear()
+    monkeypatch.setattr(residue_kernel, "DEFAULT_CACHE", ResidueCache())
+    products = []
+    mul = LaurentSeries.__mul__
+
+    def counting(a, b):
+        if isinstance(b, LaurentSeries):
+            products.append(b)
+        return mul(a, b)
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", counting)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert 0 < len(products) <= most
 
 
 # --- polynomial_part -------------------------------------------------------

@@ -23,7 +23,7 @@ from hodgehurwitz.verify import dvv_verify
 from hodgehurwitz.xi_tower import xi_form, xi_hat
 from hodge_oracle import XiIdentity, bm_rhs, cut_pair_poly, cutjoin_rhs, \
     extract_in_xi_basis, from_univariate, join_pair_poly, permute_vars, \
-    poly_add, poly_mul, poly_scale, rebuilt
+    poly_add, poly_mul, poly_scale, rebuilt, recursion_terms_both_sides
 
 
 @pytest.fixture(scope="module")
@@ -550,6 +550,35 @@ def test_the_recursion_sum_is_collected_per_term_and_spectators():
     tab = HodgeTable().fill_to_complexity(9, method="cutjoin")
     assert sum(len(_recursion_terms(tab.level_entries, g, ell))
                for g, ell in _solvable_levels(tab)) == 3298
+
+
+def test_the_one_sided_split_sum_equals_the_both_sided_one():
+    # both kernels read this one sum, so a "both" fill cannot catch a
+    # fault in it; the order of the pairs is the order of the level's
+    # keys, so it is compared too
+    tab = HodgeTable().fill_to_complexity(9, method="cutjoin")
+    levels = _solvable_levels(tab)
+    assert len(levels) == 32
+    for g, ell in levels:
+        got = _recursion_terms(tab.level_entries, g, ell)
+        want = recursion_terms_both_sides(tab.level_entries, g, ell)
+        assert list(got.items()) == list(want.items()), (g, ell)
+
+
+def test_each_split_builds_its_star_values_once(monkeypatch):
+    # a split and its mirror read the same star values, and a split that
+    # is its own mirror reads one level twice: a chi <= 9 fill that
+    # visited every split from both sides built them 416 times
+    builds = []
+    star_values = level_solve._star_values
+
+    def counting(entries):
+        builds.append(len(entries))
+        return star_values(entries)
+
+    monkeypatch.setattr(level_solve, "_star_values", counting)
+    HodgeTable().fill_to_complexity(9, method="cutjoin")
+    assert len(builds) == 208
 
 
 def test_a_key_beyond_the_dimension_is_refused(monkeypatch):
